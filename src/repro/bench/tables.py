@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 __all__ = ["render_table", "render_series"]
@@ -33,11 +34,19 @@ def render_series(
     title: str = "",
     fmt: str = "{:.4g}",
 ) -> str:
-    """Multi-column series table: one x column plus one column per curve."""
+    """Multi-column series table: one x column plus one column per curve.
+
+    A point a curve does not have (``None``, or NaN) renders as
+    ``n/a`` rather than ``nan``.
+    """
+
+    def cell(v) -> str:
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            return "n/a"
+        return fmt.format(v)
+
     headers = [x_label] + list(series.keys())
     rows = []
     for i, x in enumerate(xs):
-        rows.append(
-            [str(x)] + [fmt.format(series[name][i]) for name in series]
-        )
+        rows.append([str(x)] + [cell(series[name][i]) for name in series])
     return render_table(headers, rows, title=title)

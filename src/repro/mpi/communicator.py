@@ -63,6 +63,9 @@ class Comm:
     ):
         self.group = group
         self._rank = rank
+        # a group's member list never changes: resolve (and validate)
+        # this rank's process once instead of on every message
+        self._proc: MPIProcess = group.proc(rank)
         self.remote = remote
         # Inter-communicators carry their own context ids (shared by the
         # two sides) so traffic cannot match intra-communicator receives.
@@ -73,6 +76,7 @@ class Comm:
             self._ctx_coll = group.context_coll
         self._coll_seq = 0
         self._spawn_seq = 0
+        self._dup_seq = 0
 
     # -- introspection -------------------------------------------------------
     @property
@@ -102,10 +106,6 @@ class Comm:
         """The owning MPI runtime."""
         return self.group.runtime
 
-    @property
-    def _my_proc(self) -> MPIProcess:
-        return self.group.proc(self._rank)
-
     def _peer_group(self) -> GroupState:
         return self.remote if self.remote is not None else self.group
 
@@ -120,7 +120,7 @@ class Comm:
         """Blocking (buffered-semantics) send to ``dest``."""
         dst_proc = self._peer_group().proc(dest)
         yield from self.runtime.transmit(
-            self._my_proc,
+            self._proc,
             dst_proc,
             self._ctx_pt2pt,
             self._rank,
@@ -138,7 +138,7 @@ class Comm:
         """Blocking receive; returns the payload."""
         if source != ANY_SOURCE:
             self._peer_group().proc(source)  # validate rank
-        env = yield self._my_proc.mailbox.get(
+        env = yield self._proc.mailbox.get(
             match(self._ctx_pt2pt, source, tag)
         )
         if status is not None:
@@ -153,10 +153,19 @@ class Comm:
         nbytes: Optional[int] = None,
     ) -> Request:
         """Non-blocking send; returns a :class:`Request`."""
-        proc = self.runtime.sim.process(
-            self.send(payload, dest, tag=tag, nbytes=nbytes)
+        return Request(
+            self.runtime.isend(
+                self._proc,
+                self._peer_group(),
+                dest,
+                self._ctx_pt2pt,
+                self._rank,
+                tag,
+                payload,
+                nbytes=nbytes,
+            ),
+            "isend",
         )
-        return Request(proc, "isend")
 
     def irecv(
         self,
@@ -172,7 +181,7 @@ class Comm:
     ) -> Optional[Status]:
         """Non-blocking probe: Status of a matching buffered message,
         or ``None`` (MPI_Iprobe).  Does not consume the message."""
-        env = self._my_proc.mailbox.peek(match(self._ctx_pt2pt, source, tag))
+        env = self._proc.mailbox.peek(match(self._ctx_pt2pt, source, tag))
         if env is None:
             return None
         st = Status()
@@ -184,7 +193,7 @@ class Comm:
     ) -> Generator:
         """Blocking probe: wait until a matching message is available,
         return its Status without consuming it (MPI_Probe)."""
-        env = yield self._my_proc.mailbox.watch(
+        env = yield self._proc.mailbox.watch(
             match(self._ctx_pt2pt, source, tag)
         )
         st = Status()
@@ -210,7 +219,7 @@ class Comm:
     def _coll_send(self, payload, dest, tag, nbytes=None) -> Generator:
         dst_proc = self.group.proc(dest)
         yield from self.runtime.transmit(
-            self._my_proc,
+            self._proc,
             dst_proc,
             self._ctx_coll,
             self._rank,
@@ -220,7 +229,7 @@ class Comm:
         )
 
     def _coll_recv(self, source, tag) -> Generator:
-        env = yield self._my_proc.mailbox.get(
+        env = yield self._proc.mailbox.get(
             match(self._ctx_coll, source, tag)
         )
         return env.payload
@@ -249,8 +258,13 @@ class Comm:
 
     def isend_internal(self, payload, dest, tag) -> Request:
         """Non-blocking send on the collective context (library use)."""
-        proc = self.runtime.sim.process(self._coll_send(payload, dest, tag))
-        return Request(proc, "isend")
+        return Request(
+            self.runtime.isend(
+                self._proc, self.group, dest, self._ctx_coll, self._rank,
+                tag, payload,
+            ),
+            "isend",
+        )
 
     #: payload size above which bcast switches from the binomial tree
     #: to the bandwidth-optimal scatter + allgather (van de Geijn)
@@ -392,7 +406,7 @@ class Comm:
             out: List[Any] = [None] * size
             out[root] = value
             for _ in range(size - 1):
-                env = yield self._my_proc.mailbox.get(
+                env = yield self._proc.mailbox.get(
                     match(self._ctx_coll, ANY_SOURCE, tag)
                 )
                 out[env.source] = env.payload
@@ -554,9 +568,34 @@ class Comm:
 
     # -- communicator management ------------------------------------------
     def dup(self) -> "Comm":
-        """A new view with fresh contexts is unnecessary here: views are
-        cheap, so dup simply returns a sibling view of the same group."""
-        return Comm(self.group, self._rank, remote=self.remote)
+        """``MPI_Comm_dup``: the same group(s) under fresh contexts, so
+        traffic on the duplicate never matches the original's receives.
+
+        Every rank's k-th ``dup()`` of a communicator gets the same
+        context pair: the first caller allocates and registers it (as
+        ``<name>/dup<k>``), and the pair is memoized on the group — on
+        both groups of an inter-communicator — for the others.
+        """
+        self._dup_seq += 1
+        key = ("_dup", self._ctx_pt2pt, self._dup_seq)
+        caches = [self.group.spawn_results]
+        if self.remote is not None:
+            caches.append(self.remote.spawn_results)
+        ctx = next((c[key] for c in caches if key in c), None)
+        if ctx is None:
+            runtime = self.runtime
+            ctx = (runtime.next_context(), runtime.next_context())
+            parent_name = runtime.contexts.get(
+                self._ctx_pt2pt, (self.group.name,)
+            )[0]
+            name = f"{parent_name}/dup{self._dup_seq}"
+            runtime.register_context(ctx[0], name, "p2p")
+            runtime.register_context(ctx[1], name, "coll")
+            for cache in caches:
+                cache[key] = ctx
+        return Comm(
+            self.group, self._rank, remote=self.remote, context_override=ctx
+        )
 
     def split(self, color: int, key: Optional[int] = None) -> Generator:
         """Collective split into sub-communicators by ``color``.

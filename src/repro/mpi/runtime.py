@@ -31,7 +31,7 @@ import networkx as nx
 from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
-from ..sim import Process, Simulator, Store
+from ..sim import Event, Process, Simulator, Store
 from ..sim.events import AnyOf
 from .datatypes import payload_nbytes
 from .errors import (
@@ -308,10 +308,7 @@ class MPIRuntime:
         subclasses and each message is retried with exponential backoff
         — a restored link or rebooted peer lets the retry reroute.
         """
-        n = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        stats = self.traffic.setdefault(context_id, [0, 0])
-        stats[0] += 1
-        stats[1] += n
+        n = self._account(context_id, payload, nbytes)
         if self.fault_tolerance is None:
             yield from self.fabric.transfer(
                 src_proc.node.node_id, dst_proc.node.node_id, n
@@ -320,20 +317,60 @@ class MPIRuntime:
             yield from self._transfer_with_retries(
                 src_proc.node.node_id, dst_proc.node.node_id, n
             )
-        put_ev = dst_proc.mailbox.put(
-            Envelope(
-                context_id=context_id,
-                source=source_rank,
-                tag=tag,
-                nbytes=n,
-                payload=payload,
+        _deliver(dst_proc, context_id, source_rank, tag, n, payload)
+
+    def isend(
+        self,
+        src_proc: MPIProcess,
+        group: GroupState,
+        dest: int,
+        context_id: int,
+        source_rank: int,
+        tag: int,
+        payload: Any,
+        nbytes: Optional[int] = None,
+    ) -> Event:
+        """Post a non-blocking send to rank ``dest`` of ``group``.
+
+        Returns the event that fires when the send completes (fails
+        with the transport error, e.g. a ``RankError`` for a bad
+        ``dest`` or ``NodeFailedError``, otherwise).  The common case
+        runs on callbacks (:class:`_Send`) with no sim process.  A
+        runtime with a :class:`FaultTolerancePolicy` (retries and
+        timeouts need a process) and a fabric with
+        ``fast_path_enabled = False`` (the verification oracle) run
+        each send as a process over :meth:`transmit` instead; both
+        paths schedule the same events in the same order.
+        """
+        if self.fault_tolerance is not None or not self.fabric.fast_path_enabled:
+            return self.sim.process(
+                self._send(
+                    src_proc, group, dest, context_id, source_rank, tag,
+                    payload, nbytes,
+                )
             )
+        return _Send(
+            self, src_proc, group, dest, context_id, source_rank, tag,
+            payload, nbytes,
         )
-        if not put_ev.triggered:
-            # Only a bounded mailbox exerts back-pressure; the common
-            # (unbounded) case delivered synchronously — skip the
-            # zero-delay queue round trip.
-            yield put_ev
+
+    def _send(
+        self, src_proc, group, dest, context_id, source_rank, tag, payload,
+        nbytes,
+    ) -> Generator:
+        """Process body of a generator-path :meth:`isend`."""
+        yield from self.transmit(
+            src_proc, group.proc(dest), context_id, source_rank, tag,
+            payload, nbytes=nbytes,
+        )
+
+    def _account(self, context_id: int, payload: Any, nbytes) -> int:
+        """Size one message and add it to its context's traffic."""
+        n = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        stats = self.traffic.setdefault(context_id, [0, 0])
+        stats[0] += 1
+        stats[1] += n
+        return n
 
     def _transfer_once(self, src_id: str, dst_id: str, nbytes: int) -> Generator:
         """One transfer attempt, optionally bounded by the policy timeout."""
@@ -449,3 +486,109 @@ class MPIRuntime:
                 "(deadlock or missing message?)"
             )
         return [p.value for p in sim_procs]
+
+
+def _deliver(dst_proc, context_id, source_rank, tag, n, payload) -> None:
+    """Drop a message into its destination mailbox.
+
+    Mailboxes are unbounded, so delivery never blocks and needs no put
+    event: a matching posted receive is satisfied right here.
+    """
+    dst_proc.mailbox.put_nowait(
+        Envelope(
+            context_id=context_id,
+            source=source_rank,
+            tag=tag,
+            nbytes=n,
+            payload=payload,
+        )
+    )
+
+
+class _Send(Event):
+    """One non-blocking send on the callback path; the event itself is
+    the send's completion (what the request waits on).
+
+    It takes queue slot for slot the entries a send process would: a
+    zero-delay start entry where the process's init event sat, a
+    completion entry at ``now + duration`` where its bare-delay wakeup
+    sat, and the event itself where the process's exit sat.  The
+    mailbox delivery in between creates no event, as in
+    :meth:`MPIRuntime.transmit`.  So every other event keeps its time
+    and order, and reports match the process path byte for byte except
+    for the simulator's own counters.
+
+    A route the start finds contended still needs per-link FIFO
+    queueing; that part runs in a process started synchronously from
+    the start callback, so its link requests join the queues at the
+    instant a send process would have made them.
+    """
+
+    __slots__ = (
+        "runtime", "src_proc", "group", "dest", "context_id",
+        "source_rank", "tag", "payload", "nbytes", "dst_proc", "rc", "t0",
+    )
+
+    def __init__(
+        self, runtime, src_proc, group, dest, context_id, source_rank, tag,
+        payload, nbytes,
+    ):
+        super().__init__(runtime.sim)
+        self.runtime = runtime
+        self.src_proc = src_proc
+        self.group = group
+        self.dest = dest
+        self.context_id = context_id
+        self.source_rank = source_rank
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        runtime.sim.call_in(0.0, self._start)
+
+    def _start(self, _entry) -> None:
+        runtime = self.runtime
+        try:
+            dst_proc = self.group.proc(self.dest)
+            self.nbytes = runtime._account(
+                self.context_id, self.payload, self.nbytes
+            )
+            duration, self.rc, claimed = runtime.fabric.begin_transfer(
+                self.src_proc.node.node_id, dst_proc.node.node_id, self.nbytes
+            )
+        except Exception as exc:
+            # as a send process would: the error fails the request, so
+            # a waiter gets it raised and otherwise sim.run() does
+            self.fail(exc)
+            return
+        self.dst_proc = dst_proc
+        sim = self.sim
+        if claimed:
+            self.t0 = sim.now
+            sim.call_in(duration, self._finish)
+        else:
+            Process.start_now(sim, self._queued(duration))
+
+    def _queued(self, duration: float) -> Generator:
+        self.t0 = yield from self.runtime.fabric.queue_transfer(
+            self.rc, duration
+        )
+        self._complete()
+
+    def _finish(self, _entry) -> None:
+        if self.rc is not None:
+            self.runtime.fabric.release_route(self.rc)
+        self._complete()
+
+    def _complete(self) -> None:
+        self.runtime.fabric.end_transfer(
+            self.src_proc.node.node_id,
+            self.dst_proc.node.node_id,
+            self.nbytes,
+            self.rc,
+            self.t0,
+        )
+        _deliver(
+            self.dst_proc, self.context_id, self.source_rank, self.tag,
+            self.nbytes, self.payload,
+        )
+        self.succeed()

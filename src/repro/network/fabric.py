@@ -100,7 +100,8 @@ class Fabric:
 
     Both paths produce identical simulated timestamps and per-link
     counters; ``fast_path_enabled`` (class or instance attribute) forces
-    the slow path for verification.
+    the slow path for verification, and with it the MPI runtime's
+    process-per-message send path (see ``MPIRuntime.isend``).
     """
 
     #: set False (per class or instance) to force every transfer down
@@ -291,6 +292,42 @@ class Fabric:
 
         Transfers touching a failed node raise :class:`NodeFailedError`
         (the NIC stops responding with its host).
+
+        The generator is a thin wrapper over the event-free halves
+        :meth:`begin_transfer`, :meth:`release_route` and
+        :meth:`end_transfer`, which callers without a process (the MPI
+        send fast path) use directly.
+        """
+        duration, rc, claimed = self.begin_transfer(src, dst, nbytes, rdma)
+        if claimed:
+            t0 = self.sim.now
+            try:
+                yield duration
+            finally:
+                if rc is not None:
+                    self.release_route(rc)
+        else:
+            t0 = yield from self.queue_transfer(rc, duration)
+        self.end_transfer(src, dst, nbytes, rc, t0)
+
+    def begin_transfer(
+        self, src: str, dst: str, nbytes: int, rdma: bool = False
+    ) -> Tuple[float, Optional[_RouteCost], bool]:
+        """First half of a transfer: validate, cost, and claim the route.
+
+        Returns ``(duration, rc, claimed)``.  ``rc`` is ``None`` for an
+        intra-node copy, which occupies no link.  ``claimed`` is True
+        when the route was idle and the caller now holds every link
+        (fast path): after ``duration`` seconds it must call
+        :meth:`release_route` (unless ``rc`` is ``None``) and then
+        :meth:`end_transfer`.  ``claimed`` is False when a link is busy
+        or the fast path is disabled: the caller must then queue through
+        the :meth:`queue_transfer` generator.
+
+        The check-and-bump has no yield in it, so it is atomic in
+        simulated time: it cannot deadlock, and a same-time rival sees
+        the links busy.  Raises :class:`NodeFailedError` when an
+        endpoint has failed.
         """
         for endpoint in (src, dst):
             node = self._nodes.get(endpoint)
@@ -301,55 +338,72 @@ class Fabric:
             # bounded with negligible latency.
             node = self._nodes[src]
             bw = node.memory.peak_bandwidth if node.memory else 50e9
-            yield 200e-9 + nbytes / bw
-            self.messages_transferred += 1
-            return
+            return 200e-9 + nbytes / bw, None, True
 
         duration = self.transfer_time(src, dst, nbytes, rdma=rdma)
         rc = self.route_cost(src, dst)
         resources = rc.resources
-
-        if self.fast_path_enabled and all(
-            r._in_use < r.capacity and not r._waiting for r in resources
-        ):
-            # Fast path: the route is uncontended — occupy every link
-            # without Request events, one pooled bare-delay yield.
-            # Acquisition is atomic in simulated time (no yields between
-            # the check and the bumps), so it cannot deadlock and any
-            # same-time rival correctly sees the links busy.
+        if self.fast_path_enabled:
             for r in resources:
-                r._in_use += 1
-            self.fast_transfers += 1
-            t0 = self.sim.now
-            try:
-                yield duration
-            finally:
+                if r._in_use >= r.capacity or r._waiting:
+                    break
+            else:
+                # Fast path: occupy every link without Request events.
                 for r in resources:
-                    r.release_slot()
-        else:
-            # Slow path: FIFO-fair queueing on every busy link, with
-            # Request objects recycled through a pool.
-            self.slow_transfers += 1
-            pool = self._request_pool
-            requests = []
-            # acquisition sits inside the try: an interrupt (fault
-            # injection) while queueing on link k must release the k
-            # links already granted, or they stay occupied forever
-            try:
-                for (link, _fwd), resource in zip(rc.directed, resources):
-                    t_wait = self.sim.now
-                    req = resource.request(pool.pop() if pool else None)
-                    yield req
-                    link.stall_time_s += self.sim.now - t_wait
-                    requests.append((resource, req))
-                t0 = self.sim.now
-                yield duration
-            finally:
-                for resource, req in requests:
-                    resource.release(req)
-                    if req.processed and not req.abandoned:
-                        pool.append(req)
+                    r._in_use += 1
+                self.fast_transfers += 1
+                return duration, rc, True
+        self.slow_transfers += 1
+        return duration, rc, False
 
+    def queue_transfer(self, rc: _RouteCost, duration: float) -> Generator:
+        """Slow-path middle of a transfer :meth:`begin_transfer` could
+        not claim: FIFO-fair queueing on every link in canonical order
+        (``Request`` objects recycled through a pool), then ``duration``
+        seconds on the wire.  Releases the links on the way out and
+        returns the time the last link was granted."""
+        pool = self._request_pool
+        requests = []
+        # acquisition sits inside the try: an interrupt (fault
+        # injection) while queueing on link k must release the k
+        # links already granted, or they stay occupied forever
+        try:
+            for (link, _fwd), resource in zip(rc.directed, rc.resources):
+                t_wait = self.sim.now
+                req = resource.request(pool.pop() if pool else None)
+                yield req
+                link.stall_time_s += self.sim.now - t_wait
+                requests.append((resource, req))
+            t0 = self.sim.now
+            yield duration
+        finally:
+            for resource, req in requests:
+                resource.release(req)
+                if req.processed and not req.abandoned:
+                    pool.append(req)
+        return t0
+
+    @staticmethod
+    def release_route(rc: _RouteCost) -> None:
+        """Give back every link a claimed (fast-path) transfer holds,
+        waking the next live waiter on each."""
+        for r in rc.resources:
+            r.release_slot()
+
+    def end_transfer(
+        self,
+        src: str,
+        dst: str,
+        nbytes: int,
+        rc: Optional[_RouteCost],
+        t0: float,
+    ) -> None:
+        """Last half of a transfer whose links are released: per-link
+        and fabric counters plus the tracer interval from ``t0`` (the
+        time the wire was acquired) to now."""
+        self.messages_transferred += 1
+        if rc is None:
+            return  # intra-node copies carry no link bytes
         for link in rc.links:
             link.bytes_carried += nbytes
             link.messages_carried += 1
@@ -362,7 +416,6 @@ class Fabric:
                     self.sim.now,
                 )
         self.bytes_transferred += nbytes
-        self.messages_transferred += 1
 
     # -- convenience --------------------------------------------------------
     def latency(self, src: str, dst: str) -> float:

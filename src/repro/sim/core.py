@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Any, Generator, Optional
 
-from .events import WAKE_OK, Event, Timeout, _Wakeup
+from .events import WAKE_OK, Event, Timeout, _Call, _Wakeup
 from .process import Process
 from .queues import EmptyQueue, make_queue
 
@@ -119,6 +119,16 @@ class Simulator:
         depth = q.count + self._draining
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
+
+    def call_in(self, delay: float, callback) -> None:
+        """Run ``callback(entry)`` ``delay`` seconds from now.
+
+        One plain queue entry, no :class:`Event` and no process: it
+        takes the queue slot an event scheduled at this point would
+        take and is dispatched in the same (time, FIFO) order.  The
+        callback receives the spent entry, which it may ignore.
+        """
+        self._schedule(_Call(callback), delay)
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Schedule a *triggered* event at absolute time ``when``."""

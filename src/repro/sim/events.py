@@ -48,6 +48,24 @@ class _Wakeup:
         self.cancelled = False
 
 
+class _Call:
+    """Queue entry that runs one plain callback (see
+    :meth:`Simulator.call_in`).
+
+    The run loop dispatches it exactly like a succeeded event — it pops
+    the callback list and calls each entry with the entry itself — so
+    library code can act at a simulated instant without allocating an
+    :class:`Event` or driving a :class:`~repro.sim.Process`.
+    """
+
+    __slots__ = ("callbacks",)
+    _ok = True
+    _defused = False
+
+    def __init__(self, callback):
+        self.callbacks = [callback]
+
+
 class _WakeValue:
     """Immortal 'succeeded with None' stand-in fed to ``Process._resume``
     when a fast-path wakeup fires (never enters the queue itself)."""

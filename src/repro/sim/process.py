@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .events import PENDING, Event, Interrupt, _Wakeup
+from .events import PENDING, WAKE_OK, Event, Interrupt, _Wakeup
 
 __all__ = ["Process"]
 
@@ -27,21 +27,39 @@ class Process(Event):
     __slots__ = ("generator", "_target", "_wakeup")
 
     def __init__(self, sim: "Simulator", generator: Generator):  # noqa: F821
-        if not hasattr(generator, "send"):
-            raise TypeError(
-                f"Process requires a generator, got {type(generator).__name__} "
-                "(did you forget to call the generator function?)"
-            )
-        super().__init__(sim)
-        self.generator = generator
-        self._target: Event = None
-        self._wakeup: _Wakeup = None
+        self._bind(sim, generator)
         # Kick off the process at the current simulation time.
         init = Event(sim)
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
         sim._schedule(init)
+
+    @classmethod
+    def start_now(cls, sim: "Simulator", generator: Generator) -> "Process":  # noqa: F821
+        """Start a process by running its generator to the first yield
+        right away, instead of at a zero-delay init event.
+
+        For callbacks the run loop is already dispatching at the
+        instant the process begins: what the generator does first (say,
+        queueing on a link) then happens in the callback's own queue
+        slot, not behind events scheduled for the same time meanwhile.
+        """
+        proc = cls.__new__(cls)
+        proc._bind(sim, generator)
+        proc._resume(WAKE_OK)
+        return proc
+
+    def _bind(self, sim: "Simulator", generator: Generator) -> None:  # noqa: F821
+        if not hasattr(generator, "send"):
+            raise TypeError(
+                f"Process requires a generator, got {type(generator).__name__} "
+                "(did you forget to call the generator function?)"
+            )
+        Event.__init__(self, sim)
+        self.generator = generator
+        self._target: Event = None
+        self._wakeup: _Wakeup = None
 
     @property
     def is_alive(self) -> bool:

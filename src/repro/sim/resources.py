@@ -171,6 +171,14 @@ class Store:
             self._putters.append((ev, item))
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Insert an item without a put event, for producers that never
+        wait on the insertion (e.g. MPI mailboxes, which are unbounded).
+        A full bounded store raises instead of blocking."""
+        if len(self.items) >= self.capacity:
+            raise RuntimeError("put_nowait on a full store")
+        self._insert(item)
+
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Event yielding the next (optionally filtered) item."""
         ev = Event(self.sim)

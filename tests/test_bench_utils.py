@@ -33,12 +33,18 @@ def test_render_table_no_title():
 
 def test_render_series():
     out = render_series(
-        "N", [1, 2], {"a": [0.5, 1.5], "b": [10.0, 20.0]}, fmt="{:.1f}"
+        "N",
+        [1, 2, 3],
+        {"a": [0.5, 1.5, float("nan")], "b": [10.0, 20.0, None]},
+        fmt="{:.1f}",
     )
     lines = out.splitlines()
     assert "N" in lines[0] and "a" in lines[0] and "b" in lines[0]
     assert "0.5" in lines[2] and "10.0" in lines[2]
     assert "1.5" in lines[3] and "20.0" in lines[3]
+    # missing points (None or NaN) render as n/a, never as nan
+    assert lines[4].split() == ["3", "|", "n/a", "|", "n/a"]
+    assert "nan" not in out
 
 
 # --------------------------------------------------------------- ping-pong

@@ -65,19 +65,55 @@ def test_fast_and_slow_agree_contended():
     assert sum(s[2] for s in fast_links.values()) > 0
 
 
-def test_engine_run_identical_without_fast_path():
-    """A full C+B engine run reports the same physics either way."""
-    spec = ExperimentSpec(mode="cb", steps=5, seed=3)
+_CRASH_PLAN = {
+    "schema": "repro.fault_plan/1",
+    "seed": 1,
+    "mtbf_s": None,
+    "events": [{"time_s": 1.0, "kind": "node_crash", "target": "bn00"}],
+}
+
+_ENGINE_SPECS = {
+    **{
+        f"{mode}-{n}": dict(mode=mode, nodes_per_solver=n)
+        for mode in ("C+B", "Cluster", "Booster")
+        for n in (1, 2, 8)
+    },
+    "no-overlap": dict(mode="C+B", nodes_per_solver=4, overlap=False),
+    "swap": dict(mode="C+B", nodes_per_solver=4, swap_placement=True),
+    "trace": dict(mode="C+B", nodes_per_solver=2, trace=True),
+    "fault-plan": dict(
+        mode="C+B",
+        nodes_per_solver=2,
+        steps=60,
+        fault_plan=_CRASH_PLAN,
+        ckpt_interval_s=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_SPECS))
+def test_engine_run_identical_without_fast_path(name):
+    """A full engine run reports the same physics either way.
+
+    ``fast_path_enabled = False`` also sends every ``isend`` through a
+    process over the blocking ``transmit`` path instead of the MPI
+    runtime's callbacks, so this is the differential oracle for both
+    fast paths."""
+    spec = ExperimentSpec(**{"steps": 5, "seed": 3, **_ENGINE_SPECS[name]})
     fast = Engine().run(spec)
     Fabric.fast_path_enabled = False
     try:
         slow = Engine().run(spec)
     finally:
         Fabric.fast_path_enabled = True
-    assert fast.network["fast_transfers"] > 0
+    if name not in ("Cluster-1", "Booster-1"):  # these cross no link
+        assert fast.network["fast_transfers"] > 0
     assert slow.network["fast_transfers"] == 0
     fd, sd = fast.to_dict(), slow.to_dict()
-    for key in ("spec", "result", "mpi", "phases", "intervals"):
+    for key in (
+        "spec", "result", "mpi", "phases", "intervals", "resiliency",
+        "malleability",
+    ):
         assert fd[key] == sd[key], key
     for d in (fd, sd):  # only the path mix may differ
         d["network"] = {
@@ -87,6 +123,8 @@ def test_engine_run_identical_without_fast_path():
         }
     assert fd["network"] == sd["network"]
     assert fast.sim["sim_time_s"] == slow.sim["sim_time_s"]
+    if spec.fault_plan is not None:
+        assert fast.resiliency["restarts"] >= 1  # the crash really hit
 
 
 # -- route-cost cache ---------------------------------------------------------

@@ -8,11 +8,14 @@ from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
     Bytes,
+    FaultTolerancePolicy,
     MPIRuntime,
     RankError,
     Status,
     payload_nbytes,
 )
+from repro.network.fabric import NodeFailedError
+from repro.sim import Process
 
 
 @pytest.fixture()
@@ -247,3 +250,178 @@ def test_placement_capacity_enforced(rt):
 
     with pytest.raises(ValueError):
         rt.run_app(app, rt.machine.cluster[:2], nprocs=5, procs_per_node=2)
+
+
+# -- communicator duplication ---------------------------------------------
+
+def test_dup_traffic_never_matches_the_original(rt):
+    """A receive posted on a duplicate must not take a message sent on
+    the original communicator, even with the same source and tag."""
+
+    def app(ctx):
+        comm = ctx.world
+        d = comm.dup()
+        if comm.rank == 0:
+            yield from comm.send("on-original", dest=1, tag=5)
+            yield from d.send("on-dup", dest=1, tag=5)
+            return None
+        on_dup = yield from d.recv(source=0, tag=5)
+        on_original = yield from comm.recv(source=0, tag=5)
+        return (on_dup, on_original)
+
+    results = rt.run_app(app, rt.machine.cluster[:2])
+    assert results[1] == ("on-dup", "on-original")
+    # every rank's first dup() shares one context pair, registered for
+    # per-communicator traffic under its own name
+    traffic = rt.comm_traffic()
+    assert traffic["world"]["p2p_messages"] == 1
+    assert traffic["world/dup1"]["p2p_messages"] == 1
+
+
+def test_dup_of_an_intercommunicator_spans_both_sides(rt):
+    def child(ctx):
+        d = ctx.get_parent().dup()
+        msg = yield from d.recv(source=0, tag=1)
+        yield from d.send(f"ack:{msg}", dest=0, tag=1)
+
+    def parent_app(ctx):
+        inter = yield from ctx.world.spawn(
+            child, rt.machine.cluster[:1], name="kids", startup_cost_s=0.0
+        )
+        d = inter.dup()
+        yield from d.send("hi", dest=0, tag=1)
+        reply = yield from d.recv(source=0, tag=1)
+        return reply
+
+    assert rt.run_app(parent_app, rt.machine.booster[:1]) == ["ack:hi"]
+    assert rt.comm_traffic()["world<->kids/dup1"]["p2p_messages"] == 2
+
+
+# -- the non-blocking send path --------------------------------------------
+
+def _same_time_sends(through_isend, node_ids, sends):
+    """Post every ``(sender, dest, nbytes)`` of ``sends`` at t=0, in list
+    order, as isends or as processes over the blocking send; returns
+    each send's completion time, the per-link stall times, and the
+    fabric."""
+    machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+    rt = MPIRuntime(machine)
+    sim = machine.sim
+    done = [None] * len(sends)
+
+    def app(ctx):
+        comm = ctx.world
+        events = []
+        for i, (sender, dest, nbytes) in enumerate(sends):
+            if sender != comm.rank:
+                continue
+            if through_isend:
+                ev = comm.isend(Bytes(nbytes), dest=dest, tag=i).wait()
+            else:
+                ev = sim.process(comm.send(Bytes(nbytes), dest=dest, tag=i))
+            ev.callbacks.append(lambda _ev, i=i: done.__setitem__(i, sim.now))
+            events.append(ev)
+        for i, (sender, dest, _nbytes) in enumerate(sends):
+            if dest == comm.rank:
+                yield from comm.recv(source=sender, tag=i)
+        for ev in events:
+            yield ev
+
+    rt.run_app(app, [machine.fabric.node(n) for n in node_ids])
+    stalls = {link.key: link.stall_time_s for link in machine.fabric.topology.links}
+    return done, stalls, machine.fabric
+
+
+def test_contended_isends_fall_back_to_the_generator_path():
+    args = (["cn00", "cn01"], [(0, 1, 2**20), (0, 1, 2**20)])
+    done, stalls, fabric = _same_time_sends(True, *args)
+    ref_done, ref_stalls, _ = _same_time_sends(False, *args)
+    # the first send claims the idle route, the second finds it busy
+    # and queues on the links like a blocking send would
+    assert fabric.fast_transfers == 1 and fabric.slow_transfers == 1
+    assert done == ref_done
+    assert done[1] > done[0]  # really serialized behind the first
+    assert stalls == ref_stalls
+    assert sum(stalls.values()) > 0
+
+
+def test_contended_isend_queues_at_its_own_instant():
+    """X holds cn01's inbound link; Y (cn00->cn01) finds it busy, so it
+    queues, but first takes cn00's outbound link, which sorts first.
+    Z (cn00->cn03), posted right after Y at the same time, must then
+    queue behind Y on cn00's outbound link, as with blocking sends.
+    Y's queueing process starting one event later would let Z claim
+    the idle link first and change every completion time."""
+    args = (
+        ["cn02", "cn00", "cn01", "cn03"],
+        [(0, 2, 8 * 2**20), (1, 2, 2**20), (1, 3, 2**20)],
+    )
+    done, stalls, fabric = _same_time_sends(True, *args)
+    ref_done, ref_stalls, _ = _same_time_sends(False, *args)
+    assert fabric.fast_transfers == 1 and fabric.slow_transfers == 2
+    assert done == ref_done
+    assert done[0] < done[1] < done[2]
+    assert stalls == ref_stalls
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_isend_to_a_failed_node_fails_its_request(fast_path):
+    def make_rt():
+        machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+        machine.fabric.fast_path_enabled = fast_path
+        machine.fabric.fail_node("cn01")
+        return MPIRuntime(machine)
+
+    def waited(ctx):
+        if ctx.world.rank == 0:
+            req = ctx.world.isend("x", dest=1)
+            try:
+                yield req.wait()
+            except NodeFailedError:
+                return "raised"
+            return "delivered"
+        yield ctx.compute(0)
+
+    rt = make_rt()
+    assert rt.run_app(waited, rt.machine.cluster[:2])[0] == "raised"
+
+    def unwaited(ctx):
+        if ctx.world.rank == 0:
+            ctx.world.isend("x", dest=1)
+        yield ctx.compute(0)
+
+    # nobody waits on the failed request: the error must not be lost
+    rt = make_rt()
+    with pytest.raises(NodeFailedError):
+        rt.run_app(unwaited, rt.machine.cluster[:2])
+
+
+@pytest.mark.parametrize(
+    "policy, processes",
+    [(None, 0), (FaultTolerancePolicy(max_retries=1), 1)],
+)
+def test_uncontended_isend_constructs_no_process(monkeypatch, policy, processes):
+    """Only a send that needs one (retries under a policy, or per-link
+    queueing) runs in a sim process."""
+    created = []
+    bind = Process._bind
+
+    def counting_bind(self, sim, generator):
+        created.append(generator)
+        bind(self, sim, generator)
+
+    monkeypatch.setattr(Process, "_bind", counting_bind)
+    machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+    rt = MPIRuntime(machine, fault_tolerance=policy)
+
+    def app(ctx):
+        comm = ctx.world
+        if comm.rank == 1:
+            payload = yield from comm.recv(source=0)
+            return payload
+        before = len(created)
+        req = comm.isend("hello", dest=1)
+        yield req.wait()
+        return len(created) - before
+
+    assert rt.run_app(app, machine.cluster[:2]) == [processes, "hello"]

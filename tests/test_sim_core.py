@@ -12,6 +12,7 @@ from repro.sim import (
     EmptyQueue,
     Event,
     Interrupt,
+    Process,
     Simulator,
 )
 
@@ -254,6 +255,46 @@ def test_fifo_order_among_simultaneous_events():
         sim.process(proc(sim, name))
     sim.run()
     assert order == ["a", "b", "c"]
+
+
+def test_call_in_takes_an_event_slot_in_fifo_order():
+    sim = Simulator()
+    order = []
+
+    def proc(sim, name):
+        yield sim.timeout(1.0)
+        order.append(name)
+
+    sim.process(proc(sim, "a"))
+    sim.call_in(
+        0.0,
+        lambda _entry: sim.call_in(1.0, lambda _entry: order.append("cb")),
+    )
+    sim.process(proc(sim, "b"))
+    sim.run()
+    assert order == ["a", "cb", "b"]
+    with pytest.raises(ValueError):
+        sim.call_in(-1.0, order.append)
+
+
+def test_start_now_runs_the_generator_in_the_callers_slot():
+    sim = Simulator()
+    order = []
+    started = []
+
+    def body(name):
+        order.append(name)
+        yield sim.timeout(0)
+
+    def callback(_entry):
+        sim.process(body("deferred"))  # waits for its init event
+        started.append(Process.start_now(sim, body("now")))
+        order.append("callback returns")
+
+    sim.call_in(0.0, callback)
+    sim.run()
+    assert order == ["now", "callback returns", "deferred"]
+    assert started[0].triggered and started[0].ok
 
 
 def test_interrupt_delivers_cause():
