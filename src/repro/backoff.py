@@ -33,7 +33,7 @@ forever).
 from __future__ import annotations
 
 import numpy as np
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 __all__ = ["ExponentialBackoff"]
 
@@ -56,9 +56,12 @@ class ExponentialBackoff:
         from ``[base_s, prev_delay * factor]``.  Implies randomness, so
         pass a ``seed`` for deterministic tests.
     seed
-        Seed for the private RNG stream.  Two instances with the same
-        parameters and seed produce identical delay sequences — the
-        determinism contract the simulated transport relies on.
+        Seed for the private RNG stream: an int or a sequence of ints
+        (anything :func:`numpy.random.default_rng` takes).  Two
+        instances with the same parameters and seed produce identical
+        delay sequences — the determinism contract the simulated
+        transport relies on.  The stream is built on the first draw
+        that needs one, so a zero-jitter schedule never builds it.
     """
 
     def __init__(
@@ -68,7 +71,7 @@ class ExponentialBackoff:
         cap_s: Optional[float] = None,
         jitter: float = 0.0,
         decorrelated: bool = False,
-        seed: Optional[int] = None,
+        seed: Union[int, Sequence[int], None] = None,
     ):
         if base_s < 0:
             raise ValueError(f"base_s cannot be negative (got {base_s})")
@@ -84,15 +87,21 @@ class ExponentialBackoff:
         self.jitter = jitter
         self.decorrelated = decorrelated
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._rng: Optional[np.random.Generator] = None
         self.attempt = 0
         self._prev: Optional[float] = None
 
     def reset(self) -> None:
-        """Rewind to attempt zero (and re-seed the jitter stream)."""
-        self._rng = np.random.default_rng(self.seed)
+        """Rewind to attempt zero (and restart the jitter stream)."""
+        self._rng = None
         self.attempt = 0
         self._prev = None
+
+    def _generator(self) -> np.random.Generator:
+        """The private jitter stream, seeded on its first use."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     def next_delay(self, floor_s: float = 0.0) -> float:
         """The next delay in seconds; advances the attempt counter.
@@ -104,11 +113,13 @@ class ExponentialBackoff:
         if self.decorrelated:
             prev = self.base_s if self._prev is None else self._prev
             hi = max(self.base_s, prev * self.factor)
-            delay = self._rng.uniform(self.base_s, hi)
+            delay = self._generator().uniform(self.base_s, hi)
         else:
             delay = self.base_s * self.factor ** self.attempt
             if self.jitter:
-                delay *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
+                delay *= 1.0 + self.jitter * (
+                    2.0 * self._generator().random() - 1.0
+                )
         self.attempt += 1
         delay = max(delay, max(0.0, floor_s))
         if self.cap_s is not None:

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Sequence
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from ..backoff import ExponentialBackoff
 from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
@@ -59,14 +60,18 @@ class FaultTolerancePolicy:
     seconds of simulated time, which doubles as the window in which a
     restored link lets the retry reroute and succeed.  ``timeout_s``
     (optional) aborts any single transfer attempt that takes longer —
-    e.g. one crawling over a degraded link.
+    e.g. one crawling over a degraded link.  Without a timeout, sends
+    and their retries run on simulator callbacks; a timeout needs a
+    process per send to race each attempt against (see
+    :meth:`MPIRuntime.isend`).
 
     ``jitter`` spreads retrying senders apart: each delay is scaled by
-    a uniform factor from ``[1 - jitter, 1 + jitter]`` drawn from a
-    private RNG seeded with ``jitter_seed`` — deterministic for a
-    given seed, so jittered simulations still replay bit-identically.
-    ``jitter=0`` (default) draws nothing and reproduces the historical
-    fixed schedule exactly.  The delay sequence itself comes from the
+    a uniform factor from ``[1 - jitter, 1 + jitter]`` drawn from the
+    message's own RNG stream, seeded with ``(jitter_seed, n)`` for the
+    runtime's ``n``-th message.  Two messages draw different factors,
+    and a given seed still replays bit-identically.  ``jitter=0``
+    (default) draws nothing and reproduces the historical fixed
+    schedule exactly.  The delay sequence itself comes from the
     shared :class:`repro.backoff.ExponentialBackoff` helper — the same
     implementation the experiment-service clients use.
     """
@@ -88,15 +93,15 @@ class FaultTolerancePolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
-    def backoff(self):
-        """A fresh per-message delay generator under this policy."""
-        from ..backoff import ExponentialBackoff
-
+    def backoff(self, message: int = 0) -> ExponentialBackoff:
+        """A fresh delay generator for a runtime's ``message``-th send
+        (numbered from 0), its jitter seeded with
+        ``(jitter_seed, message)``."""
         return ExponentialBackoff(
             base_s=self.backoff_base_s,
             factor=self.backoff_factor,
             jitter=self.jitter,
-            seed=self.jitter_seed,
+            seed=(self.jitter_seed, message),
         )
 
 
@@ -239,6 +244,9 @@ class MPIRuntime:
         #: every rank sim-process ever launched (spawned children too) —
         #: lets a supervisor abort a whole job on a fatal fault
         self.launched_processes: List[Process] = []
+        #: messages sized and counted so far: the next message's send
+        #: number, which seeds its retry jitter
+        self.send_count = 0
         # transport fault-tolerance accounting
         self.transport_failures = 0
         self.transport_retries = 0
@@ -302,20 +310,23 @@ class MPIRuntime:
     ) -> Generator:
         """Move one message from ``src_proc`` to ``dst_proc`` (a process).
 
-        Without a :class:`FaultTolerancePolicy` this is exactly one
-        fabric transfer (failures propagate raw).  With one, transport
-        faults surface as typed :class:`~repro.mpi.errors.TransportError`
-        subclasses and each message is retried with exponential backoff
-        — a restored link or rebooted peer lets the retry reroute.
+        The blocking send, and the body of a generator-path
+        :meth:`isend`.  Without a :class:`FaultTolerancePolicy` this is
+        exactly one fabric transfer (failures propagate raw).  With one,
+        transport faults surface as typed
+        :class:`~repro.mpi.errors.TransportError` subclasses and each
+        message is retried with exponential backoff — a restored link or
+        rebooted peer lets the retry reroute.  The retry policy is
+        :meth:`_retry_delay`, the same one the callback path follows.
         """
-        n = self._account(context_id, payload, nbytes)
+        n, seq = self._account(context_id, payload, nbytes)
         if self.fault_tolerance is None:
             yield from self.fabric.transfer(
                 src_proc.node.node_id, dst_proc.node.node_id, n
             )
         else:
             yield from self._transfer_with_retries(
-                src_proc.node.node_id, dst_proc.node.node_id, n
+                src_proc.node.node_id, dst_proc.node.node_id, n, seq
             )
         _deliver(dst_proc, context_id, source_rank, tag, n, payload)
 
@@ -333,16 +344,21 @@ class MPIRuntime:
         """Post a non-blocking send to rank ``dest`` of ``group``.
 
         Returns the event that fires when the send completes (fails
-        with the transport error, e.g. a ``RankError`` for a bad
-        ``dest`` or ``NodeFailedError``, otherwise).  The common case
-        runs on callbacks (:class:`_Send`) with no sim process.  A
-        runtime with a :class:`FaultTolerancePolicy` (retries and
-        timeouts need a process) and a fabric with
-        ``fast_path_enabled = False`` (the verification oracle) run
-        each send as a process over :meth:`transmit` instead; both
-        paths schedule the same events in the same order.
+        with the transport error otherwise: a ``RankError`` for a bad
+        ``dest``, ``NodeFailedError`` without a policy, a typed
+        :class:`~repro.mpi.errors.TransportError` once a policy's
+        retries are spent).  Sends run on callbacks (:class:`_Send`)
+        with no sim process, retries under a
+        :class:`FaultTolerancePolicy` included.  A policy with
+        ``timeout_s`` (each attempt races a timeout in a process) and a
+        fabric with ``fast_path_enabled = False`` (the verification
+        oracle) run each send as a process over :meth:`transmit`
+        instead; both paths schedule the same events in the same order.
         """
-        if self.fault_tolerance is not None or not self.fabric.fast_path_enabled:
+        policy = self.fault_tolerance
+        if (
+            policy is not None and policy.timeout_s is not None
+        ) or not self.fabric.fast_path_enabled:
             return self.sim.process(
                 self._send(
                     src_proc, group, dest, context_id, source_rank, tag,
@@ -364,13 +380,18 @@ class MPIRuntime:
             payload, nbytes=nbytes,
         )
 
-    def _account(self, context_id: int, payload: Any, nbytes) -> int:
-        """Size one message and add it to its context's traffic."""
+    def _account(
+        self, context_id: int, payload: Any, nbytes
+    ) -> Tuple[int, int]:
+        """Size one message, add it to its context's traffic and number
+        it; returns ``(nbytes, send number)``."""
         n = payload_nbytes(payload) if nbytes is None else int(nbytes)
         stats = self.traffic.setdefault(context_id, [0, 0])
         stats[0] += 1
         stats[1] += n
-        return n
+        seq = self.send_count
+        self.send_count = seq + 1
+        return n, seq
 
     def _transfer_once(self, src_id: str, dst_id: str, nbytes: int) -> Generator:
         """One transfer attempt, optionally bounded by the policy timeout."""
@@ -392,28 +413,56 @@ class MPIRuntime:
         )
 
     def _transfer_with_retries(
-        self, src_id: str, dst_id: str, nbytes: int
+        self, src_id: str, dst_id: str, nbytes: int, seq: int
     ) -> Generator:
-        """Retry-with-backoff wrapper mapping fabric faults to typed errors."""
-        policy = self.fault_tolerance
-        backoff = policy.backoff()
-        for attempt in range(policy.max_retries + 1):
+        """The generator driver of :meth:`_retry_delay`: attempt, back
+        off, attempt again."""
+        backoff = None
+        while True:
             try:
                 yield from self._transfer_once(src_id, dst_id, nbytes)
                 return
-            except NodeFailedError as exc:
-                error = PeerFailedError(str(exc))
-            except nx.exception.NetworkXNoPath as exc:
-                error = RouteDownError(str(exc))
-            except TransportTimeoutError as exc:
-                error = exc
-            self.transport_failures += 1
-            if attempt == policy.max_retries:
-                raise error
-            self.transport_retries += 1
-            delay = backoff.next_delay()
-            self.backoff_time_s += delay
+            except Exception as exc:
+                delay, backoff = self._retry_delay(exc, seq, backoff)
             yield delay
+
+    def _retry_delay(
+        self,
+        exc: Exception,
+        seq: int,
+        backoff: Optional[ExponentialBackoff],
+    ) -> Tuple[float, ExponentialBackoff]:
+        """The retry policy both send drivers follow: account one failed
+        transfer attempt of message ``seq`` and return ``(delay,
+        backoff)`` for the next attempt.
+
+        ``backoff`` is the message's delay generator, ``None`` until its
+        first failure builds one.  Raises ``exc`` unchanged when the
+        runtime has no policy or ``exc`` is no transport fault, and the
+        typed error (``NodeFailedError`` -> :class:`PeerFailedError`, no
+        route -> :class:`RouteDownError`, a timeout as itself) once
+        ``max_retries`` retries are spent.
+        """
+        policy = self.fault_tolerance
+        if policy is None:
+            raise exc
+        if isinstance(exc, NodeFailedError):
+            error = PeerFailedError(str(exc))
+        elif isinstance(exc, nx.exception.NetworkXNoPath):
+            error = RouteDownError(str(exc))
+        elif isinstance(exc, TransportTimeoutError):
+            error = exc
+        else:
+            raise exc
+        self.transport_failures += 1
+        if backoff is None:
+            backoff = policy.backoff(seq)
+        if backoff.attempt == policy.max_retries:
+            raise error
+        self.transport_retries += 1
+        delay = backoff.next_delay()
+        self.backoff_time_s += delay
+        return delay, backoff
 
     # -- launching ---------------------------------------------------------
     def _place(
@@ -518,15 +567,23 @@ class _Send(Event):
     and order, and reports match the process path byte for byte except
     for the simulator's own counters.
 
-    A route the start finds contended still needs per-link FIFO
+    An attempt that fails under a :class:`FaultTolerancePolicy` backs
+    off on a callback too: :meth:`MPIRuntime._retry_delay` maps and
+    counts the error and gives the delay, and the retry entry sits where
+    the send process's bare-delay backoff wakeup sat.  Once the retries
+    are spent, the typed error fails the event as the process's exit
+    would have.
+
+    A route an attempt finds contended still needs per-link FIFO
     queueing; that part runs in a process started synchronously from
-    the start callback, so its link requests join the queues at the
+    the attempt's callback, so its link requests join the queues at the
     instant a send process would have made them.
     """
 
     __slots__ = (
         "runtime", "src_proc", "group", "dest", "context_id",
         "source_rank", "tag", "payload", "nbytes", "dst_proc", "rc", "t0",
+        "seq", "backoff",
     )
 
     def __init__(
@@ -543,25 +600,45 @@ class _Send(Event):
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
+        self.backoff = None
         runtime.sim.call_in(0.0, self._start)
 
     def _start(self, _entry) -> None:
-        runtime = self.runtime
         try:
-            dst_proc = self.group.proc(self.dest)
-            self.nbytes = runtime._account(
+            self.dst_proc = self.group.proc(self.dest)
+            self.nbytes, self.seq = self.runtime._account(
                 self.context_id, self.payload, self.nbytes
-            )
-            duration, self.rc, claimed = runtime.fabric.begin_transfer(
-                self.src_proc.node.node_id, dst_proc.node.node_id, self.nbytes
             )
         except Exception as exc:
             # as a send process would: the error fails the request, so
             # a waiter gets it raised and otherwise sim.run() does
             self.fail(exc)
             return
-        self.dst_proc = dst_proc
+        self._attempt(None)
+
+    def _attempt(self, _entry) -> None:
+        """One transfer attempt: the first from the start entry, each
+        retry from its own backoff entry."""
+        runtime = self.runtime
         sim = self.sim
+        try:
+            duration, self.rc, claimed = runtime.fabric.begin_transfer(
+                self.src_proc.node.node_id,
+                self.dst_proc.node.node_id,
+                self.nbytes,
+            )
+        except Exception as exc:
+            # back off and retry as a send process would, or fail the
+            # request with the error its exit would have carried
+            try:
+                delay, self.backoff = runtime._retry_delay(
+                    exc, self.seq, self.backoff
+                )
+            except Exception as error:
+                self.fail(error)
+                return
+            sim.call_in(delay, self._attempt)
+            return
         if claimed:
             self.t0 = sim.now
             sim.call_in(duration, self._finish)

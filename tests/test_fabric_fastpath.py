@@ -65,12 +65,33 @@ def test_fast_and_slow_agree_contended():
     assert sum(s[2] for s in fast_links.values()) > 0
 
 
-_CRASH_PLAN = {
-    "schema": "repro.fault_plan/1",
-    "seed": 1,
-    "mtbf_s": None,
-    "events": [{"time_s": 1.0, "kind": "node_crash", "target": "bn00"}],
-}
+def _plan(events):
+    return {
+        "schema": "repro.fault_plan/1", "seed": 1, "mtbf_s": None,
+        "events": events,
+    }
+
+
+_CRASH_PLAN = _plan([{"time_s": 1.0, "kind": "node_crash", "target": "bn00"}])
+
+# a quarter of the Booster lost before the first checkpoint: the
+# malleable supervisor re-tunes over the survivors
+_MALLEABLE_PLAN = _plan([
+    {"time_s": 0.3, "kind": "node_crash", "target": "bn00"},
+    {"time_s": 0.3, "kind": "node_crash", "target": "bn01"},
+])
+
+# 5 ms outages of the Booster ranks' only links: a send that hits one
+# retries until its retries run out, and the failed rank restarts the
+# run from its checkpoint
+_FLAP_PLAN = _plan([
+    {
+        "time_s": t, "kind": "link_down", "target": [node, "sw.booster"],
+        "duration_s": 5e-3,
+    }
+    for t in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
+    for node in ("bn00", "bn01")
+])
 
 _ENGINE_SPECS = {
     **{
@@ -86,6 +107,21 @@ _ENGINE_SPECS = {
         nodes_per_solver=2,
         steps=60,
         fault_plan=_CRASH_PLAN,
+        ckpt_interval_s=0.5,
+    ),
+    "malleable-fault": dict(
+        mode="C+B",
+        nodes_per_solver=8,
+        steps=60,
+        fault_plan=_MALLEABLE_PLAN,
+        ckpt_interval_s=0.5,
+        malleability={"enabled": True},
+    ),
+    "transport-retry": dict(
+        mode="C+B",
+        nodes_per_solver=2,
+        steps=60,
+        fault_plan=_FLAP_PLAN,
         ckpt_interval_s=0.5,
     ),
 }
@@ -125,6 +161,10 @@ def test_engine_run_identical_without_fast_path(name):
     assert fast.sim["sim_time_s"] == slow.sim["sim_time_s"]
     if spec.fault_plan is not None:
         assert fast.resiliency["restarts"] >= 1  # the crash really hit
+    if spec.malleability:
+        assert fast.malleability["repartitions_count"] >= 1
+    if name == "transport-retry":
+        assert fast.mpi["transport"]["retries"] > 0
 
 
 # -- route-cost cache ---------------------------------------------------------

@@ -3,10 +3,13 @@ journal, the shared backoff helper, and the liveness heartbeat."""
 
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from repro.backoff import ExponentialBackoff
+from repro.engine import Engine, ExperimentSpec
 from repro.mpi import FaultTolerancePolicy
 from repro.serve import (
     HEARTBEAT_SCHEMA,
@@ -183,6 +186,76 @@ def test_backoff_decorrelated_bounds_and_determinism():
         assert 0.05 <= d <= 2.0
 
 
+def _default_rng_callers(monkeypatch):
+    """Record the module of every ``np.random.default_rng`` caller."""
+    callers = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return callers
+
+
+def test_zero_jitter_backoff_builds_no_generator(monkeypatch):
+    callers = _default_rng_callers(monkeypatch)
+    bo = ExponentialBackoff(base_s=0.001, factor=2.0, cap_s=0.004)
+    bo.delays(5)
+    bo.reset()
+    bo.delays(5)
+    FaultTolerancePolicy(max_retries=3).backoff(7).delays(3)
+    assert callers == []
+
+
+def test_fault_injected_run_builds_no_generator_per_message(monkeypatch):
+    """The CI chaos spec (bn00 crashes at 1 s) sends its ~1.5k messages
+    under a retry policy without building one RNG per message; the
+    only stream is the fault injector's."""
+    callers = _default_rng_callers(monkeypatch)
+    plan = {
+        "schema": "repro.fault_plan/1",
+        "seed": 1,
+        "mtbf_s": None,
+        "events": [{"time_s": 1.0, "kind": "node_crash", "target": "bn00"}],
+    }
+    report = Engine().run(
+        ExperimentSpec(
+            mode="C+B", nodes_per_solver=2, steps=60, fault_plan=plan,
+            ckpt_interval_s=0.5,
+        )
+    )
+    assert report.resiliency["restarts"] >= 1
+    assert callers == ["repro.resiliency.inject"]
+
+
+def test_backoff_reset_replays_the_seeded_streams():
+    """The stream built on the first draw gives the delays one seeded
+    up front would, and ``reset()`` replays them."""
+    jit = ExponentialBackoff(base_s=0.01, factor=2.0, jitter=0.5, seed=7)
+    rng = np.random.default_rng(7)
+    expected = [
+        0.01 * 2.0**i * (1.0 + 0.5 * (2.0 * rng.random() - 1.0))
+        for i in range(6)
+    ]
+    assert jit.delays(6) == expected
+    jit.reset()
+    assert jit.delays(6) == expected
+
+    dec = ExponentialBackoff(
+        base_s=0.05, factor=3.0, cap_s=2.0, decorrelated=True, seed=11
+    )
+    rng = np.random.default_rng(11)
+    expected, prev = [], 0.05
+    for _ in range(8):
+        prev = min(rng.uniform(0.05, max(0.05, prev * 3.0)), 2.0)
+        expected.append(prev)
+    assert dec.delays(8) == expected
+    dec.reset()
+    assert dec.delays(8) == expected
+
+
 def test_backoff_validation():
     with pytest.raises(ValueError):
         ExponentialBackoff(base_s=-1.0)
@@ -212,6 +285,8 @@ def test_fault_tolerance_policy_shares_the_backoff_helper():
     d2 = jit.backoff().delays(4)
     assert d1 == d2
     assert d1 != plain.backoff().delays(4)
+    # each message of a runtime draws its own stream
+    assert jit.backoff(1).delays(4) == jit.backoff(1).delays(4) != d1
     with pytest.raises(ValueError):
         FaultTolerancePolicy(jitter=1.5)
 

@@ -10,6 +10,7 @@ from repro.mpi import (
     Bytes,
     FaultTolerancePolicy,
     MPIRuntime,
+    PeerFailedError,
     RankError,
     Status,
     payload_nbytes,
@@ -398,11 +399,16 @@ def test_isend_to_a_failed_node_fails_its_request(fast_path):
 
 @pytest.mark.parametrize(
     "policy, processes",
-    [(None, 0), (FaultTolerancePolicy(max_retries=1), 1)],
+    [
+        (None, 0),
+        (FaultTolerancePolicy(max_retries=1), 0),
+        # the send process, and the transfer it races against the timeout
+        (FaultTolerancePolicy(timeout_s=1.0), 2),
+    ],
 )
 def test_uncontended_isend_constructs_no_process(monkeypatch, policy, processes):
-    """Only a send that needs one (retries under a policy, or per-link
-    queueing) runs in a sim process."""
+    """Only a send that needs one (a transport timeout, or per-link
+    queueing) runs in a sim process; retries run on callbacks."""
     created = []
     bind = Process._bind
 
@@ -425,3 +431,223 @@ def test_uncontended_isend_constructs_no_process(monkeypatch, policy, processes)
         return len(created) - before
 
     assert rt.run_app(app, machine.cluster[:2]) == [processes, "hello"]
+
+
+# -- transport retries under a FaultTolerancePolicy -------------------------
+
+_RETRY = FaultTolerancePolicy(max_retries=2, backoff_base_s=1e-4)
+
+
+def _policy_send(path, policy, setup, nbytes=1024):
+    """Rank 0 (cn00) sends ``nbytes`` to rank 1 (cn01) under ``policy``,
+    once ``setup(machine)`` has broken the fabric.  ``path`` is
+    ``"isend"`` (the callback path), ``"oracle"`` (an isend with
+    ``fast_path_enabled = False``) or ``"send"`` (the blocking send).
+    Returns what the sender got, as ``(outcome, time)``, the number of
+    transfers the fabric delivered, and the transport counters."""
+    machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+    machine.fabric.fast_path_enabled = path != "oracle"
+    rt = MPIRuntime(machine, fault_tolerance=policy)
+    setup(machine)
+    sim = machine.sim
+
+    def app(ctx):
+        comm = ctx.world
+        if comm.rank == 1:
+            yield ctx.compute(0)
+            return None
+        try:
+            if path == "send":
+                yield from comm.send(Bytes(1), dest=1, nbytes=nbytes)
+            else:
+                yield comm.isend(Bytes(1), dest=1, nbytes=nbytes).wait()
+        except Exception as exc:
+            return type(exc).__name__, sim.now
+        return "delivered", sim.now
+
+    sent = rt.run_app(app, machine.cluster[:2])[0]
+    return sent, machine.fabric.messages_transferred, rt.transport_metrics()
+
+
+def _peer_back_after_first_retry(machine):
+    machine.fabric.fail_node("cn01")
+    # cn01 is back between the first retry (t=1e-4) and the second (3e-4)
+    machine.sim.call_in(2e-4, lambda _entry: machine.fabric.restore_node("cn01"))
+
+
+def _peer_down(machine):
+    machine.fabric.fail_node("cn01")
+
+
+def _route_severed(machine):
+    machine.fabric.fail_link("cn01", "sw.cluster")
+
+
+_NO_FAULTS = {"failures": 0, "retries": 0, "timeouts": 0, "backoff_time_s": 0.0}
+
+
+@pytest.mark.parametrize(
+    "setup, nbytes, outcome, delivered, metrics",
+    [
+        (
+            _peer_back_after_first_retry, 1024, "delivered", 1,
+            {"failures": 2, "retries": 2, "timeouts": 0, "backoff_time_s": 3e-4},
+        ),
+        (
+            _peer_down, 1024, "PeerFailedError", 0,
+            {"failures": 3, "retries": 2, "timeouts": 0, "backoff_time_s": 3e-4},
+        ),
+        (
+            _route_severed, 1024, "RouteDownError", 0,
+            {"failures": 3, "retries": 2, "timeouts": 0, "backoff_time_s": 3e-4},
+        ),
+        # not a transport fault: raised raw at once, never retried
+        (lambda machine: None, -1, "ValueError", 0, _NO_FAULTS),
+    ],
+    ids=["peer-back", "peer-down", "route-severed", "unmapped-error"],
+)
+def test_retried_send_matches_the_oracle_and_the_blocking_send(
+    setup, nbytes, outcome, delivered, metrics
+):
+    """Retries on callbacks map errors, count, back off and deliver
+    exactly as the process over ``transmit`` and the blocking send do."""
+    got = {
+        path: _policy_send(path, _RETRY, setup, nbytes)
+        for path in ("isend", "oracle", "send")
+    }
+    (what, when), n_delivered, counters = got["isend"]
+    assert what == outcome
+    assert n_delivered == delivered
+    assert counters == pytest.approx(metrics)
+    if outcome == "delivered":
+        # two backoffs (1e-4 + 2e-4) and the 1 KiB transfer itself
+        wire = build_deep_er_prototype(
+            cluster_nodes=4, booster_nodes=4
+        ).fabric.transfer_time("cn00", "cn01", nbytes)
+        assert when == pytest.approx(3e-4 + wire)
+    elif outcome == "ValueError":
+        assert when == 0.0
+    else:
+        assert when == pytest.approx(3e-4)  # gave up at the last attempt
+    assert got["oracle"] == got["isend"]
+    assert got["send"] == got["isend"]
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_exhausted_retries_fail_the_request(fast_path):
+    """A send whose retries run out raises ``PeerFailedError`` at
+    ``req.wait()``, and from ``sim.run()`` when nobody waits."""
+
+    def make_rt():
+        machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+        machine.fabric.fast_path_enabled = fast_path
+        machine.fabric.fail_node("cn01")
+        return MPIRuntime(machine, fault_tolerance=_RETRY)
+
+    def waited(ctx):
+        if ctx.world.rank == 0:
+            req = ctx.world.isend("x", dest=1)
+            try:
+                yield req.wait()
+            except PeerFailedError:
+                return "raised"
+            return "delivered"
+        yield ctx.compute(0)
+
+    rt = make_rt()
+    assert rt.run_app(waited, rt.machine.cluster[:2])[0] == "raised"
+
+    def unwaited(ctx):
+        if ctx.world.rank == 0:
+            ctx.world.isend("x", dest=1)
+        yield ctx.compute(0)
+
+    rt = make_rt()
+    with pytest.raises(PeerFailedError):
+        rt.run_app(unwaited, rt.machine.cluster[:2])
+    assert rt.transport_metrics()["failures"] == 3
+
+
+def _retry_order(fast_path):
+    """Rank 0 (cn00) posts an isend of 1 MiB to rank 2 on cn02, which
+    is down at t=0 and back at t=5e-5; rank 1 (cn01) sends it 1 MiB
+    with the blocking send one zero-delay wait later.  Returns each
+    send's completion time, the per-link stall times and the transport
+    counters."""
+    machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+    machine.fabric.fast_path_enabled = fast_path
+    machine.fabric.fail_node("cn02")
+    machine.sim.call_in(5e-5, lambda _entry: machine.fabric.restore_node("cn02"))
+    rt = MPIRuntime(machine, fault_tolerance=_RETRY)
+
+    def app(ctx):
+        comm = ctx.world
+        if comm.rank == 2:
+            for source in (0, 1):
+                yield from comm.recv(source=source)
+            return None
+        if comm.rank == 0:
+            yield comm.isend(Bytes(2**20), dest=2).wait()
+        else:
+            yield ctx.compute(0)
+            yield from comm.send(Bytes(2**20), dest=2)
+        return ctx.sim.now
+
+    done = rt.run_app(app, machine.cluster[:3])[:2]
+    stalls = {l.key: l.stall_time_s for l in machine.fabric.topology.links}
+    return done, stalls, rt.transport_metrics()
+
+
+def test_same_instant_retries_keep_their_order():
+    """Both first attempts fail at t=0, rank 0's first, and both retries
+    land at t=1e-4, where they contend for cn02's link: rank 0's retry
+    must claim it first, as its send process would.  A retry entry
+    pushed one slot late would let the blocking send overtake it."""
+    done, stalls, metrics = _retry_order(fast_path=True)
+    assert done[0] < done[1]
+    assert metrics["failures"] == 2 and metrics["retries"] == 2
+    assert (done, stalls, metrics) == _retry_order(fast_path=False)
+
+
+def _give_up_times(policy, fast_path):
+    """Ranks 0 and 1 both post to rank 2 on a dead cn02; returns when
+    each gave up, and the transport counters."""
+    machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+    machine.fabric.fast_path_enabled = fast_path
+    machine.fabric.fail_node("cn02")
+    rt = MPIRuntime(machine, fault_tolerance=policy)
+
+    def app(ctx):
+        if ctx.world.rank == 2:
+            yield ctx.compute(0)
+            return None
+        try:
+            yield ctx.world.isend("x", dest=2).wait()
+        except PeerFailedError:
+            return ctx.sim.now
+        return "delivered"
+
+    return rt.run_app(app, machine.cluster[:3])[:2], rt.transport_metrics()
+
+
+def test_transport_jitter_spreads_senders_apart():
+    """Each message draws its own jitter stream, seeded by the policy
+    seed and the message's send number: two senders retrying the same
+    dead peer give up at different times, bit-identically on replay
+    and on the oracle path."""
+    policy = FaultTolerancePolicy(
+        max_retries=3, backoff_base_s=1e-4, jitter=0.3, jitter_seed=0
+    )
+    times, metrics = _give_up_times(policy, fast_path=True)
+    assert times[0] != times[1]
+    nominal = 1e-4 + 2e-4 + 4e-4
+    for t in times:
+        assert 0.7 * nominal <= t <= 1.3 * nominal
+    assert metrics["failures"] == 8 and metrics["retries"] == 6
+    assert _give_up_times(policy, fast_path=True) == (times, metrics)
+    assert _give_up_times(policy, fast_path=False) == (times, metrics)
+    # without jitter both follow the fixed schedule
+    plain, _ = _give_up_times(
+        FaultTolerancePolicy(max_retries=3, backoff_base_s=1e-4), True
+    )
+    assert plain == [pytest.approx(nominal)] * 2
