@@ -19,7 +19,6 @@ from typing import Any, Callable, Generator, List, Optional, Sequence
 
 from .datatypes import ANY_SOURCE, ANY_TAG
 from .errors import CommError, RankError
-from .message import match
 from .request import Request
 from .runtime import GroupState, MPIProcess
 from .status import Status
@@ -135,12 +134,17 @@ class Comm:
         tag: int = ANY_TAG,
         status: Optional[Status] = None,
     ) -> Generator:
-        """Blocking receive; returns the payload."""
+        """Blocking receive; returns the payload.
+
+        Posts a receive in this rank's mailbox
+        (:class:`~repro.mpi.message.Mailbox`): it takes the
+        earliest-arrived message on this communicator whose source and
+        tag match (``ANY_SOURCE``/``ANY_TAG`` match any), else waits
+        behind the receives posted before it.
+        """
         if source != ANY_SOURCE:
             self._peer_group().proc(source)  # validate rank
-        env = yield self._proc.mailbox.get(
-            match(self._ctx_pt2pt, source, tag)
-        )
+        env = yield self._proc.mailbox.get(self._ctx_pt2pt, source, tag)
         if status is not None:
             status._set(env.source, env.tag, env.nbytes)
         return env.payload
@@ -179,9 +183,10 @@ class Comm:
     def iprobe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Optional[Status]:
-        """Non-blocking probe: Status of a matching buffered message,
-        or ``None`` (MPI_Iprobe).  Does not consume the message."""
-        env = self._proc.mailbox.peek(match(self._ctx_pt2pt, source, tag))
+        """Non-blocking probe (MPI_Iprobe): the Status of the message a
+        matching :meth:`recv` would take now, or ``None``.  Does not
+        consume the message."""
+        env = self._proc.mailbox.peek(self._ctx_pt2pt, source, tag)
         if env is None:
             return None
         st = Status()
@@ -191,11 +196,14 @@ class Comm:
     def probe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Generator:
-        """Blocking probe: wait until a matching message is available,
-        return its Status without consuming it (MPI_Probe)."""
-        env = yield self._proc.mailbox.watch(
-            match(self._ctx_pt2pt, source, tag)
-        )
+        """Blocking probe (MPI_Probe): the Status of the first matching
+        message, without consuming it.
+
+        Returns at once if one is already in the mailbox; otherwise
+        the next matching arrival fires the probe before any posted
+        receive takes the message.
+        """
+        env = yield self._proc.mailbox.watch(self._ctx_pt2pt, source, tag)
         st = Status()
         st._set(env.source, env.tag, env.nbytes)
         return st
@@ -229,9 +237,7 @@ class Comm:
         )
 
     def _coll_recv(self, source, tag) -> Generator:
-        env = yield self._proc.mailbox.get(
-            match(self._ctx_coll, source, tag)
-        )
+        env = yield self._proc.mailbox.get(self._ctx_coll, source, tag)
         return env.payload
 
     def _next_coll_tag(self) -> int:
@@ -303,7 +309,8 @@ class Comm:
         Payloads are opaque objects in this MPI, so the wire traffic is
         modelled with exactly the algorithm's chunk sizes while the
         object itself is handed over through the group's shared state
-        once the (fully synchronizing) pattern completes.
+        once the (fully synchronizing) pattern completes.  The last
+        rank to read it there drops it.
         """
         from .datatypes import Bytes, payload_nbytes
 
@@ -312,8 +319,9 @@ class Comm:
         total = payload_nbytes(payload)
         share = max(total // size, 1)
         key = ("_bcast_long", self._ctx_coll, tag)
+        shared = self.group.spawn_results
         if self._rank == root:
-            self.group.spawn_results[key] = payload
+            shared[key] = [payload, size]  # the payload, readers left
         # scatter the 1/p chunks down from the root ...
         my_chunk = yield from self.scatter(
             [Bytes(share) for _ in range(size)] if self._rank == root else None,
@@ -321,7 +329,11 @@ class Comm:
         )
         # ... and ring-allgather them back together everywhere
         yield from self.allgather(my_chunk)
-        return self.group.spawn_results[key]
+        entry = shared[key]
+        entry[1] -= 1
+        if entry[1] == 0:
+            del shared[key]
+        return entry[0]
 
     def _bcast_binomial(self, payload: Any, root: int) -> Generator:
         """Binomial-tree broadcast (latency-optimal for short messages)."""
@@ -407,7 +419,7 @@ class Comm:
             out[root] = value
             for _ in range(size - 1):
                 env = yield self._proc.mailbox.get(
-                    match(self._ctx_coll, ANY_SOURCE, tag)
+                    self._ctx_coll, ANY_SOURCE, tag
                 )
                 out[env.source] = env.payload
             return out
@@ -641,12 +653,16 @@ class Comm:
             raise CommError("merge requires an inter-communicator")
         # Handshake: local rank 0 exchanges a token with remote rank 0,
         # then each side synchronizes internally — the minimal real
-        # coordination a merge needs.
+        # coordination a merge needs.  The token travels on the
+        # collective context, so no user receive can take it.
         if self._rank == 0:
-            req = self.isend(("merge", high), dest=0, tag=-42)
-            remote_high = yield from self.recv(source=0, tag=-42)
-            yield req.wait()
-            if remote_high[1] == high:
+            sent = self.runtime.isend(
+                self._proc, self.remote, 0, self._ctx_coll, self._rank,
+                -42, ("merge", high),
+            )
+            env = yield self._proc.mailbox.get(self._ctx_coll, 0, -42)
+            yield sent
+            if env.payload[1] == high:
                 exc = CommError(
                     "both sides of merge passed the same 'high' value"
                 )

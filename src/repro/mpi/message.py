@@ -1,16 +1,16 @@
-"""Wire messages and matching."""
+"""Wire messages and the per-rank matching mailbox."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from collections import deque
+from typing import Any, Deque, List, Optional
 
+from ..sim import Event
 from .datatypes import ANY_SOURCE, ANY_TAG
 
-__all__ = ["Envelope", "match"]
+__all__ = ["Envelope", "Mailbox"]
 
 
-@dataclass(frozen=True)
 class Envelope:
     """A message as it sits in a process's mailbox.
 
@@ -20,21 +20,140 @@ class Envelope:
     inter-communicator: the rank in the remote group).
     """
 
-    context_id: int
-    source: int
-    tag: int
-    nbytes: int
-    payload: Any
+    __slots__ = ("context_id", "source", "tag", "nbytes", "payload")
 
+    def __init__(
+        self, context_id: int, source: int, tag: int, nbytes: int, payload: Any
+    ):
+        self.context_id = context_id
+        self.source = source
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload = payload
 
-def match(context_id: int, source: int, tag: int):
-    """Build a mailbox filter implementing MPI matching semantics."""
-
-    def _filter(env: Envelope) -> bool:
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            env.context_id == context_id
-            and (source == ANY_SOURCE or env.source == source)
-            and (tag == ANY_TAG or env.tag == tag)
+            f"Envelope(context_id={self.context_id}, source={self.source}, "
+            f"tag={self.tag}, nbytes={self.nbytes})"
         )
 
-    return _filter
+
+class Mailbox:
+    """One rank's MPI matching queues.
+
+    Three queues, as production MPIs keep them: ``unexpected`` holds
+    delivered envelopes nobody has asked for yet, in arrival order;
+    posted receives (:meth:`get`) and probes (:meth:`watch`) wait in
+    posting order.  A receive matches an envelope on equal context id,
+    equal source (or ``ANY_SOURCE``) and equal tag (or ``ANY_TAG``).
+
+    The order is a FIFO store's:
+
+    * :meth:`put` fires every live matching probe, then hands the
+      envelope to the earliest-posted live matching receive, else
+      queues it as unexpected;
+    * :meth:`get` takes the earliest-arrived matching envelope, and
+      :meth:`peek` returns it without consuming it;
+    * a receive or probe whose process was interrupted away (its event
+      ``abandoned``) is skipped and dropped, never satisfied.
+
+    Every wait is one :class:`~repro.sim.Event`, succeeded in the same
+    call a match is found, so a receive costs exactly the queue entry
+    a ``Store.get`` would.
+    """
+
+    __slots__ = ("sim", "unexpected", "_posted", "_probes")
+
+    def __init__(self, sim: "Simulator"):  # noqa: F821
+        self.sim = sim
+        self.unexpected: Deque[Envelope] = deque()
+        # (event, context_id, source, tag) in posting order
+        self._posted: List[tuple] = []
+        self._probes: List[tuple] = []
+
+    def put(self, env: Envelope) -> None:
+        """Deliver one envelope (never blocks: mailboxes are unbounded)."""
+        ctx = env.context_id
+        source = env.source
+        tag = env.tag
+        if self._probes:
+            kept = []
+            for entry in self._probes:
+                ev, c, s, t = entry
+                if ev.abandoned:
+                    continue
+                if (
+                    c == ctx
+                    and (s == source or s == ANY_SOURCE)
+                    and (t == tag or t == ANY_TAG)
+                ):
+                    ev.succeed(env)
+                else:
+                    kept.append(entry)
+            self._probes = kept
+        posted = self._posted
+        i = 0
+        while i < len(posted):
+            ev, c, s, t = posted[i]
+            if ev.abandoned:
+                del posted[i]
+            elif (
+                c == ctx
+                and (s == source or s == ANY_SOURCE)
+                and (t == tag or t == ANY_TAG)
+            ):
+                del posted[i]
+                ev.succeed(env)
+                return
+            else:
+                i += 1
+        self.unexpected.append(env)
+
+    def get(
+        self, context_id: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> Event:
+        """Post a receive: an event that succeeds with the matching
+        envelope, removed from the mailbox."""
+        ev = Event(self.sim)
+        i = self._find(context_id, source, tag) if self.unexpected else None
+        if i is None:
+            self._posted.append((ev, context_id, source, tag))
+        else:
+            env = self.unexpected[i]
+            del self.unexpected[i]
+            ev.succeed(env)
+        return ev
+
+    def peek(
+        self, context_id: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> Optional[Envelope]:
+        """The envelope :meth:`get` would take now, left in place; or
+        ``None``."""
+        i = self._find(context_id, source, tag)
+        return None if i is None else self.unexpected[i]
+
+    def watch(
+        self, context_id: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> Event:
+        """Post a probe: an event that succeeds with the matching
+        envelope without consuming it, at once if one is queued."""
+        ev = Event(self.sim)
+        i = self._find(context_id, source, tag)
+        if i is None:
+            self._probes.append((ev, context_id, source, tag))
+        else:
+            ev.succeed(self.unexpected[i])
+        return ev
+
+    def _find(self, ctx: int, source: int, tag: int) -> Optional[int]:
+        """Index of the earliest unexpected envelope matching."""
+        any_source = source == ANY_SOURCE
+        any_tag = tag == ANY_TAG
+        for i, env in enumerate(self.unexpected):
+            if (
+                env.context_id == ctx
+                and (any_source or env.source == source)
+                and (any_tag or env.tag == tag)
+            ):
+                return i
+        return None

@@ -32,7 +32,7 @@ from ..backoff import ExponentialBackoff
 from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
-from ..sim import Event, Process, Simulator, Store
+from ..sim import Event, Process, Simulator
 from ..sim.events import AnyOf
 from .datatypes import payload_nbytes
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     RouteDownError,
     TransportTimeoutError,
 )
-from .message import Envelope
+from .message import Envelope, Mailbox
 
 __all__ = ["MPIProcess", "GroupState", "MPIRuntime", "FaultTolerancePolicy"]
 
@@ -106,7 +106,13 @@ class FaultTolerancePolicy:
 
 
 class MPIProcess:
-    """One MPI rank: a mailbox plus its pinned node."""
+    """One MPI rank: its pinned node and its matching
+    :class:`~repro.mpi.message.Mailbox`.
+
+    Every message sent to the rank, on any communicator, lands in the
+    one mailbox; receives and probes match it on (context, source,
+    tag), so communicators never see each other's traffic.
+    """
 
     _ids = itertools.count()
 
@@ -114,7 +120,7 @@ class MPIProcess:
         self.gid = next(MPIProcess._ids)
         self.runtime = runtime
         self.node = node
-        self.mailbox = Store(runtime.sim)
+        self.mailbox = Mailbox(runtime.sim)
         self.sim_process: Optional[Process] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -328,7 +334,9 @@ class MPIRuntime:
             yield from self._transfer_with_retries(
                 src_proc.node.node_id, dst_proc.node.node_id, n, seq
             )
-        _deliver(dst_proc, context_id, source_rank, tag, n, payload)
+        dst_proc.mailbox.put(
+            Envelope(context_id, source_rank, tag, n, payload)
+        )
 
     def isend(
         self,
@@ -537,23 +545,6 @@ class MPIRuntime:
         return [p.value for p in sim_procs]
 
 
-def _deliver(dst_proc, context_id, source_rank, tag, n, payload) -> None:
-    """Drop a message into its destination mailbox.
-
-    Mailboxes are unbounded, so delivery never blocks and needs no put
-    event: a matching posted receive is satisfied right here.
-    """
-    dst_proc.mailbox.put_nowait(
-        Envelope(
-            context_id=context_id,
-            source=source_rank,
-            tag=tag,
-            nbytes=n,
-            payload=payload,
-        )
-    )
-
-
 class _Send(Event):
     """One non-blocking send on the callback path; the event itself is
     the send's completion (what the request waits on).
@@ -664,8 +655,10 @@ class _Send(Event):
             self.rc,
             self.t0,
         )
-        _deliver(
-            self.dst_proc, self.context_id, self.source_rank, self.tag,
-            self.nbytes, self.payload,
+        self.dst_proc.mailbox.put(
+            Envelope(
+                self.context_id, self.source_rank, self.tag, self.nbytes,
+                self.payload,
+            )
         )
         self.succeed()

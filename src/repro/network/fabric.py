@@ -249,7 +249,19 @@ class Fabric:
         if nbytes < 0:
             raise ValueError("negative message size")
         src_node, dst_node = self._nodes[src], self._nodes[dst]
-        rc = self.route_cost(src, dst)
+        return self._duration(
+            self.route_cost(src, dst), src_node, dst_node, nbytes, rdma
+        )
+
+    def _duration(
+        self,
+        rc: _RouteCost,
+        src_node: Node,
+        dst_node: Node,
+        nbytes: int,
+        rdma: bool,
+    ) -> float:
+        """The LogGP sum over a route's cost terms (no validation)."""
         if rdma:
             # Remote DMA: no software processing on the remote side.
             return (
@@ -327,21 +339,28 @@ class Fabric:
         The check-and-bump has no yield in it, so it is atomic in
         simulated time: it cannot deadlock, and a same-time rival sees
         the links busy.  Raises :class:`NodeFailedError` when an
-        endpoint has failed.
+        endpoint has failed, then what :meth:`transfer_time` raises
+        (negative size, unregistered node, no route), in that order;
+        the route is looked up once.
         """
-        for endpoint in (src, dst):
-            node = self._nodes.get(endpoint)
+        nodes = self._nodes
+        src_node = nodes.get(src)
+        dst_node = nodes.get(dst)
+        for endpoint, node in ((src, src_node), (dst, dst_node)):
             if node is not None and node.failed:
                 raise NodeFailedError(f"node {endpoint} has failed")
         if src == dst:
             # Intra-node (shared memory) copy: model as memory-bandwidth
             # bounded with negligible latency.
-            node = self._nodes[src]
+            node = nodes[src]
             bw = node.memory.peak_bandwidth if node.memory else 50e9
             return 200e-9 + nbytes / bw, None, True
-
-        duration = self.transfer_time(src, dst, nbytes, rdma=rdma)
+        if nbytes < 0:
+            raise ValueError("negative message size")
+        if src_node is None or dst_node is None:
+            raise KeyError(src if src_node is None else dst)
         rc = self.route_cost(src, dst)
+        duration = self._duration(rc, src_node, dst_node, nbytes, rdma)
         resources = rc.resources
         if self.fast_path_enabled:
             for r in resources:

@@ -2,7 +2,8 @@
 
 ``Resource`` models mutual exclusion with a fixed capacity (e.g. a
 network link, an NVMe device queue).  ``Store`` is an unbounded (or
-bounded) FIFO buffer of Python objects used for message mailboxes.
+bounded) FIFO buffer of Python objects with filtered gets (MPI
+mailboxes use their own :class:`repro.mpi.message.Mailbox`).
 """
 
 from __future__ import annotations
@@ -170,14 +171,6 @@ class Store:
         else:
             self._putters.append((ev, item))
         return ev
-
-    def put_nowait(self, item: Any) -> None:
-        """Insert an item without a put event, for producers that never
-        wait on the insertion (e.g. MPI mailboxes, which are unbounded).
-        A full bounded store raises instead of blocking."""
-        if len(self.items) >= self.capacity:
-            raise RuntimeError("put_nowait on a full store")
-        self._insert(item)
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Event yielding the next (optionally filtered) item."""

@@ -10,7 +10,7 @@ that the per-route cost cache invalidates on link failures.
 import pytest
 
 from repro.engine import Engine, ExperimentSpec, preset_machine
-from repro.network.fabric import Fabric
+from repro.network.fabric import Fabric, NodeFailedError, NoRouteError
 from repro.sim import Resource, Simulator
 
 NBYTES = 64 * 1024  # above the eager threshold: exercises rendezvous
@@ -186,6 +186,46 @@ def test_route_cost_cached_and_invalidated_by_link_faults():
     assert rc_back is not rc_detour
     assert len(rc_back.links) == len(rc.links)
     assert fabric.transfer_time("cn00", "bn00", 1024) == pytest.approx(t_direct)
+
+
+def test_begin_transfer_prices_like_transfer_time_from_one_lookup(
+    monkeypatch,
+):
+    fabric = preset_machine("deep-er").fabric
+    route_cost = fabric.route_cost
+    lookups = []
+
+    def counted(src, dst):
+        lookups.append((src, dst))
+        return route_cost(src, dst)
+
+    monkeypatch.setattr(fabric, "route_cost", counted)
+    for nbytes in (0, 4096, fabric.eager_threshold + 1, 10**6):
+        for rdma in (False, True):
+            expected = fabric.transfer_time("cn00", "bn00", nbytes, rdma)
+            lookups.clear()
+            duration, rc, claimed = fabric.begin_transfer(
+                "cn00", "bn00", nbytes, rdma
+            )
+            assert lookups == [("cn00", "bn00")]
+            assert claimed and duration == expected  # bit for bit
+            fabric.release_route(rc)
+
+
+def test_begin_transfer_error_order():
+    """A failed node first; then, as transfer_time reports them, a
+    negative size, an unregistered node and a missing route."""
+    fabric = preset_machine("deep-er").fabric
+    fabric.fail_link("cn00", "sw.cluster")
+    with pytest.raises(NoRouteError):
+        fabric.begin_transfer("cn00", "cn01", 8)
+    with pytest.raises(KeyError):
+        fabric.begin_transfer("cn00", "ghost", 8)
+    with pytest.raises(ValueError):
+        fabric.begin_transfer("cn00", "ghost", -1)
+    fabric.fail_node("cn01")
+    with pytest.raises(NodeFailedError):
+        fabric.begin_transfer("ghost", "cn01", -1)
 
 
 def test_transfer_after_reroute_crosses_detour_links():

@@ -296,6 +296,31 @@ def test_long_bcast_delivers_correctly():
     assert all(r == pytest.approx(float(big.sum())) for r in results)
 
 
+def test_long_bcast_releases_its_payload():
+    """Twenty long broadcasts: every rank gets each payload, and the
+    group's shared state keeps none of them afterwards."""
+    rt = make_runtime(4)
+    groups = []
+
+    def app(ctx):
+        comm = ctx.world
+        groups.append(comm.group)
+        got = []
+        for i in range(20):
+            data = np.full(200_000, float(i)) if comm.rank == 0 else None
+            data = yield from comm.bcast(data, root=0)  # 1.6 MB each
+            got.append(float(data[-1]))
+        return got
+
+    results = rt.run_app(app, rt.machine.cluster[:4])
+    assert results == [[float(i) for i in range(20)]] * 4
+    leftover = [
+        key for key in groups[0].spawn_results
+        if isinstance(key, tuple) and key[0] == "_bcast_long"
+    ]
+    assert leftover == []
+
+
 def test_long_bcast_beats_binomial_for_large_payloads():
     """The bandwidth-optimal algorithm wins on big messages at 8 ranks."""
     big = np.zeros(2**21)  # 16 MiB

@@ -93,3 +93,31 @@ def test_merge_same_high_flag_rejected(rt):
 
     with pytest.raises(CommError):
         rt.run_app(parent_app, rt.machine.booster[:1])
+
+
+def test_merge_handshake_skips_a_posted_wildcard_receive(rt):
+    """Each side posts irecv(ANY_SOURCE, ANY_TAG) on the
+    inter-communicator before merging: the merge handshake must not
+    satisfy it, so it gets the user message sent after the merge."""
+    got = {}
+
+    def child(ctx):
+        parent = ctx.get_parent()
+        req = parent.irecv()
+        yield 1e-6
+        yield from parent.merge(high=True)
+        yield from parent.send("to-parents", dest=0, tag=7)
+        got["child"] = yield req.wait()
+
+    def parent_app(ctx):
+        inter = yield from ctx.world.spawn(
+            child, rt.machine.cluster[:1], startup_cost_s=0.0
+        )
+        req = inter.irecv()
+        yield 1e-6
+        yield from inter.merge(high=False)
+        yield from inter.send("to-children", dest=0, tag=7)
+        return (yield req.wait())
+
+    assert rt.run_app(parent_app, rt.machine.booster[:1]) == ["to-parents"]
+    assert got == {"child": "to-children"}

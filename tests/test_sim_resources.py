@@ -171,21 +171,6 @@ def test_store_bounded_put_blocks():
     assert times == [0.0, 3.0]
 
 
-def test_store_put_nowait_inserts_without_an_event():
-    sim = Simulator()
-    store = Store(sim)
-    got = store.get()
-    store.put_nowait("x")  # satisfies the waiting getter directly
-    assert got.triggered and got.value == "x"
-    store.put_nowait("y")
-    assert list(store.items) == ["y"]
-    assert len(sim) == 1  # only the getter's event was scheduled
-    full = Store(sim, capacity=1)
-    full.put_nowait(1)
-    with pytest.raises(RuntimeError):
-        full.put_nowait(2)
-
-
 def test_store_peek_nonexistent():
     sim = Simulator()
     store = Store(sim)
