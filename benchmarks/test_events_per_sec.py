@@ -8,11 +8,7 @@ CI can gate on regressions (``benchmarks/check_regression.py``).
 
 * ``events_per_sec``: raw event throughput, classic ``sim.timeout``
   (one Event per wait) vs the allocation-free bare-delay fast path,
-  measured on **both** event-queue backends.  The calendar backend is
-  the performance claim this PR series locks in, so its numbers are
-  archived under the primary ``classic``/``fast_wakeup`` keys; the
-  reference heap rides along as ``classic_heap``/``fast_wakeup_heap``
-  so a regression in either backend trips the gate.
+  archived under the ``classic``/``fast_wakeup`` keys.
 * ``fabric_transfers_per_sec``: end-to-end message transport,
   uncontended (every link idle: the request-free fast path) vs
   contended (transfers queue FIFO on a shared link: the slow path).
@@ -49,11 +45,11 @@ def _fast(sim: Simulator):
         yield 1.0
 
 
-def _throughput(make_proc, backend: str) -> float:
-    """Best-of-ROUNDS events/second for one wait style on one backend."""
+def _throughput(make_proc) -> float:
+    """Best-of-ROUNDS events/second for one wait style."""
     best = 0.0
     for _ in range(ROUNDS):
-        sim = Simulator(backend=backend)
+        sim = Simulator()
         for _ in range(N_PROCS):
             sim.process(make_proc(sim))
         t0 = time.perf_counter()
@@ -65,29 +61,19 @@ def _throughput(make_proc, backend: str) -> float:
 
 
 def test_events_per_sec(benchmark, report):
-    measured = benchmark.pedantic(
-        lambda: {
-            backend: (
-                _throughput(_classic, backend),
-                _throughput(_fast, backend),
-            )
-            for backend in ("heap", "calendar")
-        },
+    classic, fast = benchmark.pedantic(
+        lambda: (_throughput(_classic), _throughput(_fast)),
         rounds=1,
         iterations=1,
     )
-    heap_classic, heap_fast = measured["heap"]
-    cal_classic, cal_fast = measured["calendar"]
     rows = [
-        ("timeout (Event per wait)", f"{heap_classic:,.0f}",
-         f"{cal_classic:,.0f}", f"{cal_classic / heap_classic:.2f}x"),
-        ("fast-wakeup (bare delay)", f"{heap_fast:,.0f}",
-         f"{cal_fast:,.0f}", f"{cal_fast / heap_fast:.2f}x"),
+        ("timeout (Event per wait)", f"{classic:,.0f}"),
+        ("fast-wakeup (bare delay)", f"{fast:,.0f}"),
     ]
     report(
         "events_per_sec",
         render_table(
-            ["Wait style", "heap ev/s", "calendar ev/s", "calendar gain"],
+            ["Wait style", "events/s"],
             rows,
             title=(
                 f"Simulator event throughput ({N_PROCS} procs x "
@@ -95,24 +81,14 @@ def test_events_per_sec(benchmark, report):
             ),
         ),
     )
-    # calendar is the primary (gated) claim; heap rides along so a
-    # regression in the reference backend also trips the gate
     _archive_json(
         "events_per_sec",
-        {
-            "events_per_sec": {
-                "classic": cal_classic,
-                "fast_wakeup": cal_fast,
-                "classic_heap": heap_classic,
-                "fast_wakeup_heap": heap_fast,
-            }
-        },
+        {"events_per_sec": {"classic": classic, "fast_wakeup": fast}},
     )
-    assert all(v > 0 for pair in measured.values() for v in pair)
+    assert classic > 0 and fast > 0
     # the fast path must not regress event throughput (lenient bound:
     # CI machines are noisy; locally this runs well above 1.0)
-    assert cal_fast > cal_classic * 0.8
-    assert heap_fast > heap_classic * 0.8
+    assert fast > classic * 0.8
 
 
 # -- fabric transfer throughput ---------------------------------------------

@@ -40,11 +40,7 @@ class Session:
     directory path (None disables memoization); ``workers`` is the
     process-pool width sweeps and tunes fan out over; ``engine``
     replaces the default :class:`~repro.engine.Engine` (tests inject
-    recording stubs through it); ``sim_backend`` picks the event-queue
-    backend ("heap"/"calendar") every spec the session *builds*
-    defaults to — an execution knob, never a result-changing one
-    (backends are bit-identical).  A ready spec passed in keeps its own
-    ``sim_backend``.
+    recording stubs through it).
 
     ``fleet`` points :meth:`submit` at a sharded service fleet instead
     of a session-owned local service: an in-process
@@ -58,19 +54,13 @@ class Session:
         cache=None,
         workers: int = 1,
         engine: Optional[Engine] = None,
-        sim_backend: Optional[str] = None,
         fleet=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
-        if sim_backend is not None:
-            from .sim import resolve_backend
-
-            resolve_backend(sim_backend)  # fail fast on unknown names
         self.engine = engine or Engine()
         self.cache = _coerce_cache(cache)
         self.workers = workers
-        self.sim_backend = sim_backend
         self.fleet = fleet
         self._service = None  # lazily-owned service behind submit()
         self._owned_fleet_client = None  # built from a "host:port" fleet=
@@ -118,7 +108,6 @@ class Session:
         kwargs.setdefault("engine", self.engine)
         kwargs.setdefault("cache", self.cache)
         kwargs.setdefault("workers", self.workers)
-        kwargs.setdefault("sim_backend", self.sim_backend)
         return tune(space=space, **kwargs)
 
     def serve(self, **kwargs):
@@ -226,8 +215,6 @@ class Session:
         (sorted-axis, input-order) order.
         """
         fixed = dict(base or {})
-        if self.sim_backend is not None:
-            fixed.setdefault("sim_backend", self.sim_backend)
         sweep_axes = []
         for name, value in axes.items():
             if isinstance(value, (list, tuple)):
@@ -293,8 +280,6 @@ class Session:
 
     def _spec(self, spec, fields):
         if spec is None:
-            if self.sim_backend is not None:
-                fields.setdefault("sim_backend", self.sim_backend)
             return ExperimentSpec(**fields)
         if fields:
             raise TypeError(

@@ -317,7 +317,6 @@ def tune(
     engine: Optional[Engine] = None,
     seed: int = 20180521,
     baseline: bool = True,
-    sim_backend: Optional[str] = None,
 ) -> TuneReport:
     """Search the partition space for the fastest configuration.
 
@@ -332,9 +331,7 @@ def tune(
 
     The search is fully deterministic: rerunning an identical tune
     reproduces the same winner bit for bit (and, with a cache, without
-    simulating anything twice).  ``sim_backend`` picks the event-queue
-    backend every probe runs on; backends are bit-identical, so it
-    changes only the tune's wall-clock cost, never the winner.
+    simulating anything twice).
     """
     if population < 1:
         raise ValueError("population must be >= 1")
@@ -369,10 +366,7 @@ def tune(
     measured_final: dict = {}
     for g, probe_steps in enumerate(schedule):
         specs = [
-            cfg.to_spec(
-                probe_steps, preset=preset, seed=seed, config=config,
-                sim_backend=sim_backend,
-            )
+            cfg.to_spec(probe_steps, preset=preset, seed=seed, config=config)
             for cfg in pool
         ]
         sweep = engine.run_many(specs, workers=workers, cache=cache)
@@ -419,8 +413,7 @@ def tune(
     baseline_section: dict = {}
     if baseline:
         base_spec = HAND_CODED.to_spec(
-            steps, preset=preset, seed=seed, config=config,
-            sim_backend=sim_backend,
+            steps, preset=preset, seed=seed, config=config
         )
         base_report = engine.run(base_spec, cache=cache)
         baseline_section = {

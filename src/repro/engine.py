@@ -44,7 +44,7 @@ from .hardware.machine import (
 from .instrument import MetricsHub
 from .mpi import FaultTolerancePolicy, MPIRuntime
 from .resiliency import FaultPlan
-from .sim import Simulator, Tracer, resolve_backend
+from .sim import Simulator, Tracer
 
 __all__ = [
     "ExperimentSpec",
@@ -129,11 +129,6 @@ class ExperimentSpec:
     fault_plan: Optional[dict] = None
     mtbf_s: Optional[float] = None
     ckpt_interval_s: Optional[float] = None
-    #: event-queue backend for the run ("heap" or "calendar"); ``None``
-    #: defers to the ``REPRO_SIM_BACKEND`` environment variable.  An
-    #: execution detail, not an experiment parameter: backends are
-    #: bit-identical, so the result cache deliberately ignores it.
-    sim_backend: Optional[str] = None
     #: canonical placement as a :class:`~repro.partition.Partition`
     #: (stored in dict form so specs stay JSON-safe).  Authoritative
     #: when set: the flat fields above are derived from it.  A *flat*
@@ -183,8 +178,6 @@ class ExperimentSpec:
             raise ValueError("mtbf_s must be positive")
         if self.ckpt_interval_s is not None and self.ckpt_interval_s <= 0:
             raise ValueError("ckpt_interval_s must be positive")
-        if self.sim_backend is not None:
-            resolve_backend(self.sim_backend)  # fail fast on unknown names
         if self.wants_resiliency and not app_obj.supports_resiliency:
             raise ValueError("fault injection is only wired to the xpic app")
         if self.malleability is not None:
@@ -242,15 +235,11 @@ class ExperimentSpec:
 
     # -- machine construction ---------------------------------------------
     def build_machine(self, sim: Optional[Simulator] = None) -> Machine:
-        """Instantiate this spec's machine preset.
-
-        When no pre-built simulator is supplied, one is created on this
-        spec's ``sim_backend`` (falling back to the environment/default
-        resolution chain).
-        """
+        """Instantiate this spec's machine preset, on a fresh simulator
+        unless a pre-built one is supplied."""
         builder = MACHINE_PRESETS[self.preset]
         if sim is None:
-            sim = Simulator(backend=self.sim_backend)
+            sim = Simulator()
         return builder(sim=sim, **self.machine_overrides)
 
     # -- (de)serialization --------------------------------------------------
@@ -262,8 +251,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        A ``sim_backend`` key, which every 1.8.0 spec carries (journal
+        records, spooled requests, fleet submits), is dropped: that
+        release's event-queue choice never changed a result.  Any other
+        unknown key still raises :class:`TypeError`.
+        """
         d = dict(d)
+        d.pop("sim_backend", None)
         d["config"] = _config_from_dict(d.get("config"))
         d["machine_overrides"] = dict(d.get("machine_overrides") or {})
         return cls(**d)

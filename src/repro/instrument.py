@@ -63,14 +63,13 @@ class MetricsHub:
     # -- per-layer snapshots ----------------------------------------------
     def sim_metrics(self) -> dict:
         """Simulator counters: event volume, queue depth, host time,
-        and the event-queue backend's batch/occupancy figures.
+        and how the event queue batched co-temporal events.
 
         Everything except ``wall_time_s``/``events_per_sec`` (host
-        timing) and the ``backend`` block (queue-implementation
-        identity) is bit-identical across backends for the same run —
-        the determinism contract the differential tests enforce.  The
-        batch histogram *is* part of the identical set: both backends
-        group co-temporal events the same way.
+        timing) is deterministic for a given spec, and identical to a
+        run on the reference heap queue the differential tests keep —
+        the batch histogram included, since both group co-temporal
+        events the same way.
         """
         if self.sim is None:
             return {}
@@ -87,10 +86,6 @@ class MetricsHub:
             "batches": self.sim.batches,
             "max_batch": self.sim.max_batch,
             "batch_size_hist": self.sim.batch_size_hist(),
-            "backend": {
-                "name": self.sim.backend,
-                "queue": self.sim.queue_stats(),
-            },
         }
 
     def network_metrics(self) -> dict:

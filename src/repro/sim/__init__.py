@@ -8,15 +8,7 @@ virtual clock through a priority queue.  All times are in **seconds**.
 from .core import Simulator, StopSimulation
 from .events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
 from .process import Process
-from .queues import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    DEFAULT_BACKEND,
-    CalendarEventQueue,
-    EmptyQueue,
-    HeapEventQueue,
-    resolve_backend,
-)
+from .queues import CalendarEventQueue, EmptyQueue
 from .resources import NO_ITEM, Request, Resource, Store
 from .trace import Interval, Tracer
 
@@ -24,12 +16,7 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "EmptyQueue",
-    "HeapEventQueue",
     "CalendarEventQueue",
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
-    "resolve_backend",
     "Event",
     "Timeout",
     "Condition",

@@ -1,13 +1,12 @@
-"""The discrete-event simulator core: clock, pluggable queue, run loop.
+"""The discrete-event simulator core: clock, event queue, run loop.
 
-The simulator owns the virtual clock and delegates event storage to a
-pluggable :mod:`~repro.sim.queues` backend (``"heap"`` — the reference
-binary heap — or ``"calendar"`` — a timestamp-bucketed scheduler that
-amortizes heap churn over co-temporal events).  The run loop is
-batch-oriented: every event scheduled at the next timestamp is dequeued
-in one ``pop_batch`` and dispatched back-to-back, which both backends
-order identically (ascending time, FIFO among equal times), so a run is
-event-for-event and timestamp-identical regardless of backend.
+The simulator owns the virtual clock and stores events in a
+:class:`~repro.sim.queues.CalendarEventQueue`, a timestamp-bucketed
+scheduler that amortizes heap churn over co-temporal events.  The run
+loop is batch-oriented: every event scheduled at the next timestamp is
+dequeued in one ``pop_batch`` and dispatched back-to-back, in ascending
+time and FIFO among equal times — the order of a one-at-a-time heap
+loop, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Any, Generator, Optional
 
 from .events import WAKE_OK, Event, Timeout, _Call, _Wakeup
 from .process import Process
-from .queues import EmptyQueue, make_queue
+from .queues import CalendarEventQueue, EmptyQueue
 
 __all__ = ["Simulator", "StopSimulation", "EmptyQueue"]
 
@@ -32,15 +31,9 @@ class Simulator:
     Time is a float in **seconds** by convention throughout this project
     (network latencies are therefore around ``1e-6``).
 
-    ``backend`` selects the event-queue implementation (``"heap"`` or
-    ``"calendar"``; ``None`` consults the ``REPRO_SIM_BACKEND``
-    environment variable, defaulting to the heap).  Backends are
-    bit-identical: same event order, same timestamps, same results —
-    only the host-side throughput differs.
-
     Typical use::
 
-        sim = Simulator()                      # or backend="calendar"
+        sim = Simulator()
 
         def proc(sim):
             yield sim.timeout(1.0)
@@ -51,11 +44,9 @@ class Simulator:
         assert p.value == 42
     """
 
-    def __init__(self, start_time: float = 0.0, backend: Optional[str] = None):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue = make_queue(backend)
-        #: resolved name of the event-queue backend in use
-        self.backend: str = self._queue.name
+        self._queue = CalendarEventQueue()
         # batch in flight: entries popped by step() but not yet
         # delivered (plus the tail of a batch a StopSimulation cut
         # short); _draining mirrors its length so depth accounting on
@@ -92,7 +83,7 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN fails every compare: reject it too
             raise ValueError(f"negative delay {delay}")
         q = self._queue
         q.push(self._now + delay, event)
@@ -132,7 +123,7 @@ class Simulator:
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Schedule a *triggered* event at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # NaN included
             raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
         q = self._queue
         q.push(when, event)
@@ -162,16 +153,11 @@ class Simulator:
         """Entries still owed to the run loop (queued + in-flight)."""
         return self._queue.count + self._draining
 
-    def queue_stats(self) -> dict:
-        """Backend-specific queue occupancy figures (see the backend's
-        ``stats()``; empty for the heap)."""
-        return self._queue.stats()
-
     def batch_size_hist(self) -> dict:
         """Histogram of dequeued batch sizes, power-of-two binned.
 
         Keys are bin labels (``"1"``, ``"2-3"``, ``"4-7"``, ...), values
-        are batch counts; identical across backends for the same run.
+        are batch counts.
         """
         multi = sum(self._batch_hist.values())
         hist = {}
@@ -271,7 +257,7 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue is empty or the clock passes ``until``."""
         if until is not None:
-            if until < self._now:
+            if not until >= self._now:  # NaN included
                 raise ValueError(f"until ({until}) lies in the past")
             stopper = Event(self)
             stopper._ok = True

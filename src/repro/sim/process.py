@@ -130,7 +130,7 @@ class Process(Event):
                 if cls is float or cls is int:
                     # Fast path: a bare number is a timeout of that many
                     # seconds, scheduled without allocating an Event.
-                    if target < 0:
+                    if not target >= 0:  # NaN included
                         exc = ValueError(f"negative delay {target}")
                         event = Event(sim)
                         event._ok = False

@@ -1,57 +1,34 @@
-"""Pluggable event-queue backends for the :class:`~repro.sim.Simulator`.
+"""The event queue of the :class:`~repro.sim.Simulator`.
 
 The simulator's hot loop is, end to end, "push timestamped entries, pop
-them back in (time, FIFO) order".  This module isolates that concern
-behind a tiny interface — ``push`` / ``pop_batch`` / ``peek`` /
-``len()`` — so the scheduling data structure can be swapped at runtime
-without touching event or process semantics:
+them back in (time, FIFO) order".  This module hides that data
+structure behind a tiny interface — ``push`` / ``pop_batch`` / ``peek``
+/ ``count`` — so event and process semantics never see it, and a test
+can substitute a reference implementation.
 
-* :class:`HeapEventQueue` (``"heap"``) — the reference backend: one
-  binary heap of ``(time, seq, entry)`` tuples, exactly the classic
-  ``heapq`` event loop.
-* :class:`CalendarEventQueue` (``"calendar"``) — a bucketed scheduler
-  in the calendar-queue family: entries that share a timestamp live in
-  one append-ordered bucket and only the *distinct* timestamps go
-  through a heap.  Discrete-event workloads are extremely co-temporal
-  (every process woken by the same barrier, every same-instant fabric
-  wakeup), so the O(log n) heap churn is paid once per timestamp
-  instead of once per event, and a whole bucket is handed to the run
-  loop as one batch.
+:class:`CalendarEventQueue` is a bucketed scheduler in the
+calendar-queue family: entries that share a timestamp live in one
+append-ordered bucket and only the *distinct* timestamps go through a
+heap.  Discrete-event workloads are extremely co-temporal (every
+process woken by the same barrier, every same-instant fabric wakeup),
+so the O(log n) heap churn is paid once per timestamp instead of once
+per event, and a whole bucket is handed to the run loop as one batch.
 
-Both backends deliver entries in exactly the same order — ascending
-time, FIFO among equal times — so a simulation replays event-for-event
-and timestamp-identical regardless of backend.  ``pop_batch`` returns
-*every* entry of the next timestamp at once (the batch-dequeue
-contract); entries scheduled **at** that same timestamp *while the
-batch executes* form a later batch, which preserves the global
-(time, insertion) order a one-at-a-time heap loop would produce.
-
-Backend selection: ``Simulator(backend="calendar")``, the
-``REPRO_SIM_BACKEND`` environment variable, or (highest in the stack)
-``ExperimentSpec(sim_backend=...)`` / the ``--sim-backend`` CLI flag.
+Entries leave in ascending time, FIFO among equal times — exactly the
+order of a classic ``heapq`` loop over ``(time, seq, entry)`` tuples,
+which the differential tests keep as their oracle.
+``pop_batch`` returns *every* entry of the next timestamp at once (the
+batch-dequeue contract); entries scheduled **at** that same timestamp
+*while the batch executes* form a later batch, which preserves the
+global (time, insertion) order a one-at-a-time heap loop would produce.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import List, Tuple
 
-__all__ = [
-    "EmptyQueue",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "resolve_backend",
-    "make_queue",
-]
-
-#: environment variable consulted when no backend is passed explicitly
-BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: the backend used when neither argument nor environment selects one
-DEFAULT_BACKEND = "heap"
+__all__ = ["EmptyQueue", "CalendarEventQueue"]
 
 
 class EmptyQueue(IndexError):
@@ -63,66 +40,9 @@ class EmptyQueue(IndexError):
     """
 
 
-class HeapEventQueue:
-    """Reference backend: one binary heap of ``(time, seq, entry)``.
-
-    ``seq`` is a monotonically increasing tie-breaker, so entries that
-    share a timestamp pop in FIFO (insertion) order — the ordering
-    contract every backend must reproduce.
-    """
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_seq", "count")
-
-    def __init__(self):
-        self._heap: List[tuple] = []
-        self._seq = 0
-        #: live entry count (kept as a plain attribute so the hot
-        #: scheduling path reads it without a method call)
-        self.count = 0
-
-    def push(self, when: float, entry) -> None:
-        """Insert ``entry`` at time ``when`` (FIFO among equal times)."""
-        self._seq += 1
-        heappush(self._heap, (when, self._seq, entry))
-        self.count += 1
-
-    def pop_batch(self) -> Tuple[float, list]:
-        """Remove and return ``(when, entries)`` for the next timestamp.
-
-        ``entries`` holds every queued entry scheduled at exactly
-        ``when``, in insertion order.  Raises :class:`EmptyQueue` when
-        idle.
-        """
-        heap = self._heap
-        if not heap:
-            raise EmptyQueue("event queue is empty")
-        when, _seq, entry = heappop(heap)
-        batch = [entry]
-        while heap and heap[0][0] == when:
-            batch.append(heappop(heap)[2])
-        self.count -= len(batch)
-        return when, batch
-
-    def peek(self) -> float:
-        """Time of the next entry; raises :class:`EmptyQueue` when idle."""
-        heap = self._heap
-        if not heap:
-            raise EmptyQueue("event queue is empty")
-        return heap[0][0]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def stats(self) -> dict:
-        """Backend-specific occupancy figures (none for the heap)."""
-        return {}
-
-
 class CalendarEventQueue:
-    """Bucketed backend: a dict of per-timestamp buckets plus a heap of
-    the distinct timestamps.
+    """A dict of per-timestamp buckets plus a heap of the distinct
+    timestamps.
 
     ``push`` appends to the bucket of its exact timestamp (creating it
     — and registering the timestamp in the time heap — only on first
@@ -137,17 +57,15 @@ class CalendarEventQueue:
     times, not the number of pending entries.
     """
 
-    name = "calendar"
-
-    __slots__ = ("_buckets", "_times", "count", "peak_buckets")
+    __slots__ = ("_buckets", "_times", "count")
 
     def __init__(self):
         self._buckets: dict = {}
         self._times: List[float] = []
-        #: live entry count across all buckets
+        #: live entry count across all buckets (kept as a plain
+        #: attribute so the hot scheduling path reads it without a
+        #: method call)
         self.count = 0
-        #: high-water mark of distinct pending timestamps
-        self.peak_buckets = 0
 
     def push(self, when: float, entry) -> None:
         """Insert ``entry`` at time ``when`` (FIFO among equal times)."""
@@ -156,9 +74,6 @@ class CalendarEventQueue:
         if bucket is None:
             buckets[when] = [entry]
             heappush(self._times, when)
-            n = len(self._times)
-            if n > self.peak_buckets:
-                self.peak_buckets = n
         else:
             bucket.append(entry)
         self.count += 1
@@ -166,7 +81,9 @@ class CalendarEventQueue:
     def pop_batch(self) -> Tuple[float, list]:
         """Remove and return ``(when, entries)`` for the next timestamp.
 
-        Raises :class:`EmptyQueue` when idle.
+        ``entries`` holds every queued entry scheduled at exactly
+        ``when``, in insertion order.  Raises :class:`EmptyQueue` when
+        idle.
         """
         times = self._times
         if not times:
@@ -185,39 +102,3 @@ class CalendarEventQueue:
 
     def __len__(self) -> int:
         return self.count
-
-    def stats(self) -> dict:
-        """Bucket occupancy: distinct pending times now and at peak."""
-        buckets = len(self._times)
-        return {
-            "buckets_now": buckets,
-            "peak_buckets": self.peak_buckets,
-            "mean_occupancy": (self.count / buckets) if buckets else 0.0,
-        }
-
-
-#: registry of selectable backends, by name
-BACKENDS = {
-    HeapEventQueue.name: HeapEventQueue,
-    CalendarEventQueue.name: CalendarEventQueue,
-}
-
-
-def resolve_backend(name=None) -> str:
-    """Resolve a backend name: explicit argument, else the
-    ``REPRO_SIM_BACKEND`` environment variable, else the default.
-
-    Raises :class:`ValueError` for names outside :data:`BACKENDS`.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown sim backend {name!r} (available: {sorted(BACKENDS)})"
-        )
-    return name
-
-
-def make_queue(name=None):
-    """Instantiate the event-queue backend ``name`` resolves to."""
-    return BACKENDS[resolve_backend(name)]()

@@ -49,13 +49,8 @@ def canonical_spec_json(spec) -> str:
     Key order is sorted recursively and separators are fixed, so the
     byte string — and therefore the cache key — is invariant under
     keyword-argument order and dict-field insertion order.
-
-    ``sim_backend`` is excluded: the event-queue backends are
-    bit-identical by contract, so a run cached under one backend is
-    the correct answer for the same spec under any other.
     """
     payload = spec.to_dict() if isinstance(spec, ExperimentSpec) else spec
-    payload = {k: v for k, v in payload.items() if k != "sim_backend"}
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -85,6 +85,24 @@ def test_key_includes_code_version_salt(tmp_path):
     assert old.key_for(spec) != new.key_for(spec)
 
 
+@pytest.mark.parametrize(
+    "fields,key",
+    [
+        ({}, "9b9406c5077bbfb1d1d4bc0a8893d9b5fa1a9fc22f79df0e4f42a256eaf4c60f"),
+        (
+            {"mode": "cb", "steps": 7},
+            "1c35b0ee59824408923a606289c327152bd3743f9b197497bd8e83b358cba226",
+        ),
+    ],
+    ids=["default", "cb-7-steps"],
+)
+def test_spec_key_is_pinned_under_a_fixed_salt(fields, key):
+    # values computed by 1.8.0, whose spec still had a sim_backend field
+    # (filtered out of the key): under one salt, keys must not move, so
+    # only a version bump invalidates stored reports
+    assert cache_key(ExperimentSpec(**fields), salt="pin") == key
+
+
 # -- store round trip -------------------------------------------------------
 
 @pytest.fixture()

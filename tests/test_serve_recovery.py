@@ -128,6 +128,24 @@ def test_recovered_duplicate_records_coalesce(tmp_path):
         svc.shutdown()
 
 
+def test_recovery_replays_a_record_naming_a_sim_backend(tmp_path):
+    # 1.8.0 journaled every spec with a sim_backend key; the option is
+    # gone, and recovery (which runs inside the constructor) must still
+    # load such a record instead of raising
+    journal = JobJournal(tmp_path / "journal.jsonl")
+    s = spec(steps=4)
+    journal.record_accepted(1, "k", {**s.to_dict(), "sim_backend": "heap"})
+    svc = ExperimentService(journal=journal, autostart=False)
+    try:
+        [(_, job)] = svc.recovered_jobs
+        assert job.spec == s
+        assert svc.drain(timeout=30)
+        assert canon(job.result(timeout=10)) == canon(Engine().run(s))
+        assert journal.replay().records[1].state == "completed"
+    finally:
+        svc.shutdown()
+
+
 def test_fresh_ids_start_above_replayed_sequences(tmp_path):
     journal = JobJournal(tmp_path / "journal.jsonl")
     journal.record_accepted(7, "k", spec(steps=3).to_dict())
@@ -415,6 +433,28 @@ def test_truncated_request_skipped_while_fresh_then_rejected(tmp_path):
     result = wait_result(jobdir, "torn", timeout=5)
     assert result["status"] == "failed"
     assert "malformed" in result["error"]
+
+
+def test_spooled_request_naming_a_sim_backend_is_admitted(tmp_path):
+    # a request spooled by a 1.8.0 client still carries sim_backend
+    jobdir = tmp_path / "jobs"
+    (jobdir / "queue").mkdir(parents=True)
+    s = spec(steps=3)
+    (jobdir / "queue" / "old.json").write_text(
+        json.dumps(
+            {
+                "schema": "repro.job_request/1",
+                "id": "old",
+                "spec": {**s.to_dict(), "sim_backend": "heap"},
+            },
+            sort_keys=True,
+        )
+    )
+    stats = serve_jobdir(jobdir, once=True)
+    assert stats["executed"] == 1
+    result = wait_result(jobdir, "old", timeout=5)
+    assert result["status"] == "done"
+    assert canon_dict(result["report"]) == canon(Engine().run(s))
 
 
 def test_complete_but_malformed_request_rejected_immediately(tmp_path):

@@ -1,23 +1,86 @@
-"""Differential tests: the event-queue backends are bit-identical.
+"""Differential tests: the calendar queue against a reference heap.
 
-The pluggable scheduler backends (``heap`` — the reference binary heap —
-and ``calendar`` — the bucketed batch-dequeue queue) promise *exact*
-equivalence: the same workload replays event-for-event, in the same
-order, at the same timestamps, producing the same results and the same
-deterministic metrics.  These tests enforce that promise on randomized
-seeded workloads spanning every waiting primitive (timeouts, the
-bare-delay fast path, interrupts, resources, stores, fabric transfers)
-and on full engine reports.
+The simulator's one event queue, :class:`~repro.sim.CalendarEventQueue`
+(timestamp buckets, batch dequeue), promises *exact* equivalence with
+the classic ``heapq`` event loop kept here as :class:`HeapEventQueue`:
+the same workload replays event-for-event, in the same order, at the
+same timestamps, producing the same results and the same deterministic
+metrics.  These tests enforce that promise on randomized seeded
+workloads spanning every waiting primitive (timeouts, the bare-delay
+fast path, interrupts, resources, stores, fabric transfers) and on full
+engine reports, each run once on the default simulator and once with
+the heap plugged in.
 """
 
 import json
 import random
+from heapq import heappop, heappush
+from typing import List, Tuple
 
 import pytest
 
-from repro.sim import Interrupt, Resource, Simulator, Store
+import repro.sim.core
+from repro.sim import EmptyQueue, Interrupt, Resource, Simulator, Store
 
-BACKENDS = ("heap", "calendar")
+
+class HeapEventQueue:
+    """Reference queue: one binary heap of ``(time, seq, entry)``.
+
+    ``seq`` is a monotonically increasing tie-breaker, so entries that
+    share a timestamp pop in FIFO (insertion) order — the ordering
+    contract the calendar queue must reproduce.
+    """
+
+    __slots__ = ("_heap", "_seq", "count")
+
+    def __init__(self):
+        self._heap: List[tuple] = []
+        self._seq = 0
+        #: live entry count (kept as a plain attribute so the hot
+        #: scheduling path reads it without a method call)
+        self.count = 0
+
+    def push(self, when: float, entry) -> None:
+        """Insert ``entry`` at time ``when`` (FIFO among equal times)."""
+        self._seq += 1
+        heappush(self._heap, (when, self._seq, entry))
+        self.count += 1
+
+    def pop_batch(self) -> Tuple[float, list]:
+        """Remove and return ``(when, entries)`` for the next timestamp.
+
+        ``entries`` holds every queued entry scheduled at exactly
+        ``when``, in insertion order.  Raises :class:`EmptyQueue` when
+        idle.
+        """
+        heap = self._heap
+        if not heap:
+            raise EmptyQueue("event queue is empty")
+        when, _seq, entry = heappop(heap)
+        batch = [entry]
+        while heap and heap[0][0] == when:
+            batch.append(heappop(heap)[2])
+        self.count -= len(batch)
+        return when, batch
+
+    def peek(self) -> float:
+        """Time of the next entry; raises :class:`EmptyQueue` when idle."""
+        heap = self._heap
+        if not heap:
+            raise EmptyQueue("event queue is empty")
+        return heap[0][0]
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _heap_simulator() -> Simulator:
+    """A simulator running on the reference heap (plugged in before
+    anything is scheduled)."""
+    sim = Simulator()
+    sim._queue = HeapEventQueue()
+    return sim
+
 
 # exactly representable floats on purpose *and* awkward ones: equal
 # timestamps must group identically however they were computed
@@ -104,8 +167,8 @@ def _random_workload(sim: Simulator, seed: int, log: list):
     return victims
 
 
-def _replay(backend: str, seed: int):
-    sim = Simulator(backend=backend)
+def _replay(make_sim, seed: int):
+    sim = make_sim()
     log: list = []
     procs = _random_workload(sim, seed, log)
     sim.run(until=500.0)
@@ -128,19 +191,19 @@ def _replay(backend: str, seed: int):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_workloads_replay_identically(seed):
-    """Same seed, different backend: event-for-event identical traces —
-    every action at the same timestamp in the same order, the same
-    event/batch counters, the same process outcomes."""
-    heap = _replay("heap", seed)
-    calendar = _replay("calendar", seed)
-    assert heap["log"] == calendar["log"]
-    assert heap == calendar
+    """Same seed, calendar queue vs the heap oracle: event-for-event
+    identical traces — every action at the same timestamp in the same
+    order, the same event/batch counters, the same process outcomes."""
+    calendar = _replay(Simulator, seed)
+    heap = _replay(_heap_simulator, seed)
+    assert calendar["log"] == heap["log"]
+    assert calendar == heap
 
 
-def _transfer_trace(backend: str) -> list:
+def _transfer_trace(make_sim) -> list:
     from repro.engine import preset_machine
 
-    sim = Simulator(backend=backend)
+    sim = make_sim()
     machine = preset_machine(sim=sim)
     fabric = machine.fabric
     log = []
@@ -162,7 +225,7 @@ def _transfer_trace(backend: str) -> list:
 
 
 def test_fabric_transfers_replay_identically():
-    assert _transfer_trace("heap") == _transfer_trace("calendar")
+    assert _transfer_trace(Simulator) == _transfer_trace(_heap_simulator)
 
 
 # -- wakeup-pool hygiene under interrupt/cancel churn ------------------------
@@ -208,11 +271,8 @@ def test_wakeup_pool_reuse_under_interrupt_churn():
     assert victim._wakeup is not None and not victim._wakeup.pending
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_no_leaked_wakeups_after_churn(backend):
-    """After heavy cancel churn the queue drains to empty on both
-    backends — cancelled entries never linger."""
-    sim = Simulator(backend=backend)
+def _churn(make_sim) -> int:
+    sim = make_sim()
 
     def flapper(sim):
         for _ in range(10):
@@ -233,73 +293,37 @@ def test_no_leaked_wakeups_after_churn(backend):
     sim.run()
     assert len(sim) == 0
     assert sim._queue.count == 0
-    exact = sim.fast_wakeups
-    # the counter is exact: replaying the identical workload on the
-    # other backend reproduces it bit-for-bit
-    other = Simulator(backend="calendar" if backend == "heap" else "heap")
-    vs = [other.process(flapper(other)) for _ in range(4)]
-    other.process(interrupter(other, vs))
-    other.run()
-    assert other.fast_wakeups == exact
+    return sim.fast_wakeups
+
+
+def test_no_leaked_wakeups_after_churn():
+    """After heavy cancel churn the queue drains to empty — cancelled
+    entries never linger — and the ``fast_wakeups`` counter is exact:
+    the heap oracle reproduces it bit-for-bit."""
+    assert _churn(Simulator) == _churn(_heap_simulator)
 
 
 # -- engine reports: byte-identical modulo host timing ------------------------
 
 
-def _normalized_report(backend: str) -> str:
+def _normalized_report() -> str:
     from repro.engine import Engine, ExperimentSpec
 
-    spec = ExperimentSpec(mode="cb", steps=5, sim_backend=backend)
+    spec = ExperimentSpec(mode="cb", steps=5)
     doc = Engine().run(spec).to_dict()
-    # host-side timing and the backend's own identity are the *only*
-    # fields allowed to differ between backends
+    # host-side timing is the *only* field allowed to differ between
+    # the queue and the oracle
     for key in ("wall_time_s", "events_per_sec", "host_wall_s"):
         doc["sim"].pop(key, None)
-    doc["sim"].pop("backend", None)
-    doc["spec"].pop("sim_backend", None)
     return json.dumps(doc, sort_keys=True)
 
 
-def test_fig7_report_byte_identical_across_backends():
-    """A fig7-style engine run serializes to byte-identical JSON under
-    both backends once host-timing and backend-identity fields are
-    stripped (the acceptance contract of the pluggable core).  The
-    batch-size histogram intentionally stays in the comparison: both
-    backends must group co-temporal events identically."""
-    assert _normalized_report("heap") == _normalized_report("calendar")
-
-
-def test_backend_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "calendar")
-    assert Simulator().backend == "calendar"
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "heap")
-    assert Simulator().backend == "heap"
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "wheel")
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        Simulator()
-
-
-def test_spec_backend_threads_into_metrics():
-    from repro.engine import Engine, ExperimentSpec
-
-    report = Engine().run(ExperimentSpec(mode="cb", steps=3,
-                                         sim_backend="calendar"))
-    assert report.sim["backend"]["name"] == "calendar"
-    assert "peak_buckets" in report.sim["backend"]["queue"]
-    assert report.spec["sim_backend"] == "calendar"
-
-
-def test_cache_key_ignores_backend(tmp_path):
-    """Backends are bit-identical, so a report cached under one backend
-    answers the same spec under the other."""
-    from repro.cache import ResultCache, cache_key
-    from repro.engine import Engine, ExperimentSpec
-
-    heap_spec = ExperimentSpec(mode="cb", steps=4, sim_backend="heap")
-    cal_spec = ExperimentSpec(mode="cb", steps=4, sim_backend="calendar")
-    assert cache_key(heap_spec) == cache_key(cal_spec)
-    cache = ResultCache(tmp_path)
-    Engine().run(heap_spec, cache=cache)
-    assert cache.misses == 1
-    Engine().run(cal_spec, cache=cache)
-    assert cache.hits == 1
+def test_fig7_report_byte_identical_across_backends(monkeypatch):
+    """A fig7-style engine run serializes to byte-identical JSON on the
+    calendar queue and on the heap oracle once host-timing fields are
+    stripped.  The batch-size histogram intentionally stays in the
+    comparison: both queues must group co-temporal events identically."""
+    calendar = _normalized_report()
+    monkeypatch.setattr(repro.sim.core, "CalendarEventQueue", HeapEventQueue)
+    assert type(Simulator()._queue) is HeapEventQueue
+    assert _normalized_report() == calendar

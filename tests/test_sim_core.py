@@ -1,8 +1,4 @@
-"""Unit tests for the discrete-event simulation core.
-
-The whole module runs once per event-queue backend (heap and calendar)
-via the autouse fixture below — the semantics must be identical.
-"""
+"""Unit tests for the discrete-event simulation core."""
 
 import pytest
 
@@ -15,13 +11,6 @@ from repro.sim import (
     Process,
     Simulator,
 )
-
-
-@pytest.fixture(params=["heap", "calendar"], autouse=True)
-def sim_backend(request, monkeypatch):
-    """Run every test in this module under both queue backends."""
-    monkeypatch.setenv("REPRO_SIM_BACKEND", request.param)
-    return request.param
 
 
 def test_clock_starts_at_zero():
@@ -371,6 +360,73 @@ def test_schedule_negative_delay_rejected():
         ev.succeed(delay=-1.0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+def _triggered(sim):
+    ev = Event(sim)
+    ev._ok = True
+    ev._value = None
+    return ev
+
+
+#: every public way to put an entry ``delay`` seconds ahead of the clock
+DELAY_ENTRY_POINTS = {
+    "timeout": lambda sim, d: sim.timeout(d),
+    "call_in": lambda sim, d: sim.call_in(d, lambda _entry: None),
+    "succeed": lambda sim, d: sim.event().succeed(delay=d),
+    "fail": lambda sim, d: sim.event().fail(KeyError("x"), delay=d).defuse(),
+    "schedule_at": lambda sim, d: sim.schedule_at(
+        _triggered(sim), sim.now + d
+    ),
+    "run_until": lambda sim, d: sim.run(until=sim.now + d),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DELAY_ENTRY_POINTS))
+def test_nan_delay_rejected(entry):
+    # NaN fails every comparison, so a ``< 0`` guard would let it in
+    sim = Simulator(start_time=1.0)
+    with pytest.raises(ValueError):
+        DELAY_ENTRY_POINTS[entry](sim, NAN)
+    assert len(sim) == 0 and sim.now == 1.0
+
+
+@pytest.mark.parametrize("entry", sorted(DELAY_ENTRY_POINTS))
+def test_infinite_delay_still_accepted(entry):
+    sim = Simulator(start_time=1.0)
+    DELAY_ENTRY_POINTS[entry](sim, INF)
+    sim.run()
+    assert sim.now == INF
+
+
+def test_nan_sleep_cannot_run_the_clock_backwards():
+    sim = Simulator()
+    woke = []
+
+    def sleeper(delay):
+        try:
+            yield delay
+        except ValueError:
+            woke.append(("rejected", sim.now))
+            return
+        woke.append((delay, sim.now))
+
+    for delay in (3.0, NAN, 1.0, 2.0, 0.5):
+        sim.process(sleeper(delay))
+    sim.process(sleeper(INF))
+    sim.run()
+    assert woke == [
+        ("rejected", 0.0),
+        (0.5, 0.5),
+        (1.0, 1.0),
+        (2.0, 2.0),
+        (3.0, 3.0),
+        (INF, INF),
+    ]
+
+
 def test_fast_wakeup_reused_not_reallocated():
     sim = Simulator()
 
@@ -466,17 +522,6 @@ def test_empty_queue_is_index_error():
     sim = Simulator()
     with pytest.raises(IndexError):
         sim.peek()
-
-
-def test_backend_attribute_reflects_selection(sim_backend):
-    assert Simulator().backend == sim_backend
-    assert Simulator(backend="heap").backend == "heap"
-    assert Simulator(backend="calendar").backend == "calendar"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        Simulator(backend="wheel")
 
 
 def test_step_batch_processes_cotemporal_events():
