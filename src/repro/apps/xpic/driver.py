@@ -180,10 +180,10 @@ def _field_phase(ctx, comm: Comm, wl: StepWorkload):
         yield ctx.compute(remaining * _allreduce_latency_estimate(ctx, comm))
 
 
-def _particle_compute(ctx, comm: Comm, wl: StepWorkload):
-    """ParticlesMove + ParticleMoments, with per-rank load imbalance."""
-    kernel = wl.particle_kernel.scaled(wl.imbalance_factor(comm.rank))
-    yield from ctx.execute(kernel)
+def _rank_particle_kernel(wl: StepWorkload, rank: int):
+    """ParticlesMove + ParticleMoments of one rank, scaled by its load
+    imbalance: the same kernel every step, so a driver builds it once."""
+    return wl.particle_kernel.scaled(wl.imbalance_factor(rank))
 
 
 def _moment_halo(ctx, comm: Comm, wl: StepWorkload):
@@ -239,6 +239,7 @@ def _homogeneous_app(
     ctx: RankContext, cfg: XpicConfig, wl: StepWorkload, resil=None
 ):
     comm = ctx.world
+    particle_kernel = _rank_particle_kernel(wl, comm.rank)
     timers = RankTimers()
     yield from comm.barrier()
     timers.start = ctx.sim.now
@@ -250,7 +251,7 @@ def _homogeneous_app(
         timers.fields += ctx.sim.now - t0
         # ---- particle solver ----------------------------------------------
         t0 = ctx.sim.now
-        yield from _particle_compute(ctx, comm, wl)
+        yield from ctx.execute(particle_kernel)
         yield from _moment_halo(ctx, comm, wl)
         yield from _migration(ctx, comm, wl)
         yield from _rebalance(ctx, comm, wl, step)
@@ -392,6 +393,7 @@ def _booster_particle_app(
     )
     partner = world.rank
     actor = f"BN{world.rank}"
+    particle_kernel = _rank_particle_kernel(wl, world.rank)
     timers = RankTimers()
     # send initial moments
     yield from inter.send(
@@ -413,7 +415,7 @@ def _booster_particle_app(
         _rec(tracer, ctx, actor, "wait", t0)
         # pcl.cpyFromArr_F(); ParticlesMove(); ParticleMoments()
         t0 = ctx.sim.now
-        yield from _particle_compute(ctx, world, wl)
+        yield from ctx.execute(particle_kernel)
         # moment halo-add must complete before moments are shipped
         yield from _moment_halo(ctx, world, wl)
         timers.particles += ctx.sim.now - t0

@@ -185,7 +185,10 @@ class Comm:
     ) -> Optional[Status]:
         """Non-blocking probe (MPI_Iprobe): the Status of the message a
         matching :meth:`recv` would take now, or ``None``.  Does not
-        consume the message."""
+        consume the message; a ``source`` out of range raises
+        :class:`RankError`, as in :meth:`recv`."""
+        if source != ANY_SOURCE:
+            self._peer_group().proc(source)  # validate rank
         env = self._proc.mailbox.peek(self._ctx_pt2pt, source, tag)
         if env is None:
             return None
@@ -201,8 +204,11 @@ class Comm:
 
         Returns at once if one is already in the mailbox; otherwise
         the next matching arrival fires the probe before any posted
-        receive takes the message.
+        receive takes the message.  A ``source`` out of range raises
+        :class:`RankError`, as in :meth:`recv`.
         """
+        if source != ANY_SOURCE:
+            self._peer_group().proc(source)  # validate rank
         env = yield self._proc.mailbox.watch(self._ctx_pt2pt, source, tag)
         st = Status()
         st._set(env.source, env.tag, env.nbytes)
@@ -217,11 +223,21 @@ class Comm:
         recvtag: int = ANY_TAG,
         nbytes: Optional[int] = None,
     ) -> Generator:
-        """Simultaneous send and receive (deadlock-free exchange)."""
-        req = self.isend(payload, dest, tag=sendtag, nbytes=nbytes)
-        data = yield from self.recv(source=source, tag=recvtag)
-        yield req.wait()
-        return data
+        """Simultaneous send and receive (deadlock-free exchange).
+
+        Posts the send, then the receive (validating ``source`` as
+        :meth:`recv` does), and yields the two events in that order.
+        """
+        peers = self._peer_group()
+        sent = self.runtime.isend(
+            self._proc, peers, dest, self._ctx_pt2pt, self._rank, sendtag,
+            payload, nbytes=nbytes,
+        )
+        if source != ANY_SOURCE:
+            peers.proc(source)  # validate rank
+        env = yield self._proc.mailbox.get(self._ctx_pt2pt, source, recvtag)
+        yield sent
+        return env.payload
 
     # -- collective helpers ----------------------------------------------
     def _coll_send(self, payload, dest, tag, nbytes=None) -> Generator:
@@ -253,13 +269,16 @@ class Comm:
         tag = self._next_coll_tag()
         from .datatypes import Bytes
 
+        runtime, proc, ctx = self.runtime, self._proc, self._ctx_coll
         k = 1
         while k < size:
             dest = (rank + k) % size
             src = (rank - k) % size
-            req = self.isend_internal(Bytes(0), dest, tag)
-            yield from self._coll_recv(src, tag)
-            yield req.wait()
+            sent = runtime.isend(
+                proc, self.group, dest, ctx, rank, tag, Bytes(0)
+            )
+            yield proc.mailbox.get(ctx, src, tag)
+            yield sent
             k <<= 1
 
     def isend_internal(self, payload, dest, tag) -> Request:
@@ -392,13 +411,17 @@ class Comm:
         size, rank = self.size, self._rank
         if size & (size - 1) == 0:
             tag = self._next_coll_tag()
+            runtime, proc, ctx = self.runtime, self._proc, self._ctx_coll
             acc = value
             mask = 1
             while mask < size:
                 partner = rank ^ mask
-                req = self.isend_internal(acc, partner, tag)
-                other = yield from self._coll_recv(partner, tag)
-                yield req.wait()
+                sent = runtime.isend(
+                    proc, self.group, partner, ctx, rank, tag, acc
+                )
+                env = yield proc.mailbox.get(ctx, partner, tag)
+                yield sent
+                other = env.payload
                 # Keep op application order rank-independent.
                 acc = op(acc, other) if rank < partner else op(other, acc)
                 mask <<= 1

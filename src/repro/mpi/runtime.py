@@ -33,7 +33,7 @@ from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError
 from ..sim import Event, Process, Simulator
-from ..sim.events import AnyOf
+from ..sim.events import PENDING, AnyOf
 from .datatypes import payload_nbytes
 from .errors import (
     CommError,
@@ -45,6 +45,10 @@ from .errors import (
 from .message import Envelope, Mailbox
 
 __all__ = ["MPIProcess", "GroupState", "MPIRuntime", "FaultTolerancePolicy"]
+
+#: kernel prices one rank remembers (see :meth:`RankContext.execute`);
+#: a caller that builds a new kernel every step empties a full table
+PRICE_CACHE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,8 @@ class RankContext:
         self.proc = proc
         self.world = world
         self._parent = parent
+        # (kernel, threads) -> seconds on this rank's node
+        self._prices: dict = {}
 
     @property
     def sim(self) -> Simulator:
@@ -215,11 +221,21 @@ class RankContext:
     def execute(self, kernel, threads: Optional[int] = None) -> Generator:
         """Run a perf-model kernel on this rank's node (simulated time).
 
-        Returns the modeled duration in seconds.
+        Returns the modeled duration in seconds.  A rank's node never
+        changes, so the duration is priced once per ``(kernel,
+        threads)`` and remembered (at most :data:`PRICE_CACHE_MAX`
+        prices; a full table starts over).
         """
-        from ..perfmodel import time_on_node  # late import: avoid cycle
+        key = (kernel, threads)
+        prices = self._prices
+        duration = prices.get(key)
+        if duration is None:
+            from ..perfmodel import time_on_node  # late import: avoid cycle
 
-        duration = time_on_node(self.node, kernel, threads=threads)
+            duration = time_on_node(self.node, kernel, threads=threads)
+            if len(prices) >= PRICE_CACHE_MAX:
+                prices.clear()
+            prices[key] = duration
         yield duration
         return duration
 
@@ -549,8 +565,14 @@ class _Send(Event):
     """One non-blocking send on the callback path; the event itself is
     the send's completion (what the request waits on).
 
-    It takes queue slot for slot the entries a send process would: a
-    zero-delay start entry where the process's init event sat, a
+    Uncontended and fault-free it is two callbacks.  The start entry
+    (:meth:`_attempt`) resolves the destination rank, accounts the
+    message, claims the route and pushes the completion entry; the
+    completion entry (:meth:`_finish`) gives the links back, counts the
+    transfer, delivers the envelope and schedules the event itself.
+
+    It takes queue slot for slot the entries a send process would: the
+    zero-delay start entry where the process's init event sat, the
     completion entry at ``now + duration`` where its bare-delay wakeup
     sat, and the event itself where the process's exit sat.  The
     mailbox delivery in between creates no event, as in
@@ -560,10 +582,10 @@ class _Send(Event):
 
     An attempt that fails under a :class:`FaultTolerancePolicy` backs
     off on a callback too: :meth:`MPIRuntime._retry_delay` maps and
-    counts the error and gives the delay, and the retry entry sits where
-    the send process's bare-delay backoff wakeup sat.  Once the retries
-    are spent, the typed error fails the event as the process's exit
-    would have.
+    counts the error and gives the delay, and the retry entry (another
+    :meth:`_attempt`) sits where the send process's bare-delay backoff
+    wakeup sat.  Once the retries are spent, the typed error fails the
+    event as the process's exit would have.
 
     A route an attempt finds contended still needs per-link FIFO
     queueing; that part runs in a process started synchronously from
@@ -581,7 +603,15 @@ class _Send(Event):
         self, runtime, src_proc, group, dest, context_id, source_rank, tag,
         payload, nbytes,
     ):
-        super().__init__(runtime.sim)
+        sim = runtime.sim
+        # Event.__init__, inlined (one send per message): every Event
+        # slot is set here
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self.abandoned = False
         self.runtime = runtime
         self.src_proc = src_proc
         self.group = group
@@ -591,27 +621,27 @@ class _Send(Event):
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
+        self.dst_proc = None
         self.backoff = None
-        runtime.sim.call_in(0.0, self._start)
-
-    def _start(self, _entry) -> None:
-        try:
-            self.dst_proc = self.group.proc(self.dest)
-            self.nbytes, self.seq = self.runtime._account(
-                self.context_id, self.payload, self.nbytes
-            )
-        except Exception as exc:
-            # as a send process would: the error fails the request, so
-            # a waiter gets it raised and otherwise sim.run() does
-            self.fail(exc)
-            return
-        self._attempt(None)
+        sim.call_in(0.0, self._attempt)
 
     def _attempt(self, _entry) -> None:
-        """One transfer attempt: the first from the start entry, each
-        retry from its own backoff entry."""
+        """One transfer attempt.  The first, from the start entry, also
+        resolves the destination rank and accounts the message; each
+        retry comes from its own backoff entry."""
         runtime = self.runtime
         sim = self.sim
+        if self.dst_proc is None:
+            try:
+                self.dst_proc = self.group.proc(self.dest)
+                self.nbytes, self.seq = runtime._account(
+                    self.context_id, self.payload, self.nbytes
+                )
+            except Exception as exc:
+                # as a send process would: the error fails the request,
+                # so a waiter gets it raised and otherwise sim.run() does
+                self.fail(exc)
+                return
         try:
             duration, self.rc, claimed = runtime.fabric.begin_transfer(
                 self.src_proc.node.node_id,
@@ -631,7 +661,7 @@ class _Send(Event):
             sim.call_in(delay, self._attempt)
             return
         if claimed:
-            self.t0 = sim.now
+            self.t0 = sim._now
             sim.call_in(duration, self._finish)
         else:
             Process.start_now(sim, self._queued(duration))
@@ -640,25 +670,33 @@ class _Send(Event):
         self.t0 = yield from self.runtime.fabric.queue_transfer(
             self.rc, duration
         )
-        self._complete()
+        self._finish(None, held=False)
 
-    def _finish(self, _entry) -> None:
-        if self.rc is not None:
-            self.runtime.fabric.release_route(self.rc)
-        self._complete()
-
-    def _complete(self) -> None:
-        self.runtime.fabric.end_transfer(
+    def _finish(self, _entry, held: bool = True) -> None:
+        """Complete the send: give the route's links back (unless
+        :meth:`~repro.network.fabric.Fabric.queue_transfer` already did,
+        ``held=False``), count the transfer, deliver the envelope and
+        schedule the event itself."""
+        fabric = self.runtime.fabric
+        rc = self.rc
+        if held and rc is not None:
+            fabric.release_route(rc)
+        dst_proc = self.dst_proc
+        nbytes = self.nbytes
+        fabric.end_transfer(
             self.src_proc.node.node_id,
-            self.dst_proc.node.node_id,
-            self.nbytes,
-            self.rc,
+            dst_proc.node.node_id,
+            nbytes,
+            rc,
             self.t0,
         )
-        self.dst_proc.mailbox.put(
+        dst_proc.mailbox.put(
             Envelope(
-                self.context_id, self.source_rank, self.tag, self.nbytes,
+                self.context_id, self.source_rank, self.tag, nbytes,
                 self.payload,
             )
         )
-        self.succeed()
+        # succeed(), inlined: a send in flight has not been triggered
+        self._ok = True
+        self._value = None
+        self.sim._schedule(self)

@@ -48,6 +48,11 @@ class NoRouteError(nx.exception.NetworkXNoPath):
 #: ParaStation-MPI-like eager/rendezvous switch point.
 EAGER_THRESHOLD_BYTES = 32 * 1024
 
+#: Wire times :meth:`Fabric.transfer_time` remembers before it starts
+#: over; a run asks for a handful of (pair, size) prices, so only a
+#: caller sweeping sizes ever reaches it.
+TIME_CACHE_MAX = 4096
+
 #: Fraction of raw link bandwidth achievable by the MPI payload
 #: (headers, cells, flow control).  Calibrated so the large-message
 #: plateau of Fig 3 sits near 10 GByte/s on a 12.5 GByte/s link.
@@ -86,8 +91,11 @@ class Fabric:
     """Transfers bytes between endpoints of a :class:`Topology`.
 
     Endpoints are :class:`~repro.hardware.node.Node` objects registered
-    under their ``node_id``.  The fabric caches routes and their cost
-    terms (the topology is static between link failures).
+    under their ``node_id``.  The fabric caches routes, their cost
+    terms and the wire times :meth:`transfer_time` has priced (the
+    topology is static between faults).  The fault methods below are
+    the only way to change a route or a link: each forgets whatever the
+    change can make stale.
 
     Transfers take one of two paths:
 
@@ -124,6 +132,8 @@ class Fabric:
         self._nodes: Dict[str, Node] = {}
         self._route_cache: Dict[Tuple[str, str], list] = {}
         self._cost_cache: Dict[Tuple[str, str], _RouteCost] = {}
+        # (src, dst, nbytes, rdma) -> transfer_time, up to TIME_CACHE_MAX
+        self._time_cache: Dict[tuple, float] = {}
         self._request_pool: List[Request] = []
         self.bytes_transferred = 0
         self.messages_transferred = 0
@@ -192,14 +202,12 @@ class Fabric:
         becomes unreachable.
         """
         self.topology.fail_link(u, v)
-        self._route_cache.clear()
-        self._cost_cache.clear()
+        self._forget(routes=True)
 
     def restore_link(self, u: str, v: str) -> None:
         """Return a previously failed link to service and re-route."""
         self.topology.restore_link(u, v)
-        self._route_cache.clear()
-        self._cost_cache.clear()
+        self._forget(routes=True)
 
     def fail_node(self, node_id: str) -> None:
         """Crash a node: its host stops responding and every incident
@@ -209,8 +217,7 @@ class Fabric:
         node = self._nodes.get(node_id)
         if node is not None and not node.failed:
             node.fail()
-        self._route_cache.clear()
-        self._cost_cache.clear()
+        self._forget(routes=True)
 
     def restore_node(self, node_id: str) -> None:
         """Bring a crashed node back (volatile NVMe state stays lost)."""
@@ -218,19 +225,27 @@ class Fabric:
         node = self._nodes.get(node_id)
         if node is not None and node.failed:
             node.recover()
-        self._route_cache.clear()
-        self._cost_cache.clear()
+        self._forget(routes=True)
 
     def degrade_link(self, u: str, v: str, factor: float) -> None:
         """Run one link at ``factor`` of nominal bandwidth (flaky cable:
         the route survives but its bottleneck bandwidth drops)."""
         self.topology.link(u, v).degrade(factor)
-        self._cost_cache.clear()
+        self._forget(routes=False)
 
     def restore_link_quality(self, u: str, v: str) -> None:
         """Return a degraded link to nominal bandwidth."""
         self.topology.link(u, v).restore_quality()
+        self._forget(routes=False)
+
+    def _forget(self, routes: bool) -> None:
+        """Drop the cost terms and wire times a fault may have made
+        stale, and the routes too when ``routes`` (the graph changed;
+        a degraded link keeps its routes but not their bandwidth)."""
+        if routes:
+            self._route_cache.clear()
         self._cost_cache.clear()
+        self._time_cache.clear()
 
     def hops(self, src: str, dst: str) -> int:
         """Number of links on the route between two endpoints."""
@@ -245,30 +260,57 @@ class Fabric:
     def transfer_time(
         self, src: str, dst: str, nbytes: int, rdma: bool = False
     ) -> float:
-        """No-contention end-to-end message time (the LogGP sum)."""
-        if nbytes < 0:
-            raise ValueError("negative message size")
-        src_node, dst_node = self._nodes[src], self._nodes[dst]
-        return self._duration(
-            self.route_cost(src, dst), src_node, dst_node, nbytes, rdma
-        )
+        """No-contention end-to-end message time: what
+        :meth:`begin_transfer` charges for the same message.
 
-    def _duration(
+        Priced once per ``(src, dst, nbytes, rdma)`` and remembered
+        until a fault method changes the fabric (at most
+        :data:`TIME_CACHE_MAX` prices; a full table starts over).
+        """
+        key = (src, dst, nbytes, rdma)
+        times = self._time_cache
+        t = times.get(key)
+        if t is None:
+            nodes = self._nodes
+            t = self._price(
+                src, dst, nodes.get(src), nodes.get(dst), nbytes, rdma
+            )[0]
+            if len(times) >= TIME_CACHE_MAX:
+                times.clear()
+            times[key] = t
+        return t
+
+    def _price(
         self,
-        rc: _RouteCost,
-        src_node: Node,
-        dst_node: Node,
+        src: str,
+        dst: str,
+        src_node: Optional[Node],
+        dst_node: Optional[Node],
         nbytes: int,
         rdma: bool,
-    ) -> float:
-        """The LogGP sum over a route's cost terms (no validation)."""
+    ) -> Tuple[float, Optional[_RouteCost]]:
+        """``(duration, rc)`` of one uncontended message: the LogGP sum
+        over the route ``rc``, or a memory copy with no route (``rc``
+        ``None``) when both ends are one node.  Raises for a negative
+        size, then an unregistered node, then a missing route."""
+        if nbytes < 0:
+            raise ValueError("negative message size")
+        if src_node is None or dst_node is None:
+            raise KeyError(src if src_node is None else dst)
+        if src == dst:
+            # Intra-node (shared memory) copy: model as memory-bandwidth
+            # bounded with negligible latency.
+            memory = src_node.memory
+            bw = memory.peak_bandwidth if memory else 50e9
+            return 200e-9 + nbytes / bw, None
+        rc = self.route_cost(src, dst)
         if rdma:
             # Remote DMA: no software processing on the remote side.
             return (
                 src_node.nic_sw_overhead_s
                 + rc.hop_latency_s
                 + nbytes / rc.bw_eff
-            )
+            ), rc
         t = (
             src_node.nic_sw_overhead_s
             + dst_node.nic_sw_overhead_s
@@ -278,7 +320,7 @@ class Fabric:
         if nbytes > self.eager_threshold:
             # Rendezvous: request-to-send / clear-to-send round trip.
             t += rc.rtt_s + dst_node.nic_sw_overhead_s
-        return t
+        return t, rc
 
     # -- simulated transfer (with contention) -------------------------------
     def transfer(
@@ -346,21 +388,13 @@ class Fabric:
         nodes = self._nodes
         src_node = nodes.get(src)
         dst_node = nodes.get(dst)
-        for endpoint, node in ((src, src_node), (dst, dst_node)):
-            if node is not None and node.failed:
-                raise NodeFailedError(f"node {endpoint} has failed")
-        if src == dst:
-            # Intra-node (shared memory) copy: model as memory-bandwidth
-            # bounded with negligible latency.
-            node = nodes[src]
-            bw = node.memory.peak_bandwidth if node.memory else 50e9
-            return 200e-9 + nbytes / bw, None, True
-        if nbytes < 0:
-            raise ValueError("negative message size")
-        if src_node is None or dst_node is None:
-            raise KeyError(src if src_node is None else dst)
-        rc = self.route_cost(src, dst)
-        duration = self._duration(rc, src_node, dst_node, nbytes, rdma)
+        if src_node is not None and src_node.failed:
+            raise NodeFailedError(f"node {src} has failed")
+        if dst_node is not None and dst_node.failed:
+            raise NodeFailedError(f"node {dst} has failed")
+        duration, rc = self._price(src, dst, src_node, dst_node, nbytes, rdma)
+        if rc is None:
+            return duration, None, True
         resources = rc.resources
         if self.fast_path_enabled:
             for r in resources:

@@ -4,7 +4,8 @@ Uncontended transfers skip the ``Request`` event machinery (fast path);
 contended ones fall back to per-link FIFO queueing (slow path).  These
 tests force the slow path via ``Fabric.fast_path_enabled`` and check
 that simulated timestamps and every per-link counter agree exactly, and
-that the per-route cost cache invalidates on link failures.
+that the per-route cost cache and the wire-time memo forget every
+fabric change.
 """
 
 import pytest
@@ -210,6 +211,17 @@ def test_begin_transfer_prices_like_transfer_time_from_one_lookup(
             assert lookups == [("cn00", "bn00")]
             assert claimed and duration == expected  # bit for bit
             fabric.release_route(rc)
+    # a same-node message is a memory copy, 200 ns + n / bandwidth,
+    # with no route to look up or claim
+    bw = fabric.node("cn00").memory.peak_bandwidth
+    assert fabric.latency("cn00", "cn00") == 200e-9
+    for nbytes in (0, 2**20):
+        expected = fabric.transfer_time("cn00", "cn00", nbytes)
+        assert expected == 200e-9 + nbytes / bw
+        lookups.clear()
+        duration, rc, claimed = fabric.begin_transfer("cn00", "cn00", nbytes)
+        assert lookups == [] and rc is None and claimed
+        assert duration == expected
 
 
 def test_begin_transfer_error_order():
@@ -241,6 +253,57 @@ def test_transfer_after_reroute_crosses_detour_links():
     carried = {k for k, s in _link_stats(fabric).items() if s[1] > 0}
     assert ("sw.booster", "sw.cluster") in carried  # first transfer
     assert len(carried) > 3  # second one took extra links
+
+
+# -- wire-time memo ---------------------------------------------------------
+
+_SWITCHES = ("sw.booster", "sw.cluster")
+
+#: each case: the fault-method calls that make the change, in order
+_FABRIC_CHANGES = {
+    "fail_link": [("fail_link", *_SWITCHES)],
+    "restore_link": [("fail_link", *_SWITCHES), ("restore_link", *_SWITCHES)],
+    "fail_node": [("fail_node", "cn00")],
+    "restore_node": [("fail_node", "cn00"), ("restore_node", "cn00")],
+    "degrade_link": [("degrade_link", *_SWITCHES, 0.1)],
+    "restore_link_quality": [
+        ("degrade_link", *_SWITCHES, 0.1),
+        ("restore_link_quality", *_SWITCHES),
+    ],
+}
+
+
+def _wire_times(fabric):
+    """``latency`` and ``transfer_time`` of a few routes through the
+    switch link and ``cn00``: each a float, or the error class raised."""
+    out = {}
+    for src, dst in (("cn00", "bn00"), ("bn01", "cn00"), ("cn01", "bn01")):
+        calls = [("latency", (src, dst))] + [
+            ("transfer_time", (src, dst, nbytes, rdma))
+            for nbytes in (0, 4096, 10**6)
+            for rdma in (False, True)
+        ]
+        for name, args in calls:
+            try:
+                out[name, args] = getattr(fabric, name)(*args)
+            except Exception as exc:
+                out[name, args] = type(exc)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_FABRIC_CHANGES))
+def test_wire_times_forget_every_fabric_change(case):
+    """A fabric that priced its routes before each change prices them
+    afterwards as a freshly built fabric given the same change does."""
+    warm = preset_machine("deep-er").fabric
+    fresh = preset_machine("deep-er").fabric
+    for method, *args in _FABRIC_CHANGES[case]:
+        before = _wire_times(warm)
+        getattr(warm, method)(*args)
+        getattr(fresh, method)(*args)
+        after = _wire_times(warm)
+        assert after != before  # the change moved prices the memo held
+    assert after == _wire_times(fresh)
 
 
 # -- event-free acquisition primitives ---------------------------------------

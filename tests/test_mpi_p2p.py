@@ -175,6 +175,22 @@ def test_send_to_invalid_rank_raises(rt):
         rt.run_app(app, rt.machine.cluster[:2])
 
 
+@pytest.mark.parametrize("probe", ["iprobe", "probe"])
+def test_probe_of_an_invalid_rank_raises(rt, probe):
+    """Probes validate ``source`` as ``recv`` does, instead of matching
+    nothing (``iprobe``) or waiting forever (``probe``)."""
+
+    def app(ctx):
+        if probe == "iprobe":
+            ctx.world.iprobe(source=7)
+        else:
+            yield from ctx.world.probe(source=7)
+        yield ctx.compute(0)
+
+    with pytest.raises(RankError):
+        rt.run_app(app, rt.machine.cluster[:2])
+
+
 def test_send_timing_matches_fabric_model(rt):
     """A blocking send costs exactly the fabric's modelled message time."""
     fab = rt.machine.fabric

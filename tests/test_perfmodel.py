@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import build_deep_er_prototype
+from repro.mpi import MPIRuntime
+from repro.mpi.runtime import PRICE_CACHE_MAX
 from repro.perfmodel import (
     AccessPattern,
     Kernel,
@@ -88,6 +90,48 @@ def test_non_compute_node_rejected():
     m = build_deep_er_prototype(cluster_nodes=2, booster_nodes=2)
     with pytest.raises(ValueError):
         time_on_node(m.storage[0], particle_kernel(10))
+
+
+# ----------------------------------------------------- pricing on a rank
+def _run_one_rank(app):
+    machine = build_deep_er_prototype(cluster_nodes=1, booster_nodes=1)
+    [result] = MPIRuntime(machine).run_app(app, machine.cluster)
+    return machine.cluster[0], result
+
+
+def test_execute_prices_each_kernel_at_each_thread_count():
+    """``ctx.execute`` remembers a price per (kernel, threads): in any
+    order, each call yields exactly what ``time_on_node`` gives."""
+    kernels = (field_kernel(10**5, steps=1), particle_kernel(10**6, steps=1))
+    pairs = [(k, t) for k in kernels for t in (None, 1)]
+    order = pairs + pairs[::-1] + [pairs[i] for i in (0, 2, 1, 3, 3, 0, 2, 1)]
+
+    def app(ctx):
+        got = []
+        for kernel, threads in order:
+            duration = yield from ctx.execute(kernel, threads=threads)
+            got.append((duration, ctx.sim.now))
+        return got
+
+    node, got = _run_one_rank(app)
+    expected = [time_on_node(node, k, threads=t) for k, t in order]
+    assert len(set(expected)) == 4  # the four prices all differ
+    assert [d for d, _now in got] == expected
+    clock = 0.0
+    for (_d, now), duration in zip(got, expected):
+        clock += duration
+        assert now == clock  # and the rank is charged each of them
+
+
+def test_execute_price_cache_stays_bounded():
+    def app(ctx):
+        for i in range(10_000):
+            kernel = Kernel(f"k{i}", flops=1e6 + i, bytes_mem=1e3)
+            yield from ctx.execute(kernel)
+        return len(ctx._prices)
+
+    _node, size = _run_one_rank(app)
+    assert 0 < size <= PRICE_CACHE_MAX
 
 
 # ------------------------------------------------------------- calibration
