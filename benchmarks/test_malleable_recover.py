@@ -2,12 +2,13 @@
 
 The malleability tentpole's headline number: a C+B 8+8 xPic run loses
 two of the eight Booster nodes (an allocation shrink with no spares and
-no reboot — the nodes are gone).  The *static* supervisor can only play
-its scripted degradation (fall back onto the surviving homogeneous
-side at the old width), while the *malleable* supervisor re-runs a
-constrained tune over the surviving machine and resumes on the new
-best partition — on DEEP-ER that is the full sixteen-node Cluster
-side, which roughly doubles post-fault throughput.
+no reboot — the nodes are gone).  The epoch supervisor's *heal*
+recovery can only play its scripted degradation (fall back onto the
+surviving homogeneous side at the old width), while its *re-tune*
+recovery re-runs a constrained tune over the surviving machine and
+resumes on the new best partition — on DEEP-ER that is the full
+sixteen-node Cluster side, which roughly doubles post-fault
+throughput.
 
 Archives the comparison under ``benchmarks/_results`` (text + JSON);
 the ``check_regression`` gate holds the post-fault speedup to the
@@ -22,8 +23,7 @@ from repro.apps.xpic import Mode, table2_setup
 from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.bench import render_table
 from repro.engine import preset_machine
-from repro.resiliency import FaultEvent, FaultPlan
-from repro.resiliency.malleable import run_malleable_experiment
+from repro.resiliency import FaultEvent, FaultPlan, MalleabilityPolicy
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
 
@@ -47,10 +47,10 @@ def _plan() -> FaultPlan:
 
 
 def _static_arm():
-    """The pre-malleability behavior: no spares, no reboot, scripted
+    """The heal recovery: no spares, no reboot, scripted
     CB -> homogeneous degradation at the original width."""
     machine = preset_machine()
-    rr, res = run_resilient_experiment(
+    rr, res, _ = run_resilient_experiment(
         machine,
         Mode.CB,
         table2_setup(steps=STEPS),
@@ -63,14 +63,16 @@ def _static_arm():
 
 
 def _malleable_arm():
+    """The re-tune recovery: the model search over the survivors."""
     machine = preset_machine()
-    rr, res, mal = run_malleable_experiment(
+    rr, res, mal = run_resilient_experiment(
         machine,
         Mode.CB,
         table2_setup(steps=STEPS),
         fault_plan=_plan(),
         ckpt_interval_s=0.5,
         nodes_per_solver=8,
+        policy=MalleabilityPolicy(),
     )
     return rr, res, mal
 
@@ -85,10 +87,10 @@ def test_malleable_recovery_beats_static_fallback(benchmark, report):
     mall_tp = mall_res["post_fault"]["steps_per_s"]
     speedup = mall_tp / static_tp
     rows = [
-        ("static fallback",
+        ("heal (static fallback)",
          f"{static_rr.mode.value} {static_rr.nodes_per_solver}",
          f"{static_tp:.1f}", f"{static_rr.total_runtime:.3f}", "-"),
-        ("malleable re-tune",
+        ("re-tune (malleable)",
          mal["final_label"],
          f"{mall_tp:.1f}", f"{mall_rr.total_runtime:.3f}",
          f"{mal['time_to_recover_s'] * 1e3:.2f} ms"),
@@ -96,7 +98,7 @@ def test_malleable_recovery_beats_static_fallback(benchmark, report):
     report(
         "malleable_recover",
         render_table(
-            ["Supervisor", "Post-fault partition", "Steps/s after fault",
+            ["Recovery", "Post-fault partition", "Steps/s after fault",
              "Total wall [s]", "Time to re-tune"],
             rows,
             title=(

@@ -36,7 +36,7 @@ the full stack the paper describes:
     report = Session().run(mode="cb", steps=100)
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 from .api import Session
 from .engine import Engine, ExperimentSpec, RunReport, SweepReport

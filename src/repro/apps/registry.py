@@ -36,7 +36,7 @@ class App:
     normalize_mode: Callable[[object], str]
     #: whether the app wires up the fault-injected run path
     supports_resiliency: bool = False
-    #: whether the app wires up the malleable (re-partitioning) supervisor
+    #: whether the app wires up the re-tune (re-partitioning) recovery
     supports_malleability: bool = False
 
 

@@ -1,10 +1,10 @@
 """Engine-facing runner of the xPic app (registry entry point).
 
 Translates an :class:`~repro.engine.ExperimentSpec` into the right
-driver call — plain (:func:`~.driver.run_experiment`), fault-injected
-(:func:`~.resilient_driver.run_resilient_experiment`), or malleable
-(:func:`~repro.resiliency.malleable.run_malleable_experiment`) — and
-normalizes the outcome into the engine's uniform
+driver call — plain (:func:`~.driver.run_experiment`) or supervised
+through fault injection (:func:`~.resilient_driver.
+run_resilient_experiment`, re-tuning when the spec asks for
+malleability) — and normalizes the outcome into the engine's uniform
 ``(result_obj, result_dict, resiliency, malleability)`` shape.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 from ...partition import Partition
-from ...resiliency import FaultPlan
+from ...resiliency import FaultPlan, MalleabilityPolicy
 from ..registry import register
 from .config import table2_setup
 from .driver import normalize_mode, run_experiment
@@ -42,45 +42,16 @@ def run_xpic(spec, machine, runtime, tracer):
     )
     resiliency: dict = {}
     malleability: dict = {}
-    if spec.wants_malleability:
-        # the supervisor sits above this driver layer; import lazily
-        from ...resiliency.malleable import (
-            MalleabilityPolicy,
-            run_malleable_experiment,
-        )
-
-        plan = (
-            FaultPlan.from_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        )
-        rr, resiliency, malleability = run_malleable_experiment(
+    if spec.wants_resiliency:
+        rr, resiliency, malleability = run_resilient_experiment(
             machine,
             normalize_mode(spec.mode),
             cfg,
-            partition=partition,
-            policy=MalleabilityPolicy.from_dict(spec.malleability),
-            fault_plan=plan,
-            mtbf_s=spec.mtbf_s,
-            ckpt_interval_s=spec.ckpt_interval_s,
-            fault_seed=spec.seed,
-            nodes_per_solver=spec.nodes_per_solver,
-            overlap=spec.overlap,
-            swap_placement=spec.swap_placement,
-            tracer=tracer,
-            runtime=runtime,
-        )
-    elif spec.wants_resiliency:
-        plan = (
-            FaultPlan.from_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        )
-        rr, resiliency = run_resilient_experiment(
-            machine,
-            normalize_mode(spec.mode),
-            cfg,
-            fault_plan=plan,
+            fault_plan=(
+                FaultPlan.from_dict(spec.fault_plan)
+                if spec.fault_plan is not None
+                else None
+            ),
             mtbf_s=spec.mtbf_s,
             ckpt_interval_s=spec.ckpt_interval_s,
             fault_seed=spec.seed,
@@ -91,6 +62,12 @@ def run_xpic(spec, machine, runtime, tracer):
             load_balanced=spec.load_balanced,
             imbalance_alpha=spec.imbalance_alpha,
             runtime=runtime,
+            partition=partition,
+            policy=(
+                MalleabilityPolicy.from_dict(spec.malleability)
+                if spec.wants_malleability
+                else None
+            ),
         )
     else:
         rr = run_experiment(

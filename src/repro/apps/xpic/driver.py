@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ...hardware.machine import Machine
 from ...mpi import Bytes, Comm, MPIRuntime, RankContext
+from ...partition import Partition
 from ...sim.trace import Tracer
 from .config import XpicConfig
 from .workload import (
@@ -34,7 +35,16 @@ from .workload import (
     migration_nbytes,
 )
 
-__all__ = ["Mode", "RunResult", "normalize_mode", "run_experiment"]
+__all__ = [
+    "Mode",
+    "Placement",
+    "RunResult",
+    "normalize_mode",
+    "partition_of",
+    "place",
+    "run_experiment",
+    "workload_of",
+]
 
 TAG_FIELDS = 101
 TAG_MOMENTS = 102
@@ -465,6 +475,125 @@ def _booster_particle_app(
 # --------------------------------------------------------------------------
 # Experiment runner
 # --------------------------------------------------------------------------
+@dataclass
+class Placement:
+    """A partition placed on concrete nodes.
+
+    ``launch`` holds the nodes the job starts its ranks on (the particle
+    solver, and the ranks that checkpoint); ``spawn`` the nodes those
+    ranks spawn the field solver onto, empty for a homogeneous run.
+    """
+
+    partition: Partition
+    launch: List
+    spawn: List
+
+    @property
+    def mode(self) -> Mode:
+        """The execution mode the partition runs in."""
+        return Mode(self.partition.mode)
+
+    @property
+    def ranks(self) -> int:
+        """Width of each solver side."""
+        return self.partition.nodes_per_solver
+
+    @property
+    def overlap(self) -> bool:
+        """Whether the spawned pair overlaps its exchange (a nested
+        layout takes its arm's knob)."""
+        return (self.partition.arm or self.partition).overlap
+
+    def app(self, cfg: XpicConfig, wl: StepWorkload, tracer=None, resil=None):
+        """The rank program the launch nodes run."""
+        if self.spawn:
+            return lambda c: _booster_particle_app(
+                c, cfg, wl, self.spawn, overlap=self.overlap, tracer=tracer,
+                resil=resil,
+            )
+        return lambda c: _homogeneous_app(c, cfg, wl, resil=resil)
+
+    def result(self, steps: int, values: Sequence) -> RunResult:
+        """Critical-path aggregation of the launch ranks' return values
+        (their timers, paired with their spawned partner's)."""
+        if self.spawn:
+            return _aggregate(
+                self.mode, self.ranks, steps,
+                [v[0] for v in values], [v[1] for v in values],
+            )
+        return _aggregate(self.mode, self.ranks, steps, values, [])
+
+
+def partition_of(
+    mode: Mode,
+    nodes_per_solver: int = 1,
+    overlap: bool = True,
+    swap_placement: bool = False,
+    partition=None,
+) -> Partition:
+    """The partition a run describes: ``partition`` when given (it must
+    run in ``mode``), else the flat knobs."""
+    mode = Mode(mode)
+    if partition is not None:
+        partition = Partition.coerce(partition)
+        if partition.mode != mode.value:
+            raise ValueError(
+                f"partition {partition.label()!r} does not run in mode "
+                f"{mode.value!r}"
+            )
+        return partition
+    n = nodes_per_solver
+    if mode is Mode.CB:
+        return Partition(n, n, overlap=overlap, swap_placement=swap_placement)
+    return Partition(n, 0) if mode is Mode.CLUSTER else Partition(0, n)
+
+
+def place(machine: Machine, partition: Partition) -> Placement:
+    """Place ``partition`` on the machine's healthy nodes, taking each
+    pool in order.
+
+    C+B launches the particle solver on the Booster and spawns the
+    field solver onto the Cluster (``swap_placement`` inverts that).  A
+    nested homogeneous layout (``2k`` same-kind nodes with a ``k+k``
+    arm) reuses that split topology inside one pool: field ranks on the
+    first ``k`` nodes, particle ranks on the last ``k``.
+    """
+    cluster = [nd for nd in machine.cluster if not nd.failed]
+    booster = [nd for nd in machine.booster if not nd.failed]
+    if partition.mode == "C+B":
+        n = partition.cluster_nodes
+        if len(cluster) < n or len(booster) < n:
+            raise ValueError("not enough nodes for C+B mode")
+        spawn, launch = cluster[:n], booster[:n]
+        if partition.swap_placement:
+            spawn, launch = launch, spawn
+        return Placement(partition, launch, spawn)
+    pool = cluster if partition.mode == "Cluster" else booster
+    need = partition.total_nodes
+    if len(pool) < need:
+        raise ValueError(
+            f"machine has only {len(pool)} healthy {partition.mode} "
+            f"nodes but {partition.label()!r} needs {need}"
+        )
+    if partition.is_nested:
+        k = partition.arm.cluster_nodes
+        return Placement(partition, pool[k:need], pool[:k])
+    return Placement(partition, pool[:need], [])
+
+
+def workload_of(
+    config: XpicConfig,
+    placement: Placement,
+    load_balanced: bool = False,
+    imbalance_alpha: Optional[float] = None,
+) -> StepWorkload:
+    """The per-rank step workload of ``config`` at the placement's width."""
+    kwargs = {"load_balanced": load_balanced}
+    if imbalance_alpha is not None:
+        kwargs["imbalance_alpha"] = imbalance_alpha
+    return build_workload(config, placement.ranks, **kwargs)
+
+
 def run_experiment(
     machine: Machine,
     mode: Mode,
@@ -489,105 +618,20 @@ def run_experiment(
     solver on the Booster, particle solver on the Cluster — the
     placement ablation.
 
-    ``partition`` optionally passes a hierarchical
-    :class:`~repro.partition.Partition`: a nested homogeneous layout
-    (``2k`` same-kind nodes with a ``k+k`` arm) reuses the C+B split
-    topology — particle ranks on half the pool spawning field ranks on
-    the other half — entirely inside one node kind.  Flat partitions
-    are redundant with the plain kwargs and take the plain path.
+    ``partition`` optionally passes a :class:`~repro.partition.Partition`
+    instead of the flat knobs, hierarchical ones included (see
+    :func:`place`).
     """
-    mode = Mode(mode)
-    if partition is not None and getattr(partition, "is_nested", False):
-        return _run_nested(
-            machine, mode, config, partition, tracer=tracer,
-            load_balanced=load_balanced, imbalance_alpha=imbalance_alpha,
-            runtime=runtime,
-        )
-    n = nodes_per_solver
-    kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        kwargs["imbalance_alpha"] = imbalance_alpha
-    wl = build_workload(config, n, **kwargs)
+    placement = place(
+        machine,
+        partition_of(mode, nodes_per_solver, overlap, swap_placement, partition),
+    )
+    wl = workload_of(config, placement, load_balanced, imbalance_alpha)
     rt = runtime if runtime is not None else MPIRuntime(machine)
     if rt.machine is not machine:
         raise ValueError("runtime belongs to a different machine")
-
-    if mode in (Mode.CLUSTER, Mode.BOOSTER):
-        nodes = machine.cluster[:n] if mode is Mode.CLUSTER else machine.booster[:n]
-        if len(nodes) < n:
-            raise ValueError(f"machine has only {len(nodes)} {mode.value} nodes")
-        timers = rt.run_app(lambda c: _homogeneous_app(c, config, wl), nodes)
-        return _aggregate(mode, n, config.steps, timers, [])
-
-    cluster_nodes = machine.cluster[:n]
-    booster_nodes = machine.booster[:n]
-    if len(cluster_nodes) < n or len(booster_nodes) < n:
-        raise ValueError("not enough nodes for C+B mode")
-    if swap_placement:
-        # particle solver on Cluster nodes, field solver on Booster nodes
-        cluster_nodes, booster_nodes = booster_nodes, cluster_nodes
-    pairs = rt.run_app(
-        lambda c: _booster_particle_app(
-            c, config, wl, cluster_nodes, overlap=overlap, tracer=tracer
-        ),
-        booster_nodes,
-    )
-    booster_timers = [p[0] for p in pairs]
-    cluster_timers = [p[1] for p in pairs]
-    return _aggregate(mode, n, config.steps, booster_timers, cluster_timers)
-
-
-def _run_nested(
-    machine: Machine,
-    mode: Mode,
-    config: XpicConfig,
-    partition,
-    tracer: Optional[Tracer] = None,
-    load_balanced: bool = False,
-    imbalance_alpha: Optional[float] = None,
-    runtime: Optional[MPIRuntime] = None,
-) -> RunResult:
-    """Execute a nested homogeneous partition.
-
-    The root claims ``2k`` same-kind nodes; the arm co-schedules the
-    field solver on the first ``k`` with the particle solver on the
-    last ``k``, wired through the same spawn/pair topology as a C+B
-    split (Listings 2/3) — only both node lists come from one pool.
-    """
-    if mode is Mode.CB:
-        raise ValueError("a C+B partition cannot be nested")
-    if partition.mode != mode.value:
-        raise ValueError(
-            f"partition {partition.label()!r} does not run in mode "
-            f"{mode.value!r}"
-        )
-    arm = partition.arm
-    k = arm.cluster_nodes
-    pool = (
-        machine.cluster if mode is Mode.CLUSTER else machine.booster
-    )[: partition.total_nodes]
-    if len(pool) < partition.total_nodes:
-        raise ValueError(
-            f"machine has only {len(pool)} {mode.value} nodes but the "
-            f"nested partition needs {partition.total_nodes}"
-        )
-    kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        kwargs["imbalance_alpha"] = imbalance_alpha
-    wl = build_workload(config, k, **kwargs)
-    rt = runtime if runtime is not None else MPIRuntime(machine)
-    if rt.machine is not machine:
-        raise ValueError("runtime belongs to a different machine")
-    field_nodes, particle_nodes = pool[:k], pool[k:]
-    pairs = rt.run_app(
-        lambda c: _booster_particle_app(
-            c, config, wl, field_nodes, overlap=arm.overlap, tracer=tracer
-        ),
-        particle_nodes,
-    )
-    particle_timers = [p[0] for p in pairs]
-    field_timers = [p[1] for p in pairs]
-    return _aggregate(mode, k, config.steps, particle_timers, field_timers)
+    values = rt.run_app(placement.app(config, wl, tracer), placement.launch)
+    return placement.result(config.steps, values)
 
 
 def _aggregate(

@@ -9,25 +9,27 @@ stack:
   state, and the run resumes from the restored payload — on a spare
   node — producing *bit-identical* physics to an uninterrupted run.
 
-* :func:`run_resilient_experiment` — the *modeled* partitioned drivers
-  of :mod:`.driver` supervised through crash/recovery epochs: a
+* :func:`run_resilient_experiment` — the epoch supervisor: the
+  *modeled* partitioned drivers of :mod:`.driver` run through
+  crash/recovery epochs.  A
   :class:`~repro.resiliency.inject.FaultInjector` kills nodes and links
   mid-run, every rank aborts (ParaStation-style global job abort), the
-  supervisor restores the newest checkpoint level that survived, swaps
-  spare nodes in (or reboots), and re-runs the remaining steps — with
-  graceful degradation to a homogeneous-Cluster run when the Booster
-  partition becomes unreachable.  Lost/rework time is quantified in the
-  returned resiliency report.
+  supervisor restores the newest checkpoint level that survived and
+  re-runs the remaining steps on a recovered placement.  One loop
+  serves both recovery strategies: *heal* (swap spares in, or reboot,
+  degrading C+B to a homogeneous-Cluster run when the Booster
+  partition becomes unreachable) and *re-tune* (the malleable model
+  search of :mod:`repro.resiliency.malleable`).  Lost/rework time is
+  quantified in the returned resiliency report.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import networkx as nx
-import numpy as np
 
 from ...hardware.machine import Machine
 from ...io.beegfs import BeeGFS
@@ -35,22 +37,23 @@ from ...mpi import FaultTolerancePolicy, MPIRuntime
 from ...mpi.datatypes import payload_nbytes
 from ...mpi.errors import TransportError
 from ...nam.device import NAMDevice
-from ...network.fabric import NodeFailedError, NoRouteError
+from ...network.fabric import NodeFailedError
+from ...partition import Partition
 from ...perfmodel import field_kernel, particle_kernel, time_on_node
 from ...perfmodel.calibration import PARTICLE_STATE_BYTES
-from ...resiliency import SCR, CheckpointLevel, FaultInjector, FaultPlan
+from ...resiliency import (
+    SCR,
+    CheckpointLevel,
+    FaultInjector,
+    FaultPlan,
+    optimal_interval,
+)
+from ...resiliency.malleable import MalleabilityPolicy, retune
 from ...sim import Interrupt
 from ...sim.events import AllOf
 from .config import XpicConfig
-from .driver import (
-    Mode,
-    RunResult,
-    _aggregate,
-    _booster_particle_app,
-    _homogeneous_app,
-)
+from .driver import Mode, Placement, partition_of, place, workload_of
 from .simulation import XpicSimulation
-from .workload import build_workload
 
 __all__ = [
     "capture_state",
@@ -298,6 +301,91 @@ def _drain(sim, rt, injector) -> None:
                 p.interrupt(cause="epoch aborted")
 
 
+def _make_scr(machine: Machine, placement: Placement) -> SCR:
+    """SCR over the launch ranks, plus a buddy spare for a 1-node job."""
+    scr_nodes = list(placement.launch)
+    if len(scr_nodes) == 1:
+        buddy = next(
+            (
+                nd
+                for nd in machine.nodes_of_kind(scr_nodes[0].kind)
+                if nd not in scr_nodes and nd not in placement.spawn
+                and not nd.failed
+            ),
+            None,
+        )
+        if buddy is not None:
+            scr_nodes.append(buddy)
+    fs = BeeGFS(machine) if machine.storage else None
+    nam = NAMDevice(machine, machine.nams[0]) if machine.nams else None
+    return SCR(machine.sim, scr_nodes, machine.fabric, fs=fs, nam=nam)
+
+
+def _heal(
+    machine: Machine,
+    placement: Placement,
+    scr: SCR,
+    reserved: Sequence,
+    allow_reboot: bool,
+    stats: dict,
+) -> Placement:
+    """The heal recovery: swap a healthy node of the same kind in for
+    each dead one (never one of ``reserved``), else reboot it in place
+    (its NVMe contents stay lost), else — C+B only, or when the Booster
+    is unreachable — degrade to a homogeneous Cluster run on the field
+    solver's nodes.  Returns the placement to relaunch on."""
+
+    def heal(nodes: List) -> bool:
+        for rank, node in enumerate(nodes):
+            if not node.failed:
+                continue
+            spare = next(
+                (
+                    nd
+                    for nd in machine.nodes_of_kind(node.kind)
+                    if not nd.failed
+                    and nd not in placement.launch
+                    and nd not in placement.spawn
+                    and nd not in reserved
+                ),
+                None,
+            )
+            if spare is not None:
+                nodes[rank] = spare
+                if nodes is placement.launch:
+                    scr.replace_node(rank, spare)
+                stats["node_replacements"] += 1
+            elif allow_reboot:
+                machine.fabric.restore_node(node.node_id)
+                stats["reboots"] += 1
+            else:
+                return False
+        return True
+
+    def reachable() -> bool:
+        try:
+            machine.fabric.directed_route(
+                placement.spawn[0].node_id, placement.launch[0].node_id
+            )
+        except nx.exception.NetworkXNoPath:
+            return False
+        return True
+
+    healed = heal(placement.launch)
+    if placement.spawn:
+        healed = heal(placement.spawn) and healed
+    if placement.mode is Mode.CB and (not healed or not reachable()):
+        stats["degraded_mode"] = True
+        if not heal(placement.spawn):
+            raise RuntimeError("no healthy Cluster nodes to degrade onto")
+        placement = Placement(Partition(placement.ranks, 0), placement.spawn, [])
+        for rank, node in enumerate(placement.launch):
+            scr.replace_node(rank, node)
+    elif not healed:
+        raise RuntimeError("no healthy nodes left to restart the job on")
+    return placement
+
+
 def run_resilient_experiment(
     machine: Machine,
     mode: Mode,
@@ -317,34 +405,43 @@ def run_resilient_experiment(
     transport_policy: Optional[FaultTolerancePolicy] = None,
     allow_reboot: bool = True,
     max_epochs: int = 200,
+    partition=None,
+    policy: Optional[MalleabilityPolicy] = None,
 ):
     """Run one modeled xPic experiment under fault injection.
 
     Mirrors :func:`~repro.apps.xpic.driver.run_experiment` but drives
     the rank processes through crash/recovery *epochs*: the fault
     injector replays ``fault_plan`` (or streams Poisson node crashes at
-    the system ``mtbf_s`` over ``fault_targets``, defaulting to the
-    job's primary nodes); a crash of a job node aborts every rank;
-    the supervisor restores the newest step that every rank can read
-    back from the cheapest surviving checkpoint level, replaces dead
-    nodes with spares of the same kind (or reboots them — their NVMe
-    contents stay lost — when ``allow_reboot``), and relaunches the
-    remaining steps.  In C+B mode, if the Booster partition becomes
-    unreachable (no healthy nodes and no reboot, or no surviving fabric
-    route), the run degrades to homogeneous-Cluster mode and completes
-    there.
+    the system ``mtbf_s`` over ``fault_targets``, by default the launch
+    nodes of the current placement); a crash of a node the job runs on
+    aborts every rank; the supervisor restores the newest step that
+    every rank can read back from the cheapest surviving checkpoint
+    level and relaunches the remaining steps.  Each relaunch restarts
+    the checkpoint cadence, and the job's node set follows it.
+
+    The recovery step is one of two strategies:
+
+    * **heal** (no ``policy``): replace dead nodes with spares of the
+      same kind, or reboot them when ``allow_reboot`` (their NVMe
+      contents stay lost); in C+B mode, if the Booster partition
+      becomes unreachable, degrade to a homogeneous-Cluster run;
+    * **re-tune** (a :class:`~repro.resiliency.malleable.
+      MalleabilityPolicy`): re-run the model search over the surviving
+      nodes, redistribute the checkpoint onto the winning partition and
+      resume there, at whatever mode and width it has (see
+      :mod:`repro.resiliency.malleable`).
 
     ``ckpt_interval_s`` defaults to the Young/Daly optimum when an MTBF
-    is known.  Returns ``(RunResult, resiliency_dict)``; the resiliency
-    dict quantifies faults, retries, checkpoints by level, restarts,
-    and lost work seconds.
+    is known.  Returns ``(RunResult, resiliency, malleability)``: the
+    resiliency dict quantifies faults, retries, checkpoints by level,
+    restarts and lost work seconds; the malleability dict (empty under
+    heal) records the re-partition event log, time to recover, and the
+    final partition.
     """
-    mode = Mode(mode)
-    n = nodes_per_solver
-    wl_kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        wl_kwargs["imbalance_alpha"] = imbalance_alpha
-    wl = build_workload(config, n, **wl_kwargs)
+    partition = partition_of(
+        mode, nodes_per_solver, overlap, swap_placement, partition
+    )
     sim = machine.sim
     rt = runtime if runtime is not None else MPIRuntime(
         machine,
@@ -357,64 +454,31 @@ def run_resilient_experiment(
     if rt.machine is not machine:
         raise ValueError("runtime belongs to a different machine")
 
-    # -- node selection (mirrors run_experiment) --------------------------
-    if mode is Mode.CB:
-        cluster_nodes = list(machine.cluster[:n])
-        booster_nodes = list(machine.booster[:n])
-        if len(cluster_nodes) < n or len(booster_nodes) < n:
-            raise ValueError("not enough nodes for C+B mode")
-        if swap_placement:
-            cluster_nodes, booster_nodes = booster_nodes, cluster_nodes
-        primary_nodes = booster_nodes  # the ranks that checkpoint
-    else:
-        pool = machine.cluster if mode is Mode.CLUSTER else machine.booster
-        primary_nodes = list(pool[:n])
-        if len(primary_nodes) < n:
-            raise ValueError(f"machine has only {len(primary_nodes)} {mode.value} nodes")
-        cluster_nodes = []
-
-    # -- SCR over the primary side (plus a buddy spare for 1-node jobs) ---
+    placement = place(machine, partition)
+    wl = workload_of(config, placement, load_balanced, imbalance_alpha)
     ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
-    scr_nodes = list(primary_nodes)
-    if len(scr_nodes) == 1:
-        kind = scr_nodes[0].kind
-        buddy = next(
-            (
-                nd
-                for nd in machine.nodes_of_kind(kind)
-                if nd not in scr_nodes and nd not in cluster_nodes
-                and not nd.failed
-            ),
-            None,
-        )
-        if buddy is not None:
-            scr_nodes.append(buddy)
-    fs = BeeGFS(machine) if machine.storage else None
-    nam = NAMDevice(machine, machine.nams[0]) if machine.nams else None
-    scr = SCR(sim, scr_nodes, machine.fabric, fs=fs, nam=nam)
+    scr = _make_scr(machine, placement)
+    reserved = list(scr.nodes)  # heal never takes these as spares
     if ckpt_interval_s is None and mtbf_s is not None:
-        from ...resiliency import optimal_interval
-
         ckpt_interval_s = optimal_interval(
             _estimate_ckpt_cost_s(scr, ckpt_nbytes), mtbf_s
         )
     scr.checkpoint_interval_s = ckpt_interval_s
+    scrs = [scr]
 
     # -- fault injector ---------------------------------------------------
-    targets = (
-        list(fault_targets)
-        if fault_targets is not None
-        else [nd.node_id for nd in primary_nodes]
-    )
     injector = FaultInjector(
         machine,
         plan=fault_plan,
         mtbf_s=mtbf_s,
-        targets=targets,
+        targets=(
+            list(fault_targets)
+            if fault_targets is not None
+            else [nd.node_id for nd in placement.launch]
+        ),
         seed=fault_seed,
     )
-    job_node_ids = {nd.node_id for nd in primary_nodes}
-    job_node_ids.update(nd.node_id for nd in cluster_nodes)
+    job_node_ids = {nd.node_id for nd in placement.launch + placement.spawn}
     crash_info = {"time": None}
 
     def _on_fault(ev):
@@ -439,7 +503,9 @@ def run_resilient_experiment(
         "restored_steps": [],
         "degraded_mode": False,
     }
-    ranks = list(range(n))
+    events: List[dict] = []  # re-tune log
+    memo: Dict[tuple, tuple] = {}
+    memo_hits = 0
     hooks_list: List[ResilienceHooks] = []
     start_step = 0
     epochs = 0
@@ -449,43 +515,6 @@ def run_resilient_experiment(
     def _ckpt_time_of(step: int) -> Optional[float]:
         times = [rec.time for rec in scr.database if rec.step == step]
         return max(times) if times else None
-
-    def _replace_or_reboot(nodes: List) -> bool:
-        """Heal dead nodes in one side's list; False if impossible."""
-        for rank, node in enumerate(nodes):
-            if not node.failed:
-                continue
-            spare = next(
-                (
-                    nd
-                    for nd in machine.nodes_of_kind(node.kind)
-                    if not nd.failed
-                    and nd not in primary_nodes
-                    and nd not in cluster_nodes
-                    and nd not in scr_nodes
-                ),
-                None,
-            )
-            if spare is not None:
-                nodes[rank] = spare
-                if nodes is primary_nodes:
-                    scr.replace_node(rank, spare)
-                stats["node_replacements"] += 1
-            elif allow_reboot:
-                machine.fabric.restore_node(node.node_id)
-                stats["reboots"] += 1
-            else:
-                return False
-        return True
-
-    def _booster_reachable() -> bool:
-        try:
-            machine.fabric.directed_route(
-                cluster_nodes[0].node_id, primary_nodes[0].node_id
-            )
-        except nx.exception.NetworkXNoPath:
-            return False
-        return True
 
     # -- epoch loop --------------------------------------------------------
     while True:
@@ -498,18 +527,9 @@ def run_resilient_experiment(
         hooks_list.append(hooks)
         epoch_start = sim.now
         crash_info["time"] = None
-        if mode is Mode.CB:
-            app = hooks.wrap(
-                lambda c: _booster_particle_app(
-                    c, config, wl, cluster_nodes,
-                    overlap=overlap, tracer=tracer, resil=hooks,
-                )
-            )
-        else:
-            app = hooks.wrap(
-                lambda c: _homogeneous_app(c, config, wl, resil=hooks)
-            )
-        procs = rt.launch(app, primary_nodes, nprocs=n)
+        scr.restart_cadence()
+        app = hooks.wrap(placement.app(config, wl, tracer, resil=hooks))
+        procs = rt.launch(app, placement.launch, nprocs=placement.ranks)
         injector.start()
         settled = AllOf(sim, procs)
         settled.callbacks.append(lambda _ev: injector.stop())
@@ -530,85 +550,123 @@ def run_resilient_experiment(
         abort_time = crash_info["time"]
         if abort_time is None:
             abort_time = min(hooks.abort_times, default=sim.now)
-        restart_step = scr.latest_restartable_step(ranks)
+        old = placement
+        restart_step = scr.latest_restartable_step(range(old.ranks))
         ref = _ckpt_time_of(restart_step) if restart_step is not None else None
         if ref is None or ref < epoch_start:
             ref = epoch_start
         stats["lost_work_s"] += max(0.0, abort_time - ref)
-        healed = _replace_or_reboot(primary_nodes)
-        if cluster_nodes:
-            healed = _replace_or_reboot(cluster_nodes) and healed
-        if mode is Mode.CB and (not healed or not _booster_reachable()):
-            # Booster partition unreachable: degrade to a homogeneous
-            # Cluster run for the remaining steps
-            mode = Mode.CLUSTER
-            stats["degraded_mode"] = True
-            if not _replace_or_reboot(cluster_nodes):
-                raise RuntimeError("no healthy Cluster nodes to degrade onto")
-            primary_nodes = cluster_nodes
-            cluster_nodes = []
-            for rank in ranks:
-                scr.replace_node(rank, primary_nodes[rank])
-        elif not healed:
-            raise RuntimeError("no healthy nodes left to restart the job on")
-        start_step = restart_step if restart_step is not None else 0
+        if policy is None:
+            placement = _heal(machine, old, scr, reserved, allow_reboot, stats)
+            new_scr = scr
+        else:
+            if len(events) >= policy.max_repartitions:
+                raise RuntimeError(
+                    f"exceeded max_repartitions={policy.max_repartitions}"
+                )
+            new_part, predicted_s, n_cands, hit = retune(
+                machine, config, policy, memo
+            )
+            memo_hits += int(hit)
+            placement = place(machine, new_part)
+            new_scr = _make_scr(machine, placement)
+            new_scr.checkpoint_interval_s = ckpt_interval_s
+            events.append(
+                {
+                    "epoch": epochs,
+                    "time_s": abort_time,
+                    "from": old.partition.to_dict(),
+                    "from_label": old.partition.label(),
+                    "to": new_part.to_dict(),
+                    "to_label": new_part.label(),
+                    "changed": new_part != old.partition,
+                    "restart_step": restart_step,
+                    "candidates": n_cands,
+                    "predicted_step_s": predicted_s,
+                }
+            )
+        wl = workload_of(config, placement, load_balanced, imbalance_alpha)
+        ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
         if restart_step is not None:
-            # charge the (parallel) checkpoint read-back
+            # charge the (parallel) checkpoint read-back, round-robin
+            # onto the new launch nodes
             t0 = sim.now
             restore_procs = [
                 sim.process(
-                    scr.restart(rank, restart_step, onto=primary_nodes[rank])
+                    scr.restart(
+                        rank, restart_step,
+                        onto=placement.launch[rank % placement.ranks],
+                    )
                 )
-                for rank in ranks
+                for rank in range(old.ranks)
             ]
             sim.run()
             for rp in restore_procs:
                 if not rp.triggered or not rp.ok:
                     raise RuntimeError("checkpoint restore failed")
+            if new_scr is not scr:
+                # re-slice it as a fresh checkpoint at the new width so
+                # later faults restore at the new shape
+                redist_procs = [
+                    sim.process(
+                        new_scr.checkpoint(
+                            rank, step=restart_step, nbytes=ckpt_nbytes
+                        )
+                    )
+                    for rank in range(placement.ranks)
+                ]
+                sim.run()
+                for rp in redist_procs:
+                    if not rp.triggered or not rp.ok:
+                        raise RuntimeError("checkpoint redistribution failed")
             stats["restart_costs"].append(sim.now - t0)
             stats["restored_steps"].append(restart_step)
+        if new_scr is not scr:
+            scr = new_scr
+            scrs.append(new_scr)
+        start_step = restart_step if restart_step is not None else 0
+        # the job follows its placement
+        job_node_ids.clear()
+        job_node_ids.update(
+            nd.node_id for nd in placement.launch + placement.spawn
+        )
+        if fault_targets is None:
+            injector.targets = [nd.node_id for nd in placement.launch]
         stats["restarts"] += 1
+        if policy is not None:
+            events[-1]["recover_s"] = sim.now - abort_time
 
     injector.stop()
     _drain(sim, rt, injector)  # drain any pending injector interrupt
     end = sim.now
 
     # -- aggregate timers of the completing epoch -------------------------
-    if mode is Mode.CB:
-        booster_timers = [v[0] for v in final_values]
-        cluster_timers = [v[1] for v in final_values]
-    else:
-        booster_timers = list(final_values)
-        cluster_timers = []
-    result = _aggregate(mode, n, config.steps, booster_timers, cluster_timers)
+    result = placement.result(config.steps, final_values)
     if stats["restarts"] or epochs > 1:
         # faulted job: report the full wall time, launch to completion
         # (lost work, restart reads and re-run epochs included) — the
         # barrier-to-end window of the last epoch would hide the cost
-        result = RunResult(
-            mode=result.mode,
-            nodes_per_solver=result.nodes_per_solver,
-            steps=result.steps,
-            total_runtime=end - job_start,
-            fields_time=result.fields_time,
-            particles_time=result.particles_time,
-            inter_module_comm_time=result.inter_module_comm_time,
-        )
+        result = dataclasses.replace(result, total_runtime=end - job_start)
 
     round_costs: Dict[int, float] = {}
     for hooks in hooks_list:
         for step, cost in hooks.round_costs.items():
             round_costs[step] = max(round_costs.get(step, 0.0), cost)
     ckpt_costs = list(round_costs.values())
+    level_counts: Dict[str, int] = {}
+    for s in scrs:
+        for level, count in s.level_counts().items():
+            level_counts[level] = level_counts.get(level, 0) + count
+    post_steps = config.steps - hooks_list[-1].start_step
     resiliency = {
         "enabled": True,
         "mtbf_s": mtbf_s,
         "ckpt_interval_s": ckpt_interval_s,
         "faults": injector.metrics(),
         "transport": rt.transport_metrics(),
-        "checkpoints": scr.level_counts(),
-        "checkpoints_total": len(scr.database),
-        "degraded_checkpoints": scr.degraded_checkpoints,
+        "checkpoints": level_counts,
+        "checkpoints_total": sum(len(s.database) for s in scrs),
+        "degraded_checkpoints": sum(s.degraded_checkpoints for s in scrs),
         "checkpoint_rounds": len(ckpt_costs),
         "checkpoint_cost_s": (
             sum(ckpt_costs) / len(ckpt_costs) if ckpt_costs else 0.0
@@ -629,16 +687,29 @@ def run_resilient_experiment(
         "epochs": epochs,
         # throughput over the completing epoch: after the last recovery
         # (or the whole run when nothing failed) — the denominator of
-        # the malleable-vs-static recovery comparison
+        # the re-tune-vs-heal recovery comparison
         "post_fault": {
-            "steps": config.steps - hooks_list[-1].start_step,
+            "steps": post_steps,
             "window_s": end - epoch_start,
             "steps_per_s": (
-                (config.steps - hooks_list[-1].start_step)
-                / (end - epoch_start)
-                if end > epoch_start
-                else 0.0
+                post_steps / (end - epoch_start) if end > epoch_start else 0.0
             ),
         },
     }
-    return result, resiliency
+    if policy is None:
+        return result, resiliency, {}
+    malleability = {
+        "enabled": True,
+        "policy": policy.to_dict(),
+        "initial_partition": partition.to_dict(),
+        "initial_label": partition.label(),
+        "final_partition": placement.partition.to_dict(),
+        "final_label": placement.partition.label(),
+        "repartitions": events,
+        "repartitions_count": sum(1 for e in events if e["changed"]),
+        "recoveries": len(events),
+        "time_to_recover_s": sum(e["recover_s"] for e in events),
+        "retune_memo_hits": memo_hits,
+        "post_fault_steps_per_s": resiliency["post_fault"]["steps_per_s"],
+    }
+    return result, resiliency, malleability

@@ -125,7 +125,7 @@ class ExperimentSpec:
     config: Optional[XpicConfig] = None
     #: fault injection (stored as the FaultPlan dict so specs stay
     #: JSON-safe); any of these set routes the run through the
-    #: resilient supervisor and adds a ``resiliency`` report section
+    #: epoch supervisor and adds a ``resiliency`` report section
     fault_plan: Optional[dict] = None
     mtbf_s: Optional[float] = None
     ckpt_interval_s: Optional[float] = None
@@ -138,10 +138,10 @@ class ExperimentSpec:
     partition: Optional[dict] = None
     #: malleability policy (see :class:`~repro.resiliency.malleable.
     #: MalleabilityPolicy` for the keys).  With fault injection active,
-    #: routes the run through the malleable supervisor, which re-tunes
-    #: the partition over the surviving machine instead of the static
-    #: degradation script.  Without faults the plain path runs — a
-    #: zero-fault malleable spec is event-identical to today's engine.
+    #: the epoch supervisor recovers by re-tuning the partition over the
+    #: surviving machine instead of its heal script.  Without faults the
+    #: plain path runs — a zero-fault malleable spec is event-identical
+    #: to today's engine.
     malleability: Optional[dict] = None
 
     def __post_init__(self):
@@ -200,7 +200,7 @@ class ExperimentSpec:
         ):
             raise ValueError(
                 "a hierarchical partition under fault injection needs "
-                "the malleable supervisor: set malleability "
+                "the re-tune recovery: set malleability "
                 "(e.g. {'enabled': True}) or run without faults"
             )
         # normalize early so bad modes fail at spec construction
@@ -223,10 +223,10 @@ class ExperimentSpec:
 
     @property
     def wants_malleability(self) -> bool:
-        """True when this spec routes through the malleable supervisor:
+        """True when the supervisor of this spec re-tunes on node loss:
         an enabled malleability policy *and* fault injection.  Without
-        faults there is nothing to adapt to, so the plain (or static
-        resilient) path runs and stays event-identical."""
+        faults there is nothing to adapt to, so the plain (or heal)
+        path runs and stays event-identical."""
         return bool(
             self.malleability
             and self.malleability.get("enabled", True)
@@ -347,8 +347,8 @@ class RunReport:
     #: injected, transport retries, checkpoints by level, restarts,
     #: lost work seconds, degraded-mode flag
     resiliency: dict = field(default_factory=dict)
-    #: malleability section (empty unless the malleable supervisor
-    #: ran): policy, initial/final partition, re-partition events,
+    #: malleability section (empty unless the supervisor re-tuned):
+    #: policy, initial/final partition, re-partition events,
     #: time-to-recover, post-fault throughput
     malleability: dict = field(default_factory=dict)
     schema: str = REPORT_SCHEMA

@@ -152,9 +152,9 @@ class MetricsHub:
         return self.fleet.metrics_snapshot()
 
     def malleability_metrics(self) -> dict:
-        """The malleable supervisor's report section (policy,
-        re-partition events, time-to-recover, post-fault throughput),
-        attached by the engine after a malleable run."""
+        """The re-tune recovery's report section (policy, re-partition
+        events, time-to-recover, post-fault throughput), attached by
+        the engine after a malleable run."""
         if self.malleable is None:
             return {}
         return dict(self.malleable)

@@ -7,6 +7,7 @@ NAM and the global file system.
 
 from .failure import FailureModel, expected_runtime, optimal_interval
 from .inject import FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan
+from .malleable import MalleabilityPolicy, allocation_shrink_plan
 from .scr import SCR, CheckpointLevel, CheckpointRecord
 
 __all__ = [
@@ -22,19 +23,4 @@ __all__ = [
     "FAULT_KINDS",
     "MalleabilityPolicy",
     "allocation_shrink_plan",
-    "run_malleable_experiment",
 ]
-
-#: the malleable supervisor sits above the app drivers (it relaunches
-#: them across epochs), so importing it here eagerly would cycle
-#: through repro.apps.xpic.resilient_driver; resolve it on first use
-_MALLEABLE = ("MalleabilityPolicy", "allocation_shrink_plan",
-              "run_malleable_experiment")
-
-
-def __getattr__(name):
-    if name in _MALLEABLE:
-        from . import malleable
-
-        return getattr(malleable, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

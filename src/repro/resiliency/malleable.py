@@ -1,25 +1,26 @@
 """Online malleability: re-partition a running job when nodes vanish.
 
-The static resilient supervisor
+The epoch supervisor
 (:func:`~repro.apps.xpic.resilient_driver.run_resilient_experiment`)
-answers a mid-run node loss with a fixed script: swap spares in, or
-degrade C+B to a homogeneous Cluster run.  That script ignores
-everything the autotuner knows — after losing a quarter of the
-Booster, the *best* surviving layout is usually not "same shape minus
-the dead nodes" but a different partition entirely.
+answers a mid-run node loss with a fixed *heal* script by default:
+swap spares in, or degrade C+B to a homogeneous Cluster run.  That
+script ignores everything the autotuner knows — after losing a quarter
+of the Booster, the *best* surviving layout is usually not "same shape
+minus the dead nodes" but a different partition entirely.
 
-:func:`run_malleable_experiment` closes that loop, after the DEEP-ER
-malleability argument (arXiv:1904.07725): each time the
+Passing the supervisor a :class:`MalleabilityPolicy` selects the
+*re-tune* recovery instead, after the DEEP-ER malleability argument
+(arXiv:1904.07725): each time the
 :class:`~repro.resiliency.inject.FaultInjector` (or a scheduler shrink
-expressed through :func:`allocation_shrink_plan`) kills job nodes,
-the supervisor
+expressed through :func:`allocation_shrink_plan`) kills job nodes, the
+supervisor
 
 1. drains the aborted epoch and finds the newest step every rank can
    restore through :class:`~repro.resiliency.scr.SCR`,
-2. re-runs a *constrained tune* over the surviving machine — the
-   :class:`~repro.autotune.TuneSpace` enumeration (hierarchical
-   layouts included) scored by the recursive perfmodel, memoized per
-   survivor signature so repeated shrinks are O(1),
+2. runs :func:`retune`, a *constrained tune* over the surviving
+   machine — the :class:`~repro.autotune.TuneSpace` enumeration
+   (hierarchical layouts included) scored by the recursive perfmodel,
+   memoized per survivor signature so repeated shrinks are O(1),
 3. redistributes the checkpoint onto the winning partition's nodes
    and resumes there, at whatever width and mode the model picked.
 
@@ -32,36 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..apps.xpic.config import XpicConfig
-from ..apps.xpic.driver import (
-    Mode,
-    RunResult,
-    _aggregate,
-    _booster_particle_app,
-    _homogeneous_app,
-)
-from ..apps.xpic.resilient_driver import (
-    ResilienceHooks,
-    _drain,
-    _estimate_ckpt_cost_s,
-    _estimate_ckpt_nbytes,
-)
-from ..apps.xpic.workload import build_workload
-from ..hardware.machine import Machine
-from ..io.beegfs import BeeGFS
-from ..mpi import FaultTolerancePolicy, MPIRuntime
-from ..nam.device import NAMDevice
-from ..partition import Partition
-from ..sim.events import AllOf
-from .inject import FaultEvent, FaultInjector, FaultPlan
-from .scr import SCR
+from .inject import FaultEvent, FaultPlan
 
 __all__ = [
     "MalleabilityPolicy",
     "allocation_shrink_plan",
-    "run_malleable_experiment",
+    "retune",
 ]
 
 
@@ -131,8 +110,8 @@ def allocation_shrink_plan(
     The service scheduler taking nodes away from a running allocation
     is, from the job's point of view, indistinguishable from those
     nodes crashing — so a shrink is modeled as simultaneous permanent
-    ``node_crash`` events, and the malleable supervisor handles both
-    through one path.
+    ``node_crash`` events, and the supervisor handles both through one
+    path.
     """
     if time_s < 0:
         raise ValueError("shrink time must be non-negative")
@@ -145,48 +124,11 @@ def allocation_shrink_plan(
     )
 
 
-@dataclass
-class _Layout:
-    """Concrete node assignment of one partition on one machine."""
-
-    partition: Partition
-    primary: List  #: launch nodes (the ranks that checkpoint)
-    spawn: List  #: nodes the primaries spawn the field solver onto
-    ranks: int
-    overlap: bool
-
-
 def _healthy(nodes) -> List:
     return [nd for nd in nodes if not nd.failed]
 
 
-def _select_layout(machine: Machine, part: Partition) -> _Layout:
-    """Place a partition on the machine's *healthy* nodes."""
-    healthy_cluster = _healthy(machine.cluster)
-    healthy_booster = _healthy(machine.booster)
-    if part.mode == "C+B":
-        n = part.cluster_nodes
-        if len(healthy_cluster) < n or len(healthy_booster) < n:
-            raise RuntimeError(
-                f"not enough healthy nodes for {part.label()!r}"
-            )
-        cluster, booster = healthy_cluster[:n], healthy_booster[:n]
-        if part.swap_placement:
-            cluster, booster = booster, cluster
-        return _Layout(part, booster, cluster, n, part.overlap)
-    pool = healthy_cluster if part.mode == "Cluster" else healthy_booster
-    need = part.total_nodes
-    if len(pool) < need:
-        raise RuntimeError(f"not enough healthy nodes for {part.label()!r}")
-    if part.is_nested:
-        k = part.arm.cluster_nodes
-        return _Layout(
-            part, pool[k:need], pool[:k], k, part.arm.overlap
-        )
-    return _Layout(part, pool[:need], [], need, True)
-
-
-def _derived_counts(machine: Machine, config: XpicConfig) -> tuple:
+def _derived_counts(machine) -> tuple:
     """Power-of-two solver widths up to the larger healthy pool."""
     cap = max(
         len(_healthy(machine.cluster)), len(_healthy(machine.booster)), 1
@@ -198,13 +140,15 @@ def _derived_counts(machine: Machine, config: XpicConfig) -> tuple:
     return tuple(counts)
 
 
-def _retune(
-    machine: Machine,
-    config: XpicConfig,
+def retune(
+    machine,
+    config,
     policy: MalleabilityPolicy,
     memo: Dict[tuple, tuple],
 ):
-    """Model-tune over the surviving machine; memoized per signature.
+    """The re-tune recovery's model search: the best partition of
+    ``config`` over the machine's surviving nodes, memoized in ``memo``
+    per survivor signature.
 
     Returns ``(best, predicted_step_s, candidates, memo_hit)``.  The
     candidate order and the (score, partition) tie-break are both
@@ -218,7 +162,7 @@ def _retune(
     sig = (len(survivors.cluster), len(survivors.booster))
     if sig in memo:
         return (*memo[sig], True)
-    counts = policy.node_counts or _derived_counts(machine, config)
+    counts = policy.node_counts or _derived_counts(machine)
     space = TuneSpace(
         node_counts=counts,
         overlap=(True,),
@@ -237,362 +181,3 @@ def _retune(
     best = (scored[0][1], scored[0][0], len(candidates))
     memo[sig] = best
     return (*best, False)
-
-
-def run_malleable_experiment(
-    machine: Machine,
-    mode: Mode,
-    config: XpicConfig,
-    partition=None,
-    policy: Optional[MalleabilityPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    mtbf_s: Optional[float] = None,
-    fault_targets: Optional[Sequence[str]] = None,
-    fault_seed: int = 20180521,
-    ckpt_interval_s: Optional[float] = None,
-    nodes_per_solver: int = 1,
-    overlap: bool = True,
-    swap_placement: bool = False,
-    tracer=None,
-    runtime: Optional[MPIRuntime] = None,
-    transport_policy: Optional[FaultTolerancePolicy] = None,
-    max_epochs: int = 200,
-):
-    """Run one modeled xPic experiment under fault injection, with
-    online re-partitioning instead of the static degradation script.
-
-    Mirrors :func:`~repro.apps.xpic.resilient_driver.
-    run_resilient_experiment`'s crash/recovery epochs, but every
-    recovery re-tunes over the surviving machine (see the module
-    docstring) and the job resumes on whatever partition the model
-    picks — possibly a different mode, width, or a hierarchical
-    sub-split.
-
-    Returns ``(RunResult, resiliency_dict, malleability_dict)``.  The
-    resiliency dict carries the same keys the static supervisor
-    reports; the malleability dict records the re-partition event log,
-    time to recover, and the final partition.
-    """
-    mode = Mode(mode)
-    policy = policy or MalleabilityPolicy()
-    if partition is None:
-        n = nodes_per_solver
-        if mode is Mode.CB:
-            partition = Partition(
-                n, n, overlap=overlap, swap_placement=swap_placement
-            )
-        elif mode is Mode.CLUSTER:
-            partition = Partition(n, 0)
-        else:
-            partition = Partition(0, n)
-    else:
-        partition = Partition.coerce(partition)
-        if partition.mode != mode.value:
-            raise ValueError(
-                f"partition {partition.label()!r} does not run in mode "
-                f"{mode.value!r}"
-            )
-    initial = partition
-
-    sim = machine.sim
-    rt = runtime if runtime is not None else MPIRuntime(
-        machine,
-        fault_tolerance=(
-            transport_policy
-            if transport_policy is not None
-            else FaultTolerancePolicy(max_retries=2, backoff_base_s=1e-4)
-        ),
-    )
-    if rt.machine is not machine:
-        raise ValueError("runtime belongs to a different machine")
-
-    layout = _select_layout(machine, partition)
-    wl = build_workload(config, layout.ranks)
-    ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
-
-    def _make_scr(lay: _Layout) -> SCR:
-        scr_nodes = list(lay.primary)
-        if len(scr_nodes) == 1:
-            kind = scr_nodes[0].kind
-            buddy = next(
-                (
-                    nd
-                    for nd in machine.nodes_of_kind(kind)
-                    if nd not in scr_nodes and nd not in lay.spawn
-                    and not nd.failed
-                ),
-                None,
-            )
-            if buddy is not None:
-                scr_nodes.append(buddy)
-        fs = BeeGFS(machine) if machine.storage else None
-        nam = NAMDevice(machine, machine.nams[0]) if machine.nams else None
-        return SCR(sim, scr_nodes, machine.fabric, fs=fs, nam=nam)
-
-    scr = _make_scr(layout)
-    if ckpt_interval_s is None and mtbf_s is not None:
-        from . import optimal_interval
-
-        ckpt_interval_s = optimal_interval(
-            _estimate_ckpt_cost_s(scr, ckpt_nbytes), mtbf_s
-        )
-    scr.checkpoint_interval_s = ckpt_interval_s
-    scrs = [scr]
-
-    targets = (
-        list(fault_targets)
-        if fault_targets is not None
-        else [nd.node_id for nd in layout.primary]
-    )
-    injector = FaultInjector(
-        machine, plan=fault_plan, mtbf_s=mtbf_s, targets=targets,
-        seed=fault_seed,
-    )
-    job_node_ids = {
-        nd.node_id for nd in layout.primary + layout.spawn
-    }
-    crash_info = {"time": None}
-
-    def _on_fault(ev):
-        if ev.kind != "node_crash" or ev.target not in job_node_ids:
-            return
-        if crash_info["time"] is None:
-            crash_info["time"] = sim.now
-        for p in rt.live_processes():
-            p.interrupt(cause=f"node {ev.target} crashed")
-
-    injector.on_fault(_on_fault)
-
-    stats = {
-        "restarts": 0,
-        "lost_work_s": 0.0,
-        "restart_costs": [],
-        "restored_steps": [],
-    }
-    events: List[dict] = []
-    memo: Dict[tuple, tuple] = {}
-    memo_hits = 0
-    hooks_list: List[ResilienceHooks] = []
-    start_step = 0
-    epochs = 0
-    final_values = None
-    job_start = sim.now
-
-    def _ckpt_time_of(s: SCR, step: int) -> Optional[float]:
-        times = [rec.time for rec in s.database if rec.step == step]
-        return max(times) if times else None
-
-    # -- epoch loop --------------------------------------------------------
-    while True:
-        epochs += 1
-        if epochs > max_epochs:
-            raise RuntimeError(
-                f"job did not complete within {max_epochs} epochs"
-            )
-        hooks = ResilienceHooks(scr, start_step, ckpt_nbytes)
-        hooks_list.append(hooks)
-        epoch_start = sim.now
-        crash_info["time"] = None
-        lay = layout
-        epoch_wl = wl
-        if lay.spawn:
-            app = hooks.wrap(
-                lambda c: _booster_particle_app(
-                    c, config, epoch_wl, lay.spawn,
-                    overlap=lay.overlap, tracer=tracer, resil=hooks,
-                )
-            )
-        else:
-            app = hooks.wrap(
-                lambda c: _homogeneous_app(c, config, epoch_wl, resil=hooks)
-            )
-        procs = rt.launch(app, lay.primary, nprocs=lay.ranks)
-        injector.start()
-        settled = AllOf(sim, procs)
-        settled.callbacks.append(lambda _ev: injector.stop())
-        _drain(sim, rt, injector)
-        if not all(p.triggered for p in procs) or rt.live_processes():
-            injector.stop()
-            for p in rt.live_processes():
-                p.interrupt(cause="epoch aborted")
-            _drain(sim, rt, injector)
-        values = [p.value for p in procs]
-        if all(tag == "ok" for tag, _ in values):
-            final_values = [payload for _tag, payload in values]
-            break
-
-        # ---- recovery: re-tune over the survivors ------------------------
-        abort_time = crash_info["time"]
-        if abort_time is None:
-            abort_time = min(hooks.abort_times, default=sim.now)
-        old_ranks = layout.ranks
-        restart_step = scr.latest_restartable_step(list(range(old_ranks)))
-        ref = (
-            _ckpt_time_of(scr, restart_step)
-            if restart_step is not None
-            else None
-        )
-        if ref is None or ref < epoch_start:
-            ref = epoch_start
-        stats["lost_work_s"] += max(0.0, abort_time - ref)
-
-        if len(events) >= policy.max_repartitions:
-            raise RuntimeError(
-                f"exceeded max_repartitions={policy.max_repartitions}"
-            )
-        old_part = layout.partition
-        new_part, predicted_s, n_cands, hit = _retune(
-            machine, config, policy, memo
-        )
-        memo_hits += int(hit)
-        layout = _select_layout(machine, new_part)
-        wl = build_workload(config, layout.ranks)
-        ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
-        new_scr = _make_scr(layout)
-        new_scr.checkpoint_interval_s = ckpt_interval_s
-        if restart_step is not None:
-            # read the old-width checkpoint back (round-robin onto the
-            # new nodes), then re-slice it as a fresh checkpoint at the
-            # new width so later faults restore at the new shape
-            t0 = sim.now
-            restore_procs = [
-                sim.process(
-                    scr.restart(
-                        rank, restart_step,
-                        onto=layout.primary[rank % layout.ranks],
-                    )
-                )
-                for rank in range(old_ranks)
-            ]
-            sim.run()
-            for rp in restore_procs:
-                if not rp.triggered or not rp.ok:
-                    raise RuntimeError("checkpoint restore failed")
-            redist_procs = [
-                sim.process(
-                    new_scr.checkpoint(
-                        rank, step=restart_step, nbytes=ckpt_nbytes
-                    )
-                )
-                for rank in range(layout.ranks)
-            ]
-            sim.run()
-            for rp in redist_procs:
-                if not rp.triggered or not rp.ok:
-                    raise RuntimeError("checkpoint redistribution failed")
-            stats["restart_costs"].append(sim.now - t0)
-            stats["restored_steps"].append(restart_step)
-        scr = new_scr
-        scrs.append(new_scr)
-        start_step = restart_step if restart_step is not None else 0
-        job_node_ids.clear()
-        job_node_ids.update(
-            nd.node_id for nd in layout.primary + layout.spawn
-        )
-        injector.targets = [nd.node_id for nd in layout.primary]
-        stats["restarts"] += 1
-        events.append(
-            {
-                "epoch": epochs,
-                "time_s": abort_time,
-                "from": old_part.to_dict(),
-                "from_label": old_part.label(),
-                "to": new_part.to_dict(),
-                "to_label": new_part.label(),
-                "changed": new_part != old_part,
-                "restart_step": restart_step,
-                "candidates": n_cands,
-                "predicted_step_s": predicted_s,
-                "recover_s": sim.now - abort_time,
-            }
-        )
-
-    injector.stop()
-    _drain(sim, rt, injector)
-    end = sim.now
-
-    # -- aggregate timers of the completing epoch -------------------------
-    final_part = layout.partition
-    if layout.spawn:
-        primary_timers = [v[0] for v in final_values]
-        spawn_timers = [v[1] for v in final_values]
-    else:
-        primary_timers = list(final_values)
-        spawn_timers = []
-    result = _aggregate(
-        Mode(final_part.mode), layout.ranks, config.steps,
-        primary_timers, spawn_timers,
-    )
-    if stats["restarts"] or epochs > 1:
-        result = RunResult(
-            mode=result.mode,
-            nodes_per_solver=result.nodes_per_solver,
-            steps=result.steps,
-            total_runtime=end - job_start,
-            fields_time=result.fields_time,
-            particles_time=result.particles_time,
-            inter_module_comm_time=result.inter_module_comm_time,
-        )
-
-    round_costs: Dict[int, float] = {}
-    for hooks in hooks_list:
-        for step, cost in hooks.round_costs.items():
-            round_costs[step] = max(round_costs.get(step, 0.0), cost)
-    ckpt_costs = list(round_costs.values())
-    level_counts: Dict[str, int] = {}
-    for s in scrs:
-        for level, count in s.level_counts().items():
-            level_counts[level] = level_counts.get(level, 0) + count
-    resiliency = {
-        "enabled": True,
-        "mtbf_s": mtbf_s,
-        "ckpt_interval_s": ckpt_interval_s,
-        "faults": injector.metrics(),
-        "transport": rt.transport_metrics(),
-        "checkpoints": level_counts,
-        "checkpoints_total": sum(len(s.database) for s in scrs),
-        "degraded_checkpoints": sum(s.degraded_checkpoints for s in scrs),
-        "checkpoint_rounds": len(ckpt_costs),
-        "checkpoint_cost_s": (
-            sum(ckpt_costs) / len(ckpt_costs) if ckpt_costs else 0.0
-        ),
-        "checkpoint_time_s": sum(ckpt_costs),
-        "restarts": stats["restarts"],
-        "restart_cost_s": (
-            sum(stats["restart_costs"]) / len(stats["restart_costs"])
-            if stats["restart_costs"]
-            else 0.0
-        ),
-        "restart_time_s": sum(stats["restart_costs"]),
-        "restored_steps": stats["restored_steps"],
-        "lost_work_s": stats["lost_work_s"],
-        "node_replacements": 0,  # healing is subsumed by re-partitioning
-        "reboots": 0,
-        "degraded_mode": False,
-        "epochs": epochs,
-        "post_fault": {
-            "steps": config.steps - hooks_list[-1].start_step,
-            "window_s": end - epoch_start,
-            "steps_per_s": (
-                (config.steps - hooks_list[-1].start_step)
-                / (end - epoch_start)
-                if end > epoch_start
-                else 0.0
-            ),
-        },
-    }
-    malleability = {
-        "enabled": True,
-        "policy": policy.to_dict(),
-        "initial_partition": initial.to_dict(),
-        "initial_label": initial.label(),
-        "final_partition": final_part.to_dict(),
-        "final_label": final_part.label(),
-        "repartitions": [dict(e) for e in events],
-        "repartitions_count": sum(1 for e in events if e["changed"]),
-        "recoveries": len(events),
-        "time_to_recover_s": sum(e["recover_s"] for e in events),
-        "retune_memo_hits": memo_hits,
-        "post_fault_steps_per_s": resiliency["post_fault"]["steps_per_s"],
-    }
-    return result, resiliency, malleability

@@ -124,6 +124,11 @@ class SCR:
             >= self.checkpoint_interval_s
         )
 
+    def restart_cadence(self) -> None:
+        """Count the next interval from now: a (re)launched job owes its
+        first checkpoint one interval after it starts computing."""
+        self._last_checkpoint_time = self.sim.now
+
     def next_level(self) -> CheckpointLevel:
         """Multi-level schedule: mostly cheap levels, periodically strong."""
         n = len(self.database) + 1

@@ -195,13 +195,17 @@ class Simulator:
         return when, batch
 
     def _dispatch(self, entry) -> None:
-        """Deliver one dequeued entry (wakeup fast path or callbacks)."""
+        """Deliver one entry of the in-flight batch (wakeup fast path or
+        callbacks) at the batch's time; a cancelled wakeup is dropped
+        without moving the clock."""
         if entry.__class__ is _Wakeup:
             entry.pending = False
             if not entry.cancelled:
+                self._now = self._pending_when
                 self.fast_wakeups += 1
                 entry.process._resume(WAKE_OK)
             return
+        self._now = self._pending_when
         callbacks = entry.callbacks
         entry.callbacks = None  # mark processed
         for cb in callbacks:
@@ -211,7 +215,8 @@ class Simulator:
             raise entry._value
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it).
+        """Process exactly one event (advancing the clock to it, unless
+        it is a cancelled wakeup).
 
         Raises :class:`EmptyQueue` (an :class:`IndexError`) when no
         events remain.  When several events share the next timestamp the
@@ -224,7 +229,6 @@ class Simulator:
             self._pending_when = when
             pending.extend(batch)
             self._draining = len(batch)
-        self._now = self._pending_when
         entry = pending.pop(0)
         self._draining -= 1
         self.events_processed += 1
@@ -244,7 +248,6 @@ class Simulator:
             self._pending_when = when
             pending.extend(batch)
             self._draining = len(batch)
-        self._now = self._pending_when
         done = 0
         while pending:
             entry = pending.pop(0)
@@ -280,6 +283,8 @@ class Simulator:
         generator resume.  A mid-batch exception (including the
         ``StopSimulation`` a ``run(until=...)`` stopper raises) stashes
         the undelivered tail in ``_pending`` so queue state stays exact.
+        A cancelled wakeup is discarded without moving the clock, so a
+        batch of nothing else leaves ``now`` where it was.
         """
         pop_batch = self._pop_batch
         pending = self._pending
@@ -287,17 +292,11 @@ class Simulator:
         while True:
             if pending:
                 # tail of a batch a step()/stop cut short: finish it
-                self._now = self._pending_when
-                while pending:
-                    entry = pending.pop(0)
-                    self._draining -= 1
-                    self.events_processed += 1
-                    self._dispatch(entry)
+                self.step_batch()
             try:
                 when, batch = pop_batch()
             except EmptyQueue:
                 return
-            self._now = when
             n = len(batch)
             self.events_processed += n
             fast = 0
@@ -306,9 +305,11 @@ class Simulator:
                 if entry.__class__ is hist_cls:
                     entry.pending = False
                     if not entry.cancelled:
+                        self._now = when
                         self.fast_wakeups += 1
                         entry.process._resume(WAKE_OK)
                     continue
+                self._now = when
                 callbacks = entry.callbacks
                 entry.callbacks = None
                 for cb in callbacks:
@@ -316,14 +317,19 @@ class Simulator:
                 if not entry._ok and not entry._defused:
                     raise entry._value
                 continue
+            before = self._now
+            self._now = when
             self._draining = n
+            skipped = 0
             it = iter(batch)
             try:
                 for entry in it:
                     self._draining -= 1
                     if entry.__class__ is hist_cls:
                         entry.pending = False
-                        if not entry.cancelled:
+                        if entry.cancelled:
+                            skipped += 1
+                        else:
                             fast += 1
                             entry.process._resume(WAKE_OK)
                         continue
@@ -345,6 +351,9 @@ class Simulator:
                 self.fast_wakeups += fast
                 raise
             self.fast_wakeups += fast
+            if skipped == n:
+                # nothing but cancelled wakeups: nobody saw the clock move
+                self._now = before
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
         """Convenience: start ``generator`` as a process, run, return its value."""

@@ -37,7 +37,7 @@ class _Wakeup:
     no callback list, no value, and the object is reused across yields,
     so the hot loop allocates nothing after a process's first wait.
     A cancelled wakeup (its process was interrupted away) stays in the
-    queue and is discarded when popped.
+    queue and is discarded when popped, without moving the clock.
     """
 
     __slots__ = ("process", "pending", "cancelled")

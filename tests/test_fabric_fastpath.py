@@ -76,7 +76,7 @@ def _plan(events):
 _CRASH_PLAN = _plan([{"time_s": 1.0, "kind": "node_crash", "target": "bn00"}])
 
 # a quarter of the Booster lost before the first checkpoint: the
-# malleable supervisor re-tunes over the survivors
+# supervisor re-tunes over the survivors
 _MALLEABLE_PLAN = _plan([
     {"time_s": 0.3, "kind": "node_crash", "target": "bn00"},
     {"time_s": 0.3, "kind": "node_crash", "target": "bn01"},

@@ -1,4 +1,4 @@
-"""Tests for the malleable supervisor: online re-partitioning after
+"""Tests for the re-tune recovery: online re-partitioning after
 node loss, behind ``ExperimentSpec.malleability``."""
 
 import json
@@ -123,9 +123,14 @@ def test_supervisor_is_deterministic(malleable_report):
     assert a == b  # bit-identical report, repartition sequence included
 
 
-def test_zero_fault_malleable_is_event_identical_to_static():
+@pytest.mark.parametrize(
+    "extra",
+    [{}, {"imbalance_alpha": 0.9}, {"load_balanced": True}],
+    ids=["plain", "imbalance_alpha", "load_balanced"],
+)
+def test_zero_fault_malleable_is_event_identical_to_static(extra):
     base = dict(mode="cb", steps=80, nodes_per_solver=4,
-                ckpt_interval_s=0.5)
+                ckpt_interval_s=0.5, **extra)
     plain = Engine().run(ExperimentSpec(**base))
     mall = Engine().run(
         ExperimentSpec(**base, malleability={"enabled": True})

@@ -6,6 +6,11 @@ in the ``sim`` section), dumped with ``json.dumps(sort_keys=True)``.
 Every byte of it, the simulator's own counters included, is
 deterministic, so each run below is pinned by the sha256 of that text.
 
+The last three runs go through the epoch supervisor: a C+B 2+2 run
+healing a Booster crash from its checkpoints, a C+B 1+1 run under a
+Poisson crash stream, and a malleable C+B 8+8 run re-tuned after
+losing two Booster nodes.
+
 A change that only makes the program faster keeps every pin.  A change
 to the model (a cost, an event, the order of two events, a report
 field) moves the pins of the runs it touches: it updates them here and
@@ -26,11 +31,15 @@ HOST_TIMINGS = ("wall_time_s", "events_per_sec", "host_wall_s")
 _SWITCHES = ("sw.booster", "sw.cluster")
 
 
-def _faulted(nodes, event):
+def _faulted(nodes, *events, **kwargs):
     return ExperimentSpec(
         mode="C+B", nodes_per_solver=nodes, steps=60, seed=3,
-        fault_plan=FaultPlan([event]).to_dict(),
+        fault_plan=FaultPlan(list(events)).to_dict(), **kwargs,
     )
+
+
+def _crash(target, time_s):
+    return FaultEvent(time_s=time_s, kind="node_crash", target=target)
 
 
 SPECS = {
@@ -54,6 +63,14 @@ SPECS = {
     "cb-2-link-down": _faulted(2, FaultEvent(
         time_s=0.2, kind="link_down", target=_SWITCHES,
     )),
+    "cb-2-crash": _faulted(2, _crash("bn00", 1.0), ckpt_interval_s=0.5),
+    "cb-1-mtbf": ExperimentSpec(
+        mode="C+B", nodes_per_solver=1, steps=100, seed=3, mtbf_s=5.0
+    ),
+    "cb-8-malleable": _faulted(
+        8, _crash("bn00", 0.3), _crash("bn01", 0.3),
+        malleability={"enabled": True},
+    ),
 }
 
 PINS = {
@@ -66,6 +83,9 @@ PINS = {
     "nested-8": "8a37511c73a06f1e003b2bf29c598cfbe43382741ec525a34a90e4a9c39886c6",
     "cb-4-link-degrade": "4c6728184de8d242d5423e4e729cc38e6fad7956c0d0b5ddc3afa9fde1cfe728",
     "cb-2-link-down": "bcd667b169f532b126a4037e879bcacbc4b21c2b4576a071b798ad087fd6d51a",
+    "cb-2-crash": "a24a2970b0e9f3e78e23dda7f66b2b45ad938539ff9dfca7eefc766afa6c5c67",
+    "cb-1-mtbf": "c26f37ee5d3651a19023ada19398a715cbef4cdc114e6919b16ae6118c44cb32",
+    "cb-8-malleable": "a90ed9341850bf3ca56d7763a67ddfd5fbc3aa6f2c1ada147bc3e7d909613dbd",
 }
 
 

@@ -17,7 +17,14 @@ from repro.apps.xpic import Mode, XpicConfig, run_experiment
 from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.engine import Engine, ExperimentSpec
 from repro.hardware import build_deep_er_prototype
-from repro.resiliency import FaultEvent, FaultPlan, expected_runtime
+from repro.mpi import MPIRuntime
+from repro.resiliency import (
+    SCR,
+    FaultEvent,
+    FaultPlan,
+    MalleabilityPolicy,
+    expected_runtime,
+)
 
 CFG = XpicConfig(steps=120)
 
@@ -34,7 +41,7 @@ def test_booster_crash_recovers_via_scr_restart():
         [FaultEvent(time_s=0.6 * base, kind="node_crash", target="bn00")]
     )
     m = build_deep_er_prototype()
-    rr, res = run_resilient_experiment(
+    rr, res, _ = run_resilient_experiment(
         m, Mode.CB, CFG, fault_plan=plan, ckpt_interval_s=0.8
     )
     assert res["restarts"] >= 1
@@ -54,13 +61,84 @@ def test_crash_without_checkpoints_restarts_from_scratch():
         [FaultEvent(time_s=0.5, kind="node_crash", target="bn00")]
     )
     m = build_deep_er_prototype()
-    rr, res = run_resilient_experiment(m, Mode.CB, CFG, fault_plan=plan)
+    rr, res, _ = run_resilient_experiment(m, Mode.CB, CFG, fault_plan=plan)
     # no cadence configured: nothing to restart from, the whole prefix
     # is lost work
     assert res["restarts"] == 1
     assert res["restored_steps"] == []
     assert res["lost_work_s"] == pytest.approx(0.5, abs=0.2)
     assert rr.steps == CFG.steps
+
+
+def _crashes(*events):
+    return FaultPlan(
+        [FaultEvent(time_s=t, kind="node_crash", target=n) for t, n in events]
+    )
+
+
+def test_crash_of_the_replacement_spare_is_a_job_crash():
+    # bn00 dies and bn02 takes its place; the job now runs on bn02, so
+    # bn02's crash must abort and restart it, not starve its transfers
+    m = build_deep_er_prototype()
+    rr, res, _ = run_resilient_experiment(
+        m, Mode.CB, CFG,
+        fault_plan=_crashes((1.0, "bn00"), (3.0, "bn02")),
+        ckpt_interval_s=0.8,
+    )
+    assert res["restarts"] == 2 and res["epochs"] == 3
+    assert res["node_replacements"] == 2
+    assert res["transport"]["failures"] == 0
+    assert res["transport"]["retries"] == 0
+    assert rr.steps == CFG.steps
+
+
+@pytest.mark.parametrize(
+    "nodes, events, policy",
+    [
+        (2, ((1.0, "bn00"),), None),
+        (8, ((0.3, "bn00"), (0.3, "bn01")), MalleabilityPolicy()),
+    ],
+    ids=["heal", "re-tune"],
+)
+def test_no_checkpoint_starts_within_an_interval_of_a_relaunch(
+    monkeypatch, nodes, events, policy
+):
+    interval = 0.5
+    starts, launches = [], []
+    checkpoint, launch = SCR.checkpoint, MPIRuntime.launch
+
+    def recording_checkpoint(self, *args, **kwargs):
+        starts.append(self.sim.now)
+        return checkpoint(self, *args, **kwargs)
+
+    def recording_launch(self, app, nodes, *args, **kwargs):
+        if kwargs.get("name", "world") == "world":  # not a spawn
+            launches.append(self.sim.now)
+        return launch(self, app, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(SCR, "checkpoint", recording_checkpoint)
+    monkeypatch.setattr(MPIRuntime, "launch", recording_launch)
+    m = build_deep_er_prototype()
+    _, res, _ = run_resilient_experiment(
+        m, Mode.CB, CFG, nodes_per_solver=nodes,
+        fault_plan=_crashes(*events), ckpt_interval_s=interval,
+        policy=policy,
+    )
+    assert res["restarts"] == 1 and len(launches) == 2
+    relaunch = launches[1]
+    assert any(t >= relaunch for t in starts)  # the cadence resumed
+    assert not [t for t in starts if relaunch <= t < relaunch + interval]
+
+
+def test_readme_mtbf_run_clock_ends_with_the_job():
+    # a zero-crash MTBF run: the stopped injector's next fault must not
+    # drag the clock (and the post-fault window) along with it
+    report = Engine().run(ExperimentSpec(mode="cb", steps=100, mtbf_s=3600))
+    res = report.resiliency
+    assert res["restarts"] == 0
+    total = report.result["total_runtime"]
+    assert report.sim["sim_time_s"] == pytest.approx(total, rel=0.02)
+    assert res["post_fault"]["steps_per_s"] > 1
 
 
 # ------------------------------------------------------- degradation
@@ -70,7 +148,7 @@ def test_booster_loss_degrades_to_cluster_run():
         FaultEvent(time_s=1.0, kind="node_crash", target=n.node_id)
         for n in m.booster
     ]
-    rr, res = run_resilient_experiment(
+    rr, res, _ = run_resilient_experiment(
         m,
         Mode.CB,
         CFG,
@@ -88,7 +166,7 @@ def test_zero_fault_plan_is_bit_identical_to_plain_run():
     m_plain = build_deep_er_prototype()
     plain = run_experiment(m_plain, Mode.CB, CFG)
     m_chaos = build_deep_er_prototype()
-    rr, res = run_resilient_experiment(
+    rr, res, _ = run_resilient_experiment(
         m_chaos, Mode.CB, CFG, fault_plan=FaultPlan()
     )
     assert rr.total_runtime == plain.total_runtime
@@ -187,12 +265,13 @@ def test_poisson_failures_match_daly_expected_runtime():
     """Mean wall time over 10 seeded MTBF runs tracks the Daly model."""
     work = _plain_runtime()
     mtbf = 5.0
-    walls, intervals, ccosts, rcosts = [], [], [], []
+    walls, intervals, ccosts, rcosts, crashes = [], [], [], [], []
     for seed in range(10):
         m = build_deep_er_prototype()
-        rr, res = run_resilient_experiment(
+        rr, res, _ = run_resilient_experiment(
             m, Mode.CB, CFG, mtbf_s=mtbf, fault_seed=seed
         )
+        crashes.append(res["faults"]["injected"]["node_crash"])
         walls.append(rr.total_runtime)
         intervals.append(res["ckpt_interval_s"])
         if res["checkpoint_cost_s"]:
@@ -206,3 +285,5 @@ def test_poisson_failures_match_daly_expected_runtime():
     )
     mean_wall = statistics.mean(walls)
     assert mean_wall == pytest.approx(model, rel=0.15)
+    # the stream follows the job onto its spares: a run can crash twice
+    assert max(crashes) >= 2

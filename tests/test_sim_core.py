@@ -459,6 +459,36 @@ def test_interrupt_during_fast_wait():
     sim.process(interrupter(sim, victim))
     sim.run()
     assert victim.value == ("interrupted", 1.0, "boom")
+    # the cancelled wakeup at 10.0 is discarded without moving the clock
+    assert sim.now == 1.0
+
+
+@pytest.mark.parametrize("drive", ["run", "step", "step_batch"])
+@pytest.mark.parametrize("sleepers", [1, 2])
+def test_cancelled_wakeups_never_move_the_clock(drive, sleepers):
+    # one cancelled wakeup alone, or a whole batch of them, at t=10
+    sim = Simulator()
+
+    def sleeper(sim):
+        try:
+            yield 10.0
+        except Interrupt:
+            return sim.now
+
+    def interrupter(sim, victims):
+        yield 1.0
+        for v in victims:
+            v.interrupt()
+
+    victims = [sim.process(sleeper(sim)) for _ in range(sleepers)]
+    sim.process(interrupter(sim, victims))
+    if drive == "run":
+        sim.run()
+    else:
+        while len(sim):
+            getattr(sim, drive)()
+    assert [v.value for v in victims] == [1.0] * sleepers
+    assert sim.now == 1.0
 
 
 def test_fast_wait_after_cancelled_wakeup():
