@@ -22,8 +22,8 @@ import pathlib
 import time
 
 from repro.bench import render_table
-from repro.cache import ResultCache
 from repro.engine import Engine, ExperimentSpec
+from repro.store import ResultCache
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
 

@@ -20,7 +20,6 @@ the full stack the paper describes:
 * :mod:`repro.engine`     — declarative experiment specs + run engine
 * :mod:`repro.instrument` — cross-layer metrics hub
 * :mod:`repro.store`      — tiered content-addressed result store
-  (:mod:`repro.cache` is the compatibility import path)
 * :mod:`repro.autotune`   — model-guided partition autotuner
 * :mod:`repro.serve`      — async experiment service (queue/coalesce/batch)
 * :mod:`repro.fleet`      — sharded service fleet (cache-key routing,
@@ -36,7 +35,7 @@ the full stack the paper describes:
     report = Session().run(mode="cb", steps=100)
 """
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 from .api import Session
 from .engine import Engine, ExperimentSpec, RunReport, SweepReport

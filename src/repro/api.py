@@ -36,7 +36,7 @@ __all__ = ["Session"]
 class Session:
     """Bound engine + cache + worker width; the unified entry point.
 
-    ``cache`` accepts a :class:`~repro.cache.ResultCache` or a
+    ``cache`` accepts a :class:`~repro.store.ResultCache` or a
     directory path (None disables memoization); ``workers`` is the
     process-pool width sweeps and tunes fan out over; ``engine``
     replaces the default :class:`~repro.engine.Engine` (tests inject
@@ -89,22 +89,17 @@ class Session:
             cache=self.cache,
         )
 
-    def tune(self, space=None, nested: bool = False, **kwargs):
+    def tune(self, space=None, **kwargs):
         """Autotune the Cluster/Booster partition; returns a TuneReport.
 
         Forwards to :func:`repro.autotune.tune` with the session's
         engine, cache, and worker width pre-bound (each still
-        overridable by keyword).  ``nested=True`` widens the search to
-        hierarchical partitions — homogeneous pools sub-split into
-        co-scheduled fields/particles arms — either by flipping the
-        flag on the default space or on the ``space`` you pass in.
+        overridable by keyword).  ``space=TuneSpace(nested=True)``
+        widens the search to hierarchical partitions — homogeneous
+        pools sub-split into co-scheduled fields/particles arms.
         """
-        import dataclasses as _dc
+        from .autotune import tune
 
-        from .autotune import TuneSpace, tune
-
-        if nested:
-            space = _dc.replace(space or TuneSpace(), nested=True)
         kwargs.setdefault("engine", self.engine)
         kwargs.setdefault("cache", self.cache)
         kwargs.setdefault("workers", self.workers)

@@ -12,7 +12,7 @@ short-step probe, losers are pruned, survivors graduate to longer
 runs until the last generation measures the finalists at full steps.
 
 Because every evaluation flows through the content-addressed
-:class:`~repro.cache.ResultCache`, repeating a tune (or widening one)
+:class:`~repro.store.ResultCache`, repeating a tune (or widening one)
 never pays twice for a configuration already simulated: a rerun of the
 identical search resolves entirely from cache and returns a
 bit-identical winner.
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -46,7 +45,6 @@ from .perfmodel import predict_partition
 __all__ = [
     "TUNE_SCHEMA",
     "Partition",
-    "PartitionConfig",
     "TuneSpace",
     "TuneReport",
     "predict_config_step",
@@ -55,39 +53,6 @@ __all__ = [
 
 #: schema tag of the TuneReport JSON export (bump on breaking change)
 TUNE_SCHEMA = "repro.tune_report/1"
-
-
-class PartitionConfig(Partition):
-    """Deprecated alias of :class:`repro.partition.Partition`.
-
-    The 1.x autotuner owned the partition value type; 1.8 promoted it
-    to the shared :mod:`repro.partition` module (with hierarchical
-    arms).  This shim keeps old constructor call sites working — it
-    *is* a ``Partition`` and compares/hashes equal to one — but warns
-    so callers migrate.
-    """
-
-    def __init__(
-        self,
-        cluster_nodes: int = 1,
-        booster_nodes: int = 1,
-        overlap: bool = True,
-        swap_placement: bool = False,
-        **kwargs,
-    ):
-        warnings.warn(
-            "repro.autotune.PartitionConfig is deprecated; use "
-            "repro.partition.Partition",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            cluster_nodes=cluster_nodes,
-            booster_nodes=booster_nodes,
-            overlap=overlap,
-            swap_placement=swap_placement,
-            **kwargs,
-        )
 
 
 #: the hand-coded partition every figure script uses (C+B, one node per

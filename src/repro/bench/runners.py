@@ -5,9 +5,9 @@ sweeps over the unified engine: every run goes down the same
 instrumented path, and the per-run :class:`~repro.engine.RunReport`
 (cross-layer metrics, Chrome-trace export) rides along next to the
 app-level timings the figures need.  Every runner sweeps through a
-:class:`~repro.api.Session` (``session=`` injects one; the legacy
-``engine``/``workers``/``cache`` keywords build one), so results are
-bit-identical to a serial sweep at any worker count.
+:class:`~repro.api.Session` (``session=`` injects one with its cache
+and worker width; the default is a plain ``Session()``), so results
+are bit-identical to a serial sweep at any worker count.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.xpic import Mode, RunResult
-from ..engine import Engine, ExperimentSpec, RunReport
+from ..engine import ExperimentSpec, RunReport
 from ..perfmodel import parallel_efficiency
 
 
-def _session(session, engine, workers, cache):
-    """The Session a runner sweeps through (built from legacy kwargs
-    when the caller did not inject one)."""
+def _session(session):
+    """The Session a runner sweeps through (a plain one by default)."""
     if session is not None:
         return session
     from ..api import Session
 
-    return Session(cache=cache, workers=workers, engine=engine)
+    return Session()
 
 __all__ = ["Fig7Result", "Fig8Result", "run_fig7", "run_fig8", "FIG78_STEPS"]
 
@@ -115,22 +114,17 @@ class Fig8Result:
 
 def run_fig7(
     steps: int = FIG78_STEPS,
-    engine: Optional[Engine] = None,
-    workers: int = 1,
     fault_plan: Optional[dict] = None,
     mtbf_s: Optional[float] = None,
-    cache=None,
     session=None,
 ) -> Fig7Result:
     """Run the three single-node experiments of Fig 7.
 
     ``fault_plan`` (a FaultPlan or its dict form) / ``mtbf_s`` inject
     the same fault schedule into every run — Fig 7 under failures.
-    ``cache`` (a :class:`~repro.cache.ResultCache` or directory path)
-    memoizes the runs content-addressed by spec.  ``session`` injects a
-    ready :class:`~repro.api.Session` (the other engine/workers/cache
-    keywords are then ignored)."""
-    session = _session(session, engine, workers, cache)
+    ``session`` injects a ready :class:`~repro.api.Session`, whose
+    engine, result cache and worker width the sweep uses."""
+    session = _session(session)
     modes = list(Mode)
     sweep = session.sweep(
         [
@@ -147,19 +141,16 @@ def run_fig7(
 def run_fig8(
     steps: int = FIG78_STEPS,
     node_counts: Tuple[int, ...] = (1, 2, 4, 8),
-    engine: Optional[Engine] = None,
-    workers: int = 1,
     fault_plan: Optional[dict] = None,
     mtbf_s: Optional[float] = None,
-    cache=None,
     session=None,
 ) -> Fig8Result:
     """Run the full scaling sweep of Fig 8 (3 modes x node counts).
 
     ``fault_plan`` / ``mtbf_s`` inject the same fault schedule into
-    every run of the sweep; ``cache`` memoizes each run by spec;
-    ``session`` injects a ready :class:`~repro.api.Session`."""
-    session = _session(session, engine, workers, cache)
+    every run of the sweep; ``session`` injects a ready
+    :class:`~repro.api.Session` (engine, result cache, worker width)."""
+    session = _session(session)
     keys = [(mode, n) for mode in Mode for n in node_counts]
     sweep = session.sweep(
         [

@@ -45,7 +45,6 @@ from .api import Session
 from .apps import available_apps
 from .apps.xpic import Mode
 from .autotune import TuneReport, TuneSpace
-from .cache import ResultCache
 from .engine import (
     MACHINE_PRESETS,
     Engine,
@@ -66,6 +65,7 @@ from .bench import (
 )
 from .hardware import table1_rows
 from .resiliency import FaultPlan
+from .store import ResultCache
 
 __all__ = ["main"]
 
@@ -106,13 +106,10 @@ def cmd_fig3(_args) -> str:
 
 
 def cmd_fig7(args) -> str:
-    fk = _fault_kwargs(args)
     result = run_fig7(
         steps=args.steps,
-        workers=getattr(args, "workers", 1),
-        fault_plan=fk.get("fault_plan"),
-        mtbf_s=fk.get("mtbf_s"),
-        cache=getattr(args, "cache", None),
+        session=Session(cache=args.cache, workers=args.workers),
+        **_fault_kwargs(args),
     )
     rows = []
     for mode in Mode:
@@ -142,13 +139,10 @@ def cmd_fig7(args) -> str:
 
 
 def cmd_fig8(args) -> str:
-    fk = _fault_kwargs(args)
     result = run_fig8(
         steps=args.steps,
-        workers=getattr(args, "workers", 1),
-        fault_plan=fk.get("fault_plan"),
-        mtbf_s=fk.get("mtbf_s"),
-        cache=getattr(args, "cache", None),
+        session=Session(cache=args.cache, workers=args.workers),
+        **_fault_kwargs(args),
     )
     ns = result.node_counts
     out = [
@@ -176,15 +170,15 @@ def cmd_fig8(args) -> str:
 
 
 def _fault_kwargs(args) -> dict:
-    """Spec fields for the --fault-plan / --mtbf / --ckpt-interval flags."""
-    out = {}
-    if getattr(args, "fault_plan", None):
-        out["fault_plan"] = FaultPlan.load(args.fault_plan).to_dict()
-    if getattr(args, "mtbf", None) is not None:
-        out["mtbf_s"] = args.mtbf
-    if getattr(args, "ckpt_interval", None) is not None:
-        out["ckpt_interval_s"] = args.ckpt_interval
-    return out
+    """Spec fields for the --fault-plan / --mtbf flags."""
+    return {
+        "fault_plan": (
+            FaultPlan.load(args.fault_plan).to_dict()
+            if args.fault_plan
+            else None
+        ),
+        "mtbf_s": args.mtbf,
+    }
 
 
 def render_fault_plan(plan: FaultPlan) -> str:
@@ -374,8 +368,9 @@ def render_cache_stats(stats: dict, title: str = "Result cache") -> str:
     return render_table(["Metric", "Value"], rows, title=title)
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    """Build the ExperimentSpec the run/submit spec flags describe."""
+def _spec_from_args(args, trace: bool = False) -> ExperimentSpec:
+    """Build the ExperimentSpec the run/submit spec flags describe;
+    ``trace`` comes from ``run``'s trace flags (the submits have none)."""
     return ExperimentSpec(
         preset=args.preset,
         app=args.app,
@@ -385,21 +380,17 @@ def _spec_from_args(args) -> ExperimentSpec:
         overlap=not args.no_overlap,
         swap_placement=args.swap_placement,
         seed=args.seed,
-        trace=getattr(args, "trace", False)
-        or bool(getattr(args, "chrome_trace", None)),
-        malleability=(
-            {"enabled": True}
-            if getattr(args, "malleable", False)
-            else None
-        ),
+        trace=trace,
+        ckpt_interval_s=args.ckpt_interval,
+        malleability={"enabled": True} if args.malleable else None,
         **_fault_kwargs(args),
     )
 
 
 def cmd_run(args) -> str:
     """Run one experiment through a Session and print its report."""
-    spec = _spec_from_args(args)
-    session = Session(cache=getattr(args, "cache", None))
+    spec = _spec_from_args(args, trace=args.trace or bool(args.chrome_trace))
+    session = Session(cache=args.cache)
     cache = session.cache
     report = session.run(spec)
     if args.json:
@@ -429,7 +420,7 @@ def cmd_validate(args) -> str:
     from .validate import render_claims, validate_claims
 
     return render_claims(
-        validate_claims(steps=args.steps, workers=getattr(args, "workers", 1))
+        validate_claims(steps=args.steps, workers=args.workers)
     )
 
 
@@ -476,7 +467,7 @@ def cmd_sweep(args) -> str:
         raise ValueError(f"bad sweep axis: {exc}") from None
     if not modes or not nodes:
         raise ValueError("sweep needs at least one mode and one node count")
-    session = Session(cache=getattr(args, "cache", None), workers=args.workers)
+    session = Session(cache=args.cache, workers=args.workers)
     specs = session.specs(
         base=dict(
             preset=args.preset,
@@ -536,7 +527,7 @@ def cmd_report(args) -> str:
     import json as _json
     import pathlib
 
-    if getattr(args, "file", None):
+    if args.file:
         doc = _json.loads(pathlib.Path(args.file).read_text())
         return render_report(report_from_dict(doc))
 
@@ -622,11 +613,10 @@ def cmd_tune(args) -> str:
         )
     except ValueError as exc:
         raise ValueError(f"bad --nodes list: {exc}") from None
-    space = TuneSpace(node_counts=node_counts)
+    space = TuneSpace(node_counts=node_counts, nested=args.nested)
     session = Session(cache=args.cache, workers=args.workers)
     report = session.tune(
         space=space,
-        nested=getattr(args, "nested", False),
         steps=args.steps,
         preset=args.preset,
         generations=args.generations,
@@ -761,21 +751,20 @@ def cmd_serve(args) -> str:
 
     from .serve import serve_jobdir
 
-    if getattr(args, "status", False):
+    if args.status:
         return render_serve_status(
-            args.jobdir,
-            stale_after_s=getattr(args, "stale_after_s", None) or 30.0,
+            args.jobdir, stale_after_s=args.stale_after_s
         )
-    session = Session(cache=getattr(args, "cache", None), workers=args.workers)
+    session = Session(cache=args.cache, workers=args.workers)
     jobdir = Path(args.jobdir).expanduser()
-    durable = not getattr(args, "no_journal", False)
+    durable = not args.no_journal
     service = session.serve(
         max_queue=args.max_queue,
         autostart=not args.once,
         journal=(jobdir / "journal.jsonl") if durable else None,
         heartbeat=(jobdir / "heartbeat.json") if durable else None,
-        deadline_s=getattr(args, "deadline", None),
-        batch_timeout_s=getattr(args, "batch_timeout", None),
+        deadline_s=args.deadline,
+        batch_timeout_s=args.batch_timeout,
     )
     try:
         stats = serve_jobdir(
@@ -803,14 +792,11 @@ def cmd_submit(args) -> str:
         spec,
         priority=args.priority,
         client=args.client,
-        deadline_s=getattr(args, "deadline", None),
+        deadline_s=args.deadline,
     )
     if not args.wait:
         return f"submitted {job_id} to {args.jobdir}"
-    wait_timeout = getattr(args, "wait_timeout", None)
-    if wait_timeout is None:
-        wait_timeout = args.timeout
-    result = wait_result(args.jobdir, job_id, timeout=wait_timeout)
+    result = wait_result(args.jobdir, job_id, timeout=args.timeout)
     lines = [
         f"job {job_id}: {result['status']}"
         + (" (cache hit)" if result.get("cache_hit") else "")
@@ -950,7 +936,7 @@ def _cmd_fleet_submit(args):
                 spec,
                 priority=args.priority,
                 client=args.client,
-                deadline_s=getattr(args, "deadline", None),
+                deadline_s=args.deadline,
             )
     except FleetClientError as exc:
         raise ValueError(f"fleet submit failed: {exc}") from exc
@@ -1106,7 +1092,7 @@ def cmd_query(args) -> str:
             title=f"Stored runs: {where_label} ({len(rows)} matched)",
         )
     ]
-    group_by = getattr(args, "group_by", None)
+    group_by = args.group_by
     if group_by and not args.agg:
         raise ValueError("--group-by needs --agg FIELD to aggregate")
     if args.agg:
@@ -1164,9 +1150,7 @@ def cmd_query(args) -> str:
 
         doc = {"rows": rows}
         if args.agg:
-            doc["aggregate"] = cache.aggregate(
-                args.agg, where=args.where or None, group_by=group_by
-            )
+            doc["aggregate"] = agg
         pathlib.Path(args.json).write_text(_json.dumps(doc, indent=2))
         out.append(f"\nquery result JSON written to {args.json}")
     return "\n".join(out)
@@ -1248,12 +1232,196 @@ def cmd_all(args) -> str:
     return "\n".join(parts)
 
 
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: flags declared once here are copied into every
+    subcommand that lists it in ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the evaluation of 'Application performance "
         "on a Cluster-Booster system' on the simulated DEEP-ER prototype.",
     )
+    # -- flags several subcommands share, each declared once ---------------
+    cache = _flags()
+    cache.add_argument(
+        "--cache",
+        metavar="DIR",
+        default=None,
+        help="memoize every run in a content-addressed result store "
+        "(a repeated spec loads its stored report instead of simulating)",
+    )
+    workers = _flags()
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool workers, per shard under fleet serve (default "
+        "1; results are identical at any width)",
+    )
+    json_out = _flags()
+    json_out.add_argument(
+        "--json",
+        metavar="FILE",
+        default=None,
+        help="write the report JSON (query: the matched rows and aggregate)",
+    )
+    preset = _flags()
+    preset.add_argument(
+        "--preset",
+        default="deep-er",
+        choices=sorted(MACHINE_PRESETS),
+        help="machine preset (default deep-er)",
+    )
+    preset.add_argument(
+        "--seed", type=int, default=20180521, help="workload RNG seed"
+    )
+    app = _flags()
+    app.add_argument(
+        "--app",
+        default="xpic",
+        choices=available_apps(),
+        help="application driver (default xpic)",
+    )
+    faults = _flags()
+    faults.add_argument(
+        "--fault-plan",
+        metavar="FILE",
+        default=None,
+        help="inject the faults of a plan JSON into every run (see "
+        "`repro faults`)",
+    )
+    faults.add_argument(
+        "--mtbf",
+        type=float,
+        default=None,
+        help="stream Poisson node crashes at this system MTBF [s]",
+    )
+    steps = _flags()
+    steps.add_argument(
+        "--steps", type=int, default=100, help="time steps (default 100)"
+    )
+    fig_steps = _flags()
+    fig_steps.add_argument(
+        "--steps",
+        type=int,
+        default=FIG78_STEPS,
+        help=f"full-length xPic time steps (default {FIG78_STEPS})",
+    )
+    node_list = _flags()
+    node_list.add_argument(
+        "--nodes",
+        default="1,2,4,8",
+        help="comma-separated nodes-per-solver counts to sweep or search "
+        "(default 1,2,4,8)",
+    )
+    spec = _flags(preset, app, steps, faults, json_out)
+    spec.add_argument(
+        "--mode",
+        default="cb",
+        help="placement: cluster / booster / cb (xpic), "
+        "cluster / booster / split (seismic)",
+    )
+    spec.add_argument(
+        "--nodes", type=int, default=1, help="nodes per solver (default 1)"
+    )
+    spec.add_argument(
+        "--no-overlap",
+        action="store_true",
+        help="disable communication/compute overlap (xpic)",
+    )
+    spec.add_argument(
+        "--swap-placement",
+        action="store_true",
+        help="swap solver placement: fields on Booster, "
+        "particles on Cluster",
+    )
+    spec.add_argument(
+        "--ckpt-interval",
+        type=float,
+        default=None,
+        help="force the checkpoint cadence [s] (default: Young/Daly "
+        "optimum when --mtbf is given)",
+    )
+    spec.add_argument(
+        "--malleable",
+        action="store_true",
+        help="on node loss, re-tune the partition over the "
+        "surviving machine and resume there (instead of the "
+        "static degradation script); needs fault injection",
+    )
+    submit = _flags()
+    submit.add_argument(
+        "--priority",
+        type=int,
+        default=0,
+        help="scheduling priority (higher dispatches first, default 0)",
+    )
+    submit.add_argument(
+        "--client",
+        default="cli",
+        help="client id for fair-share scheduling (default cli)",
+    )
+    submit.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="S",
+        help="queue-time budget the service applies to this request "
+        "[s] (default: none)",
+    )
+    serving = _flags()
+    serving.add_argument(
+        "--max-queue",
+        type=int,
+        default=64,
+        help="admission bound, per shard under fleet serve; excess "
+        "requests wait (default 64)",
+    )
+    serving.add_argument(
+        "--max-seconds",
+        type=float,
+        default=None,
+        help="stop serving after this long (default: run until killed)",
+    )
+    serving.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress per-request progress and startup lines",
+    )
+    store = _flags()
+    store.add_argument(
+        "--dir",
+        metavar="DIR",
+        required=True,
+        help="the result store directory",
+    )
+    store.add_argument(
+        "--where",
+        metavar="PRED",
+        action="append",
+        default=None,
+        help="COLUMN OP VALUE predicate over index columns (repeatable, "
+        "e.g. --where mode=C+B --where steps>=100); cache: export only",
+    )
+    jobdir = _flags()
+    jobdir.add_argument(
+        "--jobdir",
+        metavar="DIR",
+        required=True,
+        help="the job directory the service serves and clients submit into",
+    )
+    address = _flags()
+    address.add_argument(
+        "--address",
+        metavar="HOST:PORT",
+        required=True,
+        help="the fleet front end to talk to",
+    )
+
+    # -- subcommands -------------------------------------------------------
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("table1", help="Table I: hardware configuration")
     sub.add_parser("fig3", help="Fig 3: fabric bandwidth and latency")
@@ -1268,79 +1436,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="any schema-tagged report JSON — run, sweep, or tune "
         "(omit to compose benchmarks/_results)",
     )
-    def add_spec_args(sp) -> None:
-        """The one-experiment spec flags `run` and `submit` share."""
-        sp.add_argument(
-            "--preset",
-            default="deep-er",
-            choices=sorted(MACHINE_PRESETS),
-            help="machine preset (default deep-er)",
-        )
-        sp.add_argument(
-            "--app",
-            default="xpic",
-            choices=available_apps(),
-            help="application driver (default xpic)",
-        )
-        sp.add_argument(
-            "--mode",
-            default="cb",
-            help="placement: cluster / booster / cb (xpic), "
-            "cluster / booster / split (seismic)",
-        )
-        sp.add_argument("--steps", type=int, default=100, help="time steps")
-        sp.add_argument(
-            "--nodes", type=int, default=1, help="nodes per solver (default 1)"
-        )
-        sp.add_argument(
-            "--seed", type=int, default=20180521, help="workload RNG seed"
-        )
-        sp.add_argument(
-            "--no-overlap",
-            action="store_true",
-            help="disable communication/compute overlap (xpic)",
-        )
-        sp.add_argument(
-            "--swap-placement",
-            action="store_true",
-            help="swap solver placement: fields on Booster, "
-            "particles on Cluster",
-        )
-        sp.add_argument(
-            "--fault-plan",
-            metavar="FILE",
-            default=None,
-            help="inject the faults of a plan JSON (see `repro faults`)",
-        )
-        sp.add_argument(
-            "--mtbf",
-            type=float,
-            default=None,
-            help="stream Poisson node crashes at this system MTBF [s]",
-        )
-        sp.add_argument(
-            "--ckpt-interval",
-            type=float,
-            default=None,
-            help="force the checkpoint cadence [s] (default: Young/Daly "
-            "optimum when --mtbf is given)",
-        )
-        sp.add_argument(
-            "--malleable",
-            action="store_true",
-            help="on node loss, re-tune the partition over the "
-            "surviving machine and resume there (instead of the "
-            "static degradation script); needs fault injection",
-        )
-        sp.add_argument(
-            "--json", metavar="FILE", default=None,
-            help="write the RunReport JSON",
-        )
-
     rn = sub.add_parser(
-        "run", help="run one instrumented experiment through the engine"
+        "run",
+        help="run one instrumented experiment through the engine",
+        parents=[spec, cache],
     )
-    add_spec_args(rn)
     rn.add_argument(
         "--trace",
         action="store_true",
@@ -1352,41 +1452,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write Chrome trace-event JSON (chrome://tracing, Perfetto)",
     )
-    rn.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="memoize the run in a content-addressed result store",
-    )
     sv = sub.add_parser(
         "serve",
         help="serve experiment requests from a file-based job directory "
         "(queue/coalesce/batch over a shared worker pool)",
-    )
-    sv.add_argument(
-        "--jobdir",
-        metavar="DIR",
-        required=True,
-        help="the job directory clients submit into",
-    )
-    sv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers executing batches (default 1)",
-    )
-    sv.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="answer repeated specs from a content-addressed store",
-    )
-    sv.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        help="admission bound; excess requests stay queued on disk "
-        "(default 64)",
+        parents=[jobdir, workers, cache, serving],
     )
     sv.add_argument(
         "--once",
@@ -1395,21 +1465,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(deterministic mode for CI)",
     )
     sv.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop serving after this long (default: run until killed)",
-    )
-    sv.add_argument(
         "--poll",
         type=float,
         default=0.1,
         help="job-directory scan interval [s] (default 0.1)",
-    )
-    sv.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress per-request progress lines",
     )
     sv.add_argument(
         "--status",
@@ -1420,7 +1479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--stale-after-s",
         type=float,
-        default=None,
+        default=30.0,
         metavar="S",
         help="--status: declare a serving heartbeat stale past this "
         "age [s] and exit non-zero (default 30)",
@@ -1450,24 +1509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb = sub.add_parser(
         "submit",
         help="submit one experiment request to a running `repro serve`",
-    )
-    add_spec_args(sb)
-    sb.add_argument(
-        "--jobdir",
-        metavar="DIR",
-        required=True,
-        help="the served job directory to submit into",
-    )
-    sb.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="scheduling priority (higher dispatches first, default 0)",
-    )
-    sb.add_argument(
-        "--client",
-        default="cli",
-        help="client id for fair-share scheduling (default cli)",
+        parents=[spec, jobdir, submit],
     )
     sb.add_argument(
         "--wait",
@@ -1478,91 +1520,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=60.0,
-        help="--wait timeout [s] (default 60)",
-    )
-    sb.add_argument(
-        "--wait-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="total seconds to wait for the result file "
-        "(overrides --timeout when given)",
-    )
-    sb.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="queue-time budget the service applies to this request "
-        "[s] (default: none)",
+        help="--wait: seconds to poll for the result file (default 60)",
     )
     sw = sub.add_parser(
         "sweep",
         help="run a modes x node-counts sweep through Engine.run_many",
-    )
-    sw.add_argument(
-        "--preset",
-        default="deep-er",
-        choices=sorted(MACHINE_PRESETS),
-        help="machine preset (default deep-er)",
-    )
-    sw.add_argument(
-        "--app",
-        default="xpic",
-        choices=available_apps(),
-        help="application driver (default xpic)",
+        parents=[preset, app, steps, node_list, workers, json_out, cache],
     )
     sw.add_argument(
         "--modes",
         default="cluster,booster,cb",
         help="comma-separated placements (default cluster,booster,cb)",
     )
-    sw.add_argument(
-        "--nodes",
-        default="1,2,4,8",
-        help="comma-separated nodes-per-solver counts (default 1,2,4,8)",
-    )
-    sw.add_argument("--steps", type=int, default=100, help="time steps")
-    sw.add_argument(
-        "--seed", type=int, default=20180521, help="workload RNG seed"
-    )
-    sw.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers (1 = serial; results are identical)",
-    )
-    sw.add_argument(
-        "--json", metavar="FILE", default=None, help="write SweepReport JSON"
-    )
-    sw.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="memoize every run in a content-addressed result store",
-    )
     tn = sub.add_parser(
         "tune",
         help="autotune the Cluster/Booster partition (model-seeded "
         "successive halving over the cached engine)",
-    )
-    tn.add_argument(
-        "--preset",
-        default="deep-er",
-        choices=sorted(MACHINE_PRESETS),
-        help="machine preset (default deep-er)",
-    )
-    tn.add_argument(
-        "--steps",
-        type=int,
-        default=FIG78_STEPS,
-        help=f"full-length xPic time steps (default {FIG78_STEPS})",
-    )
-    tn.add_argument(
-        "--nodes",
-        default="1,2,4,8",
-        help="comma-separated per-side rank counts to search "
-        "(default 1,2,4,8)",
+        parents=[preset, fig_steps, node_list, workers, cache, json_out],
     )
     tn.add_argument(
         "--generations",
@@ -1589,22 +1563,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="floor on short-probe step counts (default 5)",
     )
     tn.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers for each generation's sweep",
-    )
-    tn.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="memoize every evaluation in a content-addressed store "
-        "(a repeated tune resolves from cache)",
-    )
-    tn.add_argument(
-        "--seed", type=int, default=20180521, help="workload RNG seed"
-    )
-    tn.add_argument(
         "--nested",
         action="store_true",
         help="also search hierarchical partitions (homogeneous pools "
@@ -1614,9 +1572,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-baseline",
         action="store_true",
         help="skip measuring the hand-coded C+B baseline at full steps",
-    )
-    tn.add_argument(
-        "--json", metavar="FILE", default=None, help="write TuneReport JSON"
     )
     bn = sub.add_parser(
         "bench",
@@ -1649,6 +1604,7 @@ def build_parser() -> argparse.ArgumentParser:
     fls = flsub.add_parser(
         "serve",
         help="N experiment-service shards behind a TCP front-end router",
+        parents=[workers, serving],
     )
     fls.add_argument(
         "--root",
@@ -1674,28 +1630,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 0 = ephemeral; printed on start)",
     )
     fls.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers per shard (default 1)",
-    )
-    fls.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        help="admission bound per shard (default 64)",
-    )
-    fls.add_argument(
         "--process",
         action="store_true",
         help="run each shard as its own `repro serve` process "
         "(journal + heartbeat durability; restart-on-death recovery)",
-    )
-    fls.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop serving after this long (default: run until killed)",
     )
     fls.add_argument(
         "--stale-after-s",
@@ -1705,39 +1643,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="heartbeat age past which the router declares a shard "
         "dead (default 5)",
     )
-    fls.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the startup address lines",
-    )
     flb = flsub.add_parser(
         "submit",
         help="submit one experiment to a running fleet front end",
-    )
-    add_spec_args(flb)
-    flb.add_argument(
-        "--address",
-        metavar="HOST:PORT",
-        required=True,
-        help="the fleet front end to submit to",
-    )
-    flb.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="scheduling priority (higher dispatches first, default 0)",
-    )
-    flb.add_argument(
-        "--client",
-        default="cli",
-        help="client id for fair-share scheduling (default cli)",
-    )
-    flb.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="queue-time budget the shard applies to this request [s]",
+        parents=[spec, address, submit],
     )
     flb.add_argument(
         "--timeout",
@@ -1749,12 +1658,7 @@ def build_parser() -> argparse.ArgumentParser:
         "status",
         help="aggregated fleet metrics + ledger-invariant check "
         "(non-zero exit on violation)",
-    )
-    flt.add_argument(
-        "--address",
-        metavar="HOST:PORT",
-        required=True,
-        help="the fleet front end to query",
+        parents=[address],
     )
     flt.add_argument(
         "--timeout",
@@ -1763,7 +1667,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="socket timeout [s] (default 10)",
     )
     ca = sub.add_parser(
-        "cache", help="manage a tiered content-addressed result store"
+        "cache",
+        help="manage a tiered content-addressed result store",
+        parents=[store],
     )
     ca.add_argument(
         "verb",
@@ -1771,12 +1677,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stats: size + tier counters; prune: evict by policy; "
         "verify: audit entries + index (--repair rebuilds); "
         "export/import: exchange entry bundles between stores",
-    )
-    ca.add_argument(
-        "--dir",
-        metavar="DIR",
-        required=True,
-        help="the result store directory",
     )
     ca.add_argument(
         "--max-bytes",
@@ -1816,32 +1716,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="import: the bundle JSON to fold in",
     )
-    ca.add_argument(
-        "--where",
-        metavar="PRED",
-        action="append",
-        default=None,
-        help="export: only entries matching COLUMN OP VALUE predicates "
-        "(repeatable, e.g. --where mode=C+B --where steps>=100)",
-    )
     qr = sub.add_parser(
         "query",
         help="filter + aggregate stored runs from the store's columnar "
         "index (no report blobs are read for index columns)",
-    )
-    qr.add_argument(
-        "--dir",
-        metavar="DIR",
-        required=True,
-        help="the result store directory",
-    )
-    qr.add_argument(
-        "--where",
-        metavar="PRED",
-        action="append",
-        default=None,
-        help="COLUMN OP VALUE predicate over index columns (repeatable); "
-        "e.g. --where mode=C+B --where nodes_per_solver=8",
+        parents=[store, json_out],
     )
     qr.add_argument(
         "--fields",
@@ -1869,48 +1748,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="show at most this many rows (newest first)",
     )
-    qr.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the matched rows (and aggregate) as JSON",
-    )
-    for name, hlp in (
-        ("fig7", "Fig 7: single-node mode comparison"),
-        ("fig8", "Fig 8: scaling sweep"),
-        ("validate", "grade every claim against its acceptance band"),
-        ("all", "everything"),
+    for name, hlp, extra in (
+        ("fig7", "Fig 7: single-node mode comparison", [faults, cache]),
+        ("fig8", "Fig 8: scaling sweep", [faults, cache]),
+        ("validate", "grade every claim against its acceptance band", []),
+        ("all", "everything", []),
     ):
-        sp = sub.add_parser(name, help=hlp)
-        sp.add_argument(
-            "--steps",
-            type=int,
-            default=FIG78_STEPS,
-            help=f"xPic time steps (default {FIG78_STEPS})",
+        sub.add_parser(
+            name, help=hlp, parents=[fig_steps, workers, *extra]
         )
-        sp.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="process-pool workers for the underlying sweep",
-        )
-        if name in ("fig7", "fig8"):
-            sp.add_argument(
-                "--fault-plan",
-                metavar="FILE",
-                default=None,
-                help="inject the faults of a plan JSON into every run",
-            )
-            sp.add_argument(
-                "--mtbf",
-                type=float,
-                default=None,
-                help="stream Poisson node crashes at this MTBF [s]",
-            )
-            sp.add_argument(
-                "--cache",
-                metavar="DIR",
-                default=None,
-                help="memoize every run in a content-addressed store",
-            )
+    # `all` renders Fig 7 and Fig 8 with neither faults nor a cache
+    sub.choices["all"].set_defaults(fault_plan=None, mtbf=None, cache=None)
     ft = sub.add_parser(
         "faults",
         help="draw a Poisson fault plan, or inspect an existing plan file",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -96,7 +95,7 @@ def _config_from_dict(d: Optional[dict]) -> Optional[XpicConfig]:
     return XpicConfig(**d)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentSpec:
     """Declarative description of one experiment run.
 
@@ -108,6 +107,8 @@ class ExperimentSpec:
     Table II :class:`XpicConfig` (its ``steps`` then wins over
     ``steps``).  ``trace`` records per-phase intervals into a
     :class:`~repro.sim.Tracer` (slightly slower, much more visible).
+    Every field is keyword-only: a positional call raises
+    :class:`TypeError`.
     """
 
     preset: str = "deep-er"
@@ -263,44 +264,6 @@ class ExperimentSpec:
         d["config"] = _config_from_dict(d.get("config"))
         d["machine_overrides"] = dict(d.get("machine_overrides") or {})
         return cls(**d)
-
-
-# -- keyword-only construction (deprecation shim) ---------------------------
-# ExperimentSpec is keyword-only as of 1.3: positional construction
-# still works through this shim but warns and will be removed in 2.0
-# (see docs/ARCHITECTURE.md, "Experiment service & the repro.api
-# facade").  The shim wraps the dataclass __init__ after the class is
-# built so dataclasses.replace/pickle/asdict behave unchanged.
-_SPEC_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentSpec))
-_spec_dataclass_init = ExperimentSpec.__init__
-
-
-def _spec_kwonly_init(self, *args, **kwargs):
-    """Keyword-only ``ExperimentSpec`` constructor (positional shim)."""
-    if args:
-        warnings.warn(
-            "positional ExperimentSpec arguments are deprecated and will "
-            "be removed in repro 2.0; pass every field by keyword, e.g. "
-            "ExperimentSpec(preset='deep-er', mode='C+B', steps=100)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > len(_SPEC_FIELD_NAMES):
-            raise TypeError(
-                f"ExperimentSpec takes at most {len(_SPEC_FIELD_NAMES)} "
-                f"arguments ({len(args)} given)"
-            )
-        for name, value in zip(_SPEC_FIELD_NAMES, args):
-            if name in kwargs:
-                raise TypeError(
-                    f"ExperimentSpec got multiple values for {name!r}"
-                )
-            kwargs[name] = value
-    _spec_dataclass_init(self, **kwargs)
-
-
-_spec_kwonly_init.__wrapped__ = _spec_dataclass_init
-ExperimentSpec.__init__ = _spec_kwonly_init
 
 
 class _ResultView:
@@ -604,11 +567,11 @@ def _run_spec_payload(spec_dict: dict) -> dict:
 
 
 def _coerce_cache(cache):
-    """Accept a :class:`~repro.cache.ResultCache`, a directory path
+    """Accept a :class:`~repro.store.ResultCache`, a directory path
     (str/Path), or None."""
     if cache is None:
         return None
-    from .cache import ResultCache
+    from .store import ResultCache
 
     if isinstance(cache, ResultCache):
         return cache
@@ -635,7 +598,7 @@ class Engine:
         ``RunReport.result`` payloads are bit-identical to a serial
         sweep.  A worker failure re-raises the original exception.
 
-        ``cache`` (a :class:`~repro.cache.ResultCache` or a directory
+        ``cache`` (a :class:`~repro.store.ResultCache` or a directory
         path) memoizes runs by content-addressed spec key.  Hits are
         resolved **in the parent process** — a cached spec never spawns
         a pool worker — and only the misses are submitted; their fresh
@@ -734,7 +697,7 @@ class Engine:
     def run(self, spec: ExperimentSpec, cache=None) -> RunReport:
         """Execute one experiment end to end and return its RunReport.
 
-        ``cache`` (a :class:`~repro.cache.ResultCache` or a directory
+        ``cache`` (a :class:`~repro.store.ResultCache` or a directory
         path) short-circuits the run when the spec's content-addressed
         key is already stored — the memoized report comes back
         bit-identical — and stores the fresh report on a miss.

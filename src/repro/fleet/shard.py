@@ -31,10 +31,10 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple
 
-from ..cache import ResultCache
 from ..engine import RunReport
 from ..serve import ExperimentService, read_heartbeat
 from ..serve.filejob import submit_job
+from ..store import ResultCache
 
 __all__ = ["ShardHandle", "LocalShard", "ProcessShard"]
 

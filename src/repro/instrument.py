@@ -128,7 +128,7 @@ class MetricsHub:
     def cache_metrics(self) -> dict:
         """Result-cache session counters (hits, misses, bytes moved)
         plus store size, from an attached
-        :class:`~repro.cache.ResultCache`."""
+        :class:`~repro.store.ResultCache`."""
         if self.cache is None:
             return {}
         return self.cache.stats()

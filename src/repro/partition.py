@@ -1,14 +1,10 @@
 """The canonical partition type: how an experiment is laid out on nodes.
 
-Historically every layer described a placement its own way — the
-autotuner had ``PartitionConfig``, the perfmodel took loose
-``(cluster_node, booster_node)`` arguments, ``ExperimentSpec`` carried
-``mode``/``nodes_per_solver``/``overlap``/``swap_placement`` kwargs,
-and a few bench runners passed bare ``(cluster, booster)`` tuples.
-:class:`Partition` replaces all of those shapes with one frozen value
-type that every layer shares; the old shapes keep working behind
-:meth:`Partition.coerce` and a deprecation shim in
-:mod:`repro.autotune`.
+Every layer describes a placement with this one frozen value type:
+the autotuner's search space, the perfmodel's predictor, the engine's
+spec (``ExperimentSpec(partition=...)``) and the supervisor's
+re-tunes.  :meth:`Partition.coerce` also accepts the dict form that
+specs, reports and cache keys store.
 
 A partition is a small tree:
 
@@ -32,7 +28,6 @@ and take no arms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -119,10 +114,9 @@ class Partition:
 
     # -- value semantics ----------------------------------------------------
     def _key(self) -> tuple:
-        """Comparison key: compares equal across subclasses (the
-        deprecated ``PartitionConfig`` shim *is* a ``Partition``) and
-        orders flat partitions exactly as the pre-1.8 tuple order did
-        (``None`` arms sort as empty tuples, i.e. first)."""
+        """Comparison key: orders flat partitions exactly as the
+        pre-1.8 tuple order did (``None`` arms sort as empty tuples,
+        i.e. first)."""
         return (
             self.cluster_nodes,
             self.booster_nodes,
@@ -237,9 +231,9 @@ class Partition:
     def to_dict(self) -> dict:
         """JSON-safe dict form (the shape stored in cache keys and
         reports).  Flat partitions serialize to the exact four-key
-        shape the pre-1.8 ``PartitionConfig`` produced — absent arms
-        are omitted, not ``None``-valued — so stored reports and cache
-        keys survive the redesign."""
+        shape 1.x stored — absent arms are omitted, not
+        ``None``-valued — so stored reports and cache keys survive the
+        redesign."""
         d = {
             "cluster_nodes": self.cluster_nodes,
             "booster_nodes": self.booster_nodes,
@@ -263,27 +257,13 @@ class Partition:
 
     @classmethod
     def coerce(cls, obj) -> "Partition":
-        """Normalize any historical partition shape to a ``Partition``.
-
-        Accepts a ``Partition`` (returned as is), the dict form, or —
-        behind a :class:`DeprecationWarning` — the legacy bare
-        ``(cluster_nodes, booster_nodes)`` tuple the bench runners used
-        to pass around.
-        """
+        """``obj`` as a ``Partition``: a ``Partition`` comes back as
+        is, its dict form goes through :meth:`from_dict`."""
         if isinstance(obj, Partition):
             return obj
         if isinstance(obj, dict):
             return cls.from_dict(obj)
-        if isinstance(obj, (tuple, list)) and 2 <= len(obj) <= 4:
-            warnings.warn(
-                "bare (cluster_nodes, booster_nodes) partition tuples are "
-                "deprecated; pass a repro.partition.Partition",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return Partition(*obj)
         raise TypeError(
             f"cannot interpret {obj!r} as a Partition (expected a "
-            "Partition, its dict form, or a legacy (cluster, booster) "
-            "tuple)"
+            "Partition or its dict form)"
         )

@@ -10,7 +10,7 @@ workloads at once.
 The pipeline per submission:
 
 1. **Coalescing** — the spec's content-addressed key (from
-   :mod:`repro.cache`) is checked against the in-flight map; an
+   :mod:`repro.store`) is checked against the in-flight map; an
    identical spec already queued or running merges onto the existing
    :class:`~repro.serve.queue.Job`, whose single execution fans its
    report out to every waiter bit-identically.
@@ -73,8 +73,8 @@ import traceback as _traceback
 from typing import List, Optional, Tuple
 
 from ..backoff import ExponentialBackoff
-from ..cache import cache_key
 from ..engine import Engine, ExperimentSpec, _coerce_cache
+from ..store import cache_key
 from .health import write_heartbeat
 from .journal import JobJournal, JournalRecord
 from .metrics import ServiceMetrics
@@ -103,7 +103,7 @@ class ExperimentService:
     ----------
     engine, cache, workers
         The execution stack: an :class:`~repro.engine.Engine`, an
-        optional :class:`~repro.cache.ResultCache` (or directory
+        optional :class:`~repro.store.ResultCache` (or directory
         path), and the process-pool width (1 = in-process serial).
     max_queue
         Bound on pending jobs; submissions beyond it are rejected with
@@ -213,7 +213,7 @@ class ExperimentService:
     # -- properties ----------------------------------------------------------
     @property
     def cache(self):
-        """The attached :class:`~repro.cache.ResultCache` (or None)."""
+        """The attached :class:`~repro.store.ResultCache` (or None)."""
         return self._cache
 
     @property

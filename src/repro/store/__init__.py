@@ -23,8 +23,6 @@ the experiment service adopt the tiers without change::
     Session(cache=cache).run(mode="cb", steps=100)
     cache.query(where=["mode=C+B", "nodes_per_solver=8"])
     cache.aggregate("total_runtime", where="mode=C+B")
-
-``repro.cache`` remains as the compatibility import path.
 """
 
 from .index import INDEX_COLUMNS, INDEX_SCHEMA, ColumnarIndex, entry_columns
@@ -36,7 +34,6 @@ from .tiered import (
     CACHE_ENTRY_SCHEMA,
     PRUNE_POLICIES,
     ResultCache,
-    TieredResultCache,
 )
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "ColumnarIndex",
     "ReportLRU",
     "ResultCache",
-    "TieredResultCache",
     "cache_key",
     "canonical_spec_json",
     "code_salt",

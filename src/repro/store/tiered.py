@@ -46,7 +46,6 @@ __all__ = [
     "CACHE_ENTRY_SCHEMA",
     "PRUNE_POLICIES",
     "ResultCache",
-    "TieredResultCache",
 ]
 
 #: schema tag of one stored cache entry (bump on breaking change)
@@ -537,7 +536,3 @@ class ResultCache:
         from .query import run_aggregate
 
         return run_aggregate(self, field, where=where, group_by=group_by)
-
-
-#: descriptive alias for docs and discovery ("the tiered store")
-TieredResultCache = ResultCache

@@ -1,6 +1,7 @@
 """Tests for the repro.api Session facade and the spec/cache
 hardening that shipped with it."""
 
+import importlib
 import json
 import warnings
 
@@ -8,8 +9,10 @@ import pytest
 
 import repro
 from repro.api import Session
-from repro.cache import ResultCache
+from repro.bench import run_fig7
 from repro.engine import Engine, ExperimentSpec
+from repro.partition import Partition
+from repro.store import ResultCache
 
 
 def canon(report):
@@ -120,18 +123,6 @@ def test_cache_prune_negative_budget_raises(tmp_path):
         ResultCache(tmp_path / "store").prune(max_bytes=-1)
 
 
-def test_spec_positional_args_warn_exactly_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spec = ExperimentSpec("deep-er", "xpic", "cb")
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "keyword" in str(deprecations[0].message)
-    assert (spec.preset, spec.app, spec.mode) == ("deep-er", "xpic", "C+B")
-
-
 def test_spec_keyword_args_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -139,22 +130,30 @@ def test_spec_keyword_args_do_not_warn():
     assert spec.steps == 5
 
 
-def test_spec_positional_shim_matches_keyword_construction():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        positional = ExperimentSpec("deep-er", "xpic", "cb", 42)
-    assert positional == ExperimentSpec(
-        preset="deep-er", app="xpic", mode="cb", steps=42
-    )
-
-
-def test_spec_positional_shim_rejects_bad_calls():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError, match="at most"):
-            ExperimentSpec(*(["x"] * 40))  # more args than fields
-        with pytest.raises(TypeError, match="preset"):
-            ExperimentSpec("deep-er", preset="deep-est")  # duplicate
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ExperimentSpec("deep-er"), TypeError),
+        (lambda: Partition.coerce((4, 4)), TypeError),
+        (lambda: importlib.import_module("repro.cache"), ModuleNotFoundError),
+        (lambda: run_fig7(workers=2), TypeError),
+        (lambda: Session().tune(nested=True), TypeError),
+    ],
+    ids=[
+        "positional-spec",
+        "tuple-partition",
+        "cache-module",
+        "run_fig7-workers",
+        "tune-nested",
+    ],
+)
+def test_removed_spellings_stay_removed(call, error):
+    """Each input has one spelling since 2.0: the old ones fail loudly
+    instead of running (a positional spec, a bare tuple, the
+    ``repro.cache`` path, the runners' engine/workers/cache keywords,
+    ``Session.tune(nested=)``)."""
+    with pytest.raises(error):
+        call()
 
 
 def test_session_query_and_aggregate(tmp_path):

@@ -13,8 +13,8 @@ from repro.autotune import (
 )
 from repro.apps.xpic import XpicConfig, table2_setup
 from repro.partition import Partition
-from repro.cache import ResultCache
 from repro.engine import preset_machine
+from repro.store import ResultCache
 
 
 # -- Partition --------------------------------------------------------

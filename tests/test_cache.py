@@ -5,14 +5,14 @@ import json
 
 import pytest
 
-from repro.cache import (
+from repro.engine import Engine, ExperimentSpec
+from repro.store import (
     CACHE_ENTRY_SCHEMA,
     ResultCache,
     cache_key,
     canonical_spec_json,
     code_salt,
 )
-from repro.engine import Engine, ExperimentSpec
 
 
 PLAN = {

@@ -1,8 +1,63 @@
 """Tests for the command-line interface."""
 
+import argparse
+import hashlib
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store import ResultCache
+
+#: sha256 of the parser surface (:func:`_parser_surface`) as sorted JSON:
+#: 19 commands, 143 options
+PARSER_SURFACE_SHA256 = (
+    "58d26c2fe1529b840b78fb47f6345cf2c51537c952726bd32b9005a06bbcb259"
+)
+
+
+def _parser_surface(parser, path=()):
+    """Every option of every leaf command, keyed by the command path,
+    with each field that changes how a command line parses (help text
+    left out); options sorted so declaration order does not count."""
+    surface, options, leaf = {}, [], True
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            leaf = False
+            for name, sub in action.choices.items():
+                surface.update(_parser_surface(sub, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            options.append({
+                "option_strings": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", action.type),
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "required": action.required,
+                "action": type(action).__name__,
+                "nargs": action.nargs,
+                "metavar": action.metavar,
+            })
+    if leaf:
+        surface[" ".join(path)] = sorted(
+            options, key=lambda o: (o["option_strings"], o["dest"])
+        )
+    return surface
+
+
+def test_parser_surface_is_pinned():
+    surface = _parser_surface(build_parser())
+    assert len(surface) == 19
+    assert sum(len(options) for options in surface.values()) == 143
+    digest = hashlib.sha256(
+        json.dumps(surface, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == PARSER_SURFACE_SHA256, (
+        "the CLI surface changed (an option, default, type, choice or "
+        f"arity); if on purpose, pin the new digest {digest}"
+    )
 
 
 def test_table1_command(capsys):
@@ -62,8 +117,6 @@ def test_run_command(capsys):
 
 
 def test_run_command_writes_artifacts(tmp_path, capsys):
-    import json
-
     json_path = tmp_path / "r.json"
     trace_path = tmp_path / "r.trace.json"
     assert (
@@ -171,8 +224,6 @@ def test_tune_command(tmp_path, capsys):
     assert "tuned speedup" in out
     assert "model-vs-measured error" in out
 
-    import json
-
     doc = json.loads(json_path.read_text())
     assert doc["schema"] == "repro.tune_report/1"
     assert doc["best_runtime_s"] <= doc["baseline"]["measured_s"]
@@ -271,13 +322,45 @@ def test_query_command(tmp_path, capsys):
          "--json", str(json_path)]
     ) == 0
     capsys.readouterr()
-    import json
-
     doc = json.loads(json_path.read_text())
     assert len(doc["rows"]) == 1 and doc["rows"][0]["steps"] == 3
 
     assert main(["query", "--dir", store, "--where", "steps~3"]) == 2
     assert "predicate" in capsys.readouterr().err
+
+
+def test_query_json_aggregates_once(tmp_path, capsys, monkeypatch):
+    store = str(tmp_path / "store")
+    for steps in ("2", "3"):
+        assert main(
+            ["run", "--mode", "cb", "--steps", steps, "--cache", store]
+        ) == 0
+    calls = []
+    aggregate = ResultCache.aggregate
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return aggregate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResultCache, "aggregate", counted)
+    capsys.readouterr()
+    json_path = tmp_path / "query.json"
+    assert main(
+        ["query", "--dir", store, "--agg", "total_runtime",
+         "--json", str(json_path)]
+    ) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    # the JSON aggregate is the one the table printed
+    agg = json.loads(json_path.read_text())["aggregate"]
+    printed = dict(
+        (cell.strip() for cell in line.split("|"))
+        for line in out.split("Aggregate: total_runtime")[1].splitlines()
+        if line.count("|") == 1
+    )
+    assert printed["count"] == str(agg["count"]) == "2"
+    for stat in ("mean", "min", "max", "p50", "p90", "p99"):
+        assert printed[stat] == f"{agg[stat]:.4f}"
 
 
 def test_query_group_by(tmp_path, capsys):
@@ -303,8 +386,6 @@ def test_query_group_by(tmp_path, capsys):
          "--group-by", "mode", "--json", str(json_path)]
     ) == 0
     capsys.readouterr()
-    import json
-
     agg = json.loads(json_path.read_text())["aggregate"]
     assert agg["group_by"] == "mode"
     assert [g["group"] for g in agg["groups"]] == [

@@ -1,7 +1,4 @@
-"""Tests for the canonical (optionally hierarchical) Partition type
-and the deprecation shims the API redesign left behind."""
-
-import warnings
+"""Tests for the canonical (optionally hierarchical) Partition type."""
 
 import pytest
 
@@ -148,7 +145,7 @@ def test_to_spec_flat_and_nested():
     }
 
 
-# -- coercion and the deprecation shims --------------------------------------
+# -- coercion and exports ----------------------------------------------------
 
 def test_coerce_passthrough_and_dict():
     p = Partition(2, 2)
@@ -156,31 +153,6 @@ def test_coerce_passthrough_and_dict():
     assert Partition.coerce(p.to_dict()) == p
     with pytest.raises(TypeError):
         Partition.coerce("C+B")
-
-
-def test_coerce_legacy_tuple_warns_exactly_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        p = Partition.coerce((4, 4, False))
-    assert p == Partition(4, 4, overlap=False)
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
-    assert "deprecated" in str(deps[0].message)
-
-
-def test_autotune_shim_warns_exactly_once_and_compares_equal():
-    from repro.autotune import PartitionConfig
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        old = PartitionConfig(2, 2, overlap=False)
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
-    assert "repro.partition.Partition" in str(deps[0].message)
-    # the shim IS a Partition and compares equal to the canonical type
-    assert isinstance(old, Partition)
-    assert old == Partition(2, 2, overlap=False)
-    assert hash(old) == hash(Partition(2, 2, overlap=False))
 
 
 def test_top_level_export():

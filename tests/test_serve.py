@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.cache import ResultCache
 from repro.engine import Engine, ExperimentSpec
 from repro.serve import (
     ExperimentService,
@@ -19,6 +18,7 @@ from repro.serve import (
 )
 from repro.serve.filejob import SERVICE_METRICS_SCHEMA
 from repro.serve.metrics import LatencyHistogram
+from repro.store import ResultCache
 
 
 def spec(steps=3, mode="cb", seed=20180521, **kw):

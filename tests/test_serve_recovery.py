@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.backoff import ExponentialBackoff
-from repro.cache import ResultCache
 from repro.engine import Engine, ExperimentSpec
 from repro.serve import (
     DeadlineExceeded,
@@ -29,6 +28,7 @@ from repro.serve import (
     submit_job,
     wait_result,
 )
+from repro.store import ResultCache
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -629,6 +629,12 @@ def test_cli_serve_status_stale_threshold(tmp_path, capsys):
          "--stale-after-s", "0.5"]
     ) == 1
     assert "threshold 0.5s" in capsys.readouterr().out
+    # zero is a threshold too, not a request for the default
+    assert main(
+        ["serve", "--jobdir", str(jobdir), "--status",
+         "--stale-after-s", "0"]
+    ) == 1
+    assert "threshold 0s" in capsys.readouterr().out
     # a dead pid is stale no matter how fresh the beat or threshold
     reaped = subprocess.Popen([sys.executable, "-c", "pass"])
     reaped.wait()
