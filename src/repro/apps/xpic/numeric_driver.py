@@ -2,10 +2,11 @@
 
 Unlike :mod:`repro.apps.xpic.driver` (which charges modeled kernel
 times for the performance study), these drivers execute the actual
-NumPy physics, domain-decomposed over the simulated MPI — including
-the Cluster-Booster mode, where the field solver ranks live on Cluster
-nodes and the particle solver ranks on Booster nodes, exchanging real
-interface buffers through the inter-communicator.
+NumPy physics, block-decomposed over the simulated MPI as a
+``layout = (px, py)`` process grid (a row slab is ``(1, n)``) —
+including the Cluster-Booster mode, where the field solver ranks live
+on Cluster nodes and the particle solver ranks on Booster nodes,
+exchanging real interface buffers through the inter-communicator.
 
 They exist to *validate* the partition: every mode must produce the
 same physics as the single-process reference loop (Listing 1), which
@@ -15,7 +16,7 @@ capability to run out-of-the-box" (section III).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -24,22 +25,17 @@ from ...mpi import MPIRuntime, RankContext
 from .config import XpicConfig
 from .driver import Mode
 from .parallel import (
+    Block2D,
     DistributedFields,
     DistributedParticles,
-    Slab,
-    load_slab_species,
+    load_block_species,
 )
 
-__all__ = ["run_numeric_experiment", "numeric_fingerprint"]
+__all__ = ["run_numeric_experiment"]
 
 TAG_NF = 201  # fields cluster -> booster
 TAG_NM = 202  # moments booster -> cluster
 TAG_NM0 = 203  # initial moments
-
-
-def numeric_fingerprint(sim) -> Dict[str, float]:
-    """Fingerprint of a reference :class:`XpicSimulation` for comparison."""
-    return sim.state_fingerprint()
 
 
 def _allreduced_fingerprint(comm, fields: DistributedFields, particles, rho_owned):
@@ -50,10 +46,10 @@ def _allreduced_fingerprint(comm, fields: DistributedFields, particles, rho_owne
     )
     rho_sum = yield from comm.allreduce(float(np.sum(rho_owned)))
     e2 = yield from comm.allreduce(
-        float(np.sum(fields.slab.owned(fields.E) ** 2))
+        float(np.sum(fields.block.owned(fields.E) ** 2))
     )
     b2 = yield from comm.allreduce(
-        float(np.sum(fields.slab.owned(fields.B) ** 2))
+        float(np.sum(fields.block.owned(fields.B) ** 2))
     )
     return {
         "field_energy": fe,
@@ -65,13 +61,13 @@ def _allreduced_fingerprint(comm, fields: DistributedFields, particles, rho_owne
 
 
 # --------------------------------------------------------------------------
-# Homogeneous numeric app: both solvers on every rank's slab
+# Homogeneous numeric app: both solvers on every rank's block
 # --------------------------------------------------------------------------
-def _numeric_homogeneous_app(ctx: RankContext, cfg: XpicConfig, n: int):
+def _numeric_homogeneous_app(ctx: RankContext, cfg: XpicConfig, layout):
     comm = ctx.world
-    slab = Slab(cfg, n, comm.rank)
-    fields = DistributedFields(slab, cfg)
-    particles = DistributedParticles(slab, load_slab_species(cfg, slab))
+    block = Block2D(cfg, layout, comm.rank)
+    fields = DistributedFields(block, cfg)
+    particles = DistributedParticles(block, load_block_species(cfg, block))
     rho, J = yield from particles.gather_moments(comm)
     for _ in range(cfg.steps):
         yield from fields.calculate_E(comm, cfg.dt, rho, J)
@@ -86,13 +82,13 @@ def _numeric_homogeneous_app(ctx: RankContext, cfg: XpicConfig, n: int):
 # --------------------------------------------------------------------------
 # C+B numeric apps: field ranks on the Cluster, particle ranks on Booster
 # --------------------------------------------------------------------------
-def _numeric_cluster_app(ctx: RankContext, cfg: XpicConfig, n: int):
+def _numeric_cluster_app(ctx: RankContext, cfg: XpicConfig, layout):
     """Field solver (Listing 2) with real numerics."""
     world = ctx.world
     inter = ctx.get_parent()
     partner = world.rank
-    slab = Slab(cfg, n, world.rank)
-    fields = DistributedFields(slab, cfg)
+    block = Block2D(cfg, layout, world.rank)
+    fields = DistributedFields(block, cfg)
     rho, J = yield from inter.recv(source=partner, tag=TAG_NM0)
     for _ in range(cfg.steps):
         yield from fields.calculate_E(world, cfg.dt, rho, J)
@@ -113,26 +109,25 @@ def _numeric_cluster_app(ctx: RankContext, cfg: XpicConfig, n: int):
 
 
 def _numeric_booster_app(
-    ctx: RankContext, cfg: XpicConfig, n: int, cluster_nodes: Sequence
+    ctx: RankContext, cfg: XpicConfig, layout, cluster_nodes: Sequence
 ):
     """Particle solver (Listing 3) with real numerics."""
     world = ctx.world
     inter = yield from world.spawn(
-        lambda c: _numeric_cluster_app(c, cfg, n),
+        lambda c: _numeric_cluster_app(c, cfg, layout),
         cluster_nodes,
         nprocs=world.size,
         name="xpic-numeric-fields",
         startup_cost_s=0.0,
     )
     partner = world.rank
-    slab = Slab(cfg, n, world.rank)
-    particles = DistributedParticles(slab, load_slab_species(cfg, slab))
+    block = Block2D(cfg, layout, world.rank)
+    particles = DistributedParticles(block, load_block_species(cfg, block))
     rho, J = yield from particles.gather_moments(world)
     yield from inter.send((rho, J), dest=partner, tag=TAG_NM0)
     for _ in range(cfg.steps):
         buf = yield from inter.recv(source=partner, tag=TAG_NF)
-        E_theta_ext, B_ext = buf[:3], buf[3:]
-        particles.move(E_theta_ext, B_ext, cfg.dt)
+        particles.move(buf[:3], buf[3:], cfg.dt)
         yield from particles.migrate(world)
         rho, J = yield from particles.gather_moments(world)
         req = inter.isend((rho, J), dest=partner, tag=TAG_NM)
@@ -151,21 +146,23 @@ def run_numeric_experiment(
     machine: Machine,
     mode: Mode,
     config: XpicConfig,
-    nodes_per_solver: int = 1,
+    layout: Tuple[int, int] = (1, 1),
 ) -> Dict[str, float]:
-    """Run the real physics in the given mode; returns the global
-    fingerprint (identical across modes up to floating-point noise)."""
+    """Run the real physics in the given mode, block-decomposed as
+    ``layout = (px, py)`` with one rank (one node) per block and per
+    solver; returns the global fingerprint (identical across modes and
+    layouts up to floating-point noise)."""
     mode = Mode(mode)
-    n = nodes_per_solver
+    n = layout[0] * layout[1]
     rt = MPIRuntime(machine)
     if mode in (Mode.CLUSTER, Mode.BOOSTER):
         nodes = machine.cluster[:n] if mode is Mode.CLUSTER else machine.booster[:n]
         results = rt.run_app(
-            lambda c: _numeric_homogeneous_app(c, config, n), nodes
+            lambda c: _numeric_homogeneous_app(c, config, layout), nodes
         )
         return results[0]
     results = rt.run_app(
-        lambda c: _numeric_booster_app(c, config, n, machine.cluster[:n]),
+        lambda c: _numeric_booster_app(c, config, layout, machine.cluster[:n]),
         machine.booster[:n],
     )
     return results[0]

@@ -1,11 +1,15 @@
-"""Slab-decomposed xPic: the real numerics, distributed over ranks.
+"""Block-decomposed xPic: the real numerics, distributed over ranks.
 
-Row-slab domain decomposition of the 2D grid (contiguous memory per
-slab).  Field arrays carry one ghost row on each side::
+The 2D grid is split over a ``px x py`` periodic process grid, the
+decomposition production PIC codes use; a row slab is the layout
+``(1, n)``.  Local arrays carry one ghost cell on *all four* sides::
 
-    slot 0        = bottom ghost (neighbour's last owned row)
-    slots 1..R    = owned rows
-    slot R+1      = top ghost (neighbour's first owned row)
+    (components, rows+2, cols+2)        interior = [1:-1, 1:-1]
+
+Corner ghosts (needed by CIC interpolation/deposition) are obtained by
+the standard two-phase trick: exchange in x first, then exchange in y
+*including the x-ghost columns*, which propagates corners without
+diagonal messages.  Particle migration uses the same two-phase pattern.
 
 All communication (ghost exchange, moment halo-add, particle
 migration, CG dot products) goes through the simulated MPI, so the
@@ -16,87 +20,115 @@ single-process reference (:class:`~repro.apps.xpic.simulation.XpicSimulation`).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Tuple
 
 import numpy as np
 
 from ...mpi import Comm
 from .config import XpicConfig
-from .fields import conjugate_gradient  # noqa: F401 (reference impl)
 from .grid import Grid2D
+from .moments import cic_weights
 from .particles import Species, maxwellian_species
 
-__all__ = ["Slab", "DistributedFields", "DistributedParticles", "load_slab_species"]
+__all__ = ["Block2D", "DistributedFields", "DistributedParticles",
+           "load_block_species"]
 
-TAG_HALO_UP = 71
-TAG_HALO_DOWN = 72
-TAG_MOMENT_FOLD = 73
-TAG_MIGRATE_UP = 74
-TAG_MIGRATE_DOWN = 75
+TAG_X = 81
+TAG_Y = 82
+TAG_FOLD_X = 83
+TAG_FOLD_Y = 84
+TAG_MIG_X = 85
+TAG_MIG_Y = 86
 
 
-class Slab:
-    """One rank's share of the global grid (rows in y)."""
+class Block2D:
+    """One rank's block of the global grid in a px x py layout."""
 
-    def __init__(self, config: XpicConfig, n_ranks: int, rank: int):
-        if config.ny % n_ranks != 0:
-            raise ValueError(f"ny={config.ny} not divisible into {n_ranks} slabs")
-        if not 0 <= rank < n_ranks:
-            raise ValueError("rank out of range")
+    def __init__(self, config: XpicConfig, layout: Tuple[int, int], rank: int):
+        px, py = layout
+        if px < 1 or py < 1:
+            raise ValueError("layout must be positive")
+        if config.nx % px or config.ny % py:
+            raise ValueError(
+                f"grid {config.nx}x{config.ny} not divisible by layout {layout}"
+            )
+        if not 0 <= rank < px * py:
+            raise ValueError("rank outside the process grid")
         self.config = config
-        self.n_ranks = n_ranks
+        self.px, self.py = px, py
         self.rank = rank
+        self.rx = rank % px
+        self.ry = rank // px
         self.global_grid = Grid2D(config.nx, config.ny, config.lx, config.ly)
-        self.rows = config.ny // n_ranks
-        self.row0 = rank * self.rows
-        self.nx = config.nx
+        self.cols = config.nx // px
+        self.rows = config.ny // py
+        self.col0 = self.rx * self.cols
+        self.row0 = self.ry * self.rows
         self.dx = self.global_grid.dx
         self.dy = self.global_grid.dy
+        self.x0 = self.col0 * self.dx
+        self.x1 = (self.col0 + self.cols) * self.dx
         self.y0 = self.row0 * self.dy
         self.y1 = (self.row0 + self.rows) * self.dy
 
+    # -- neighbours (periodic process grid) ---------------------------------
+    def neighbour(self, dx_r: int, dy_r: int) -> int:
+        """Rank offset by (dx, dy) on the periodic process grid."""
+        nx_r = (self.rx + dx_r) % self.px
+        ny_r = (self.ry + dy_r) % self.py
+        return ny_r * self.px + nx_r
+
     @property
-    def up(self) -> int:
-        """Rank owning the rows above (periodic)."""
-        return (self.rank + 1) % self.n_ranks
+    def left(self) -> int:
+        """Rank of the -x neighbour block."""
+        return self.neighbour(-1, 0)
+
+    @property
+    def right(self) -> int:
+        """Rank of the +x neighbour block."""
+        return self.neighbour(+1, 0)
 
     @property
     def down(self) -> int:
-        """Rank owning the rows below (periodic)."""
-        return (self.rank - 1) % self.n_ranks
+        """Rank of the -y neighbour block."""
+        return self.neighbour(0, -1)
+
+    @property
+    def up(self) -> int:
+        """Rank of the +y neighbour block."""
+        return self.neighbour(0, +1)
 
     def zeros_ext(self, components: int = 3) -> np.ndarray:
-        """Extended array with ghost rows: (components, rows+2, nx)."""
+        """Zeroed extended array with one ghost cell on every side."""
+        shape = (self.rows + 2, self.cols + 2)
         if components == 1:
-            return np.zeros((self.rows + 2, self.nx))
-        return np.zeros((components, self.rows + 2, self.nx))
+            return np.zeros(shape)
+        return np.zeros((components,) + shape)
 
     def owned(self, ext: np.ndarray) -> np.ndarray:
-        """View of the owned rows of an extended array."""
-        return ext[..., 1:-1, :]
+        """View of the owned interior of an extended array."""
+        return ext[..., 1:-1, 1:-1]
 
-    # -- local differential operators (x periodic, y via ghosts) -----------
+    # -- operators (all ghosts assumed filled) ------------------------------
     def ddx(self, ext: np.ndarray) -> np.ndarray:
-        """d/dx on owned rows; input extended, output owned-shaped."""
-        f = ext[..., 1:-1, :]
-        return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2 * self.dx)
+        """Central d/dx on owned cells using the x ghosts."""
+        return (ext[..., 1:-1, 2:] - ext[..., 1:-1, :-2]) / (2 * self.dx)
 
     def ddy(self, ext: np.ndarray) -> np.ndarray:
-        """d/dy on owned rows using the ghost rows."""
-        return (ext[..., 2:, :] - ext[..., :-2, :]) / (2 * self.dy)
+        """Central d/dy on owned cells using the y ghosts."""
+        return (ext[..., 2:, 1:-1] - ext[..., :-2, 1:-1]) / (2 * self.dy)
 
     def laplacian(self, ext: np.ndarray) -> np.ndarray:
-        """Compact Laplacian on owned rows, using the ghost rows in y."""
-        f = ext[..., 1:-1, :]
-        ddxx = (
-            np.roll(f, -1, axis=-1) - 2 * f + np.roll(f, 1, axis=-1)
-        ) / self.dx**2
-        ddyy = (ext[..., 2:, :] - 2 * f + ext[..., :-2, :]) / self.dy**2
-        return ddxx + ddyy
+        """Compact Laplacian on owned cells using all face ghosts."""
+        f = ext[..., 1:-1, 1:-1]
+        return (
+            (ext[..., 1:-1, 2:] - 2 * f + ext[..., 1:-1, :-2]) / self.dx**2
+            + (ext[..., 2:, 1:-1] - 2 * f + ext[..., :-2, 1:-1]) / self.dy**2
+        )
 
     def curl(self, ext: np.ndarray) -> np.ndarray:
-        """Curl of an extended 3-component field, on owned rows."""
-        out = np.empty((3, self.rows, self.nx))
+        """Curl of an extended 3-component field, on owned cells."""
+        out = np.empty((3, self.rows, self.cols))
         out[0] = self.ddy(ext[2])
         out[1] = -self.ddx(ext[2])
         out[2] = self.ddx(ext[1]) - self.ddy(ext[0])
@@ -104,285 +136,317 @@ class Slab:
 
     # -- particle indexing --------------------------------------------------
     def local_indices(self, x: np.ndarray, y: np.ndarray):
-        """CIC corner indices into the *extended* arrays for particles
-        inside this slab, plus the bilinear weights."""
-        fx = x / self.dx
-        fy = y / self.dy
-        ix = np.floor(fx).astype(np.int64) % self.nx
-        iy_global = np.floor(fy).astype(np.int64)
-        slot = iy_global - self.row0 + 1  # owned rows map to 1..rows
-        tx = fx - np.floor(fx)
-        ty = fy - np.floor(fy)
-        w00 = (1 - ty) * (1 - tx)
-        w01 = (1 - ty) * tx
-        w10 = ty * (1 - tx)
-        w11 = ty * tx
-        return ix, slot, w00, w01, w10, w11
+        """CIC corner indices (into the extended arrays) and weights,
+        ``(col, slot, w00, w01, w10, w11)``; owned cells map to
+        ``1..cols`` and ``1..rows``."""
+        ix, iy, w00, w01, w10, w11 = cic_weights(self.global_grid, x, y)
+        return ix - self.col0 + 1, iy - self.row0 + 1, w00, w01, w10, w11
 
-    def interpolate(self, ext: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gather an extended (3, rows+2, nx) field at particle positions."""
-        ix, slot, w00, w01, w10, w11 = self.local_indices(x, y)
-        ix1 = (ix + 1) % self.nx
+    def interpolate(self, ext: np.ndarray, x, y) -> np.ndarray:
+        """Gather an extended field at particle positions (CIC)."""
+        col, slot, w00, w01, w10, w11 = self.local_indices(x, y)
         out = np.empty((ext.shape[0], x.shape[0]))
         for c in range(ext.shape[0]):
             f = ext[c]
             out[c] = (
-                f[slot, ix] * w00
-                + f[slot, ix1] * w01
-                + f[slot + 1, ix] * w10
-                + f[slot + 1, ix1] * w11
+                f[slot, col] * w00
+                + f[slot, col + 1] * w01
+                + f[slot + 1, col] * w10
+                + f[slot + 1, col + 1] * w11
             )
         return out
 
-    def deposit(self, x: np.ndarray, y: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """CIC-deposit per-particle values into an extended scalar array."""
-        ext_flat = np.zeros((self.rows + 2) * self.nx)
+    def deposit(self, x, y, values) -> np.ndarray:
+        """CIC-deposit particle values into a fresh extended array."""
+        ext_flat = np.zeros((self.rows + 2) * (self.cols + 2))
         if x.shape[0]:
-            ix, slot, w00, w01, w10, w11 = self.local_indices(x, y)
-            ix1 = (ix + 1) % self.nx
+            col, slot, w00, w01, w10, w11 = self.local_indices(x, y)
+            w = self.cols + 2
             n = ext_flat.shape[0]
-            ext_flat += np.bincount(slot * self.nx + ix, weights=values * w00, minlength=n)
-            ext_flat += np.bincount(slot * self.nx + ix1, weights=values * w01, minlength=n)
-            ext_flat += np.bincount((slot + 1) * self.nx + ix, weights=values * w10, minlength=n)
-            ext_flat += np.bincount((slot + 1) * self.nx + ix1, weights=values * w11, minlength=n)
-        return ext_flat.reshape(self.rows + 2, self.nx) / (self.dx * self.dy)
+            ext_flat += np.bincount(slot * w + col, weights=values * w00, minlength=n)
+            ext_flat += np.bincount(slot * w + col + 1, weights=values * w01, minlength=n)
+            ext_flat += np.bincount((slot + 1) * w + col, weights=values * w10, minlength=n)
+            ext_flat += np.bincount((slot + 1) * w + col + 1, weights=values * w11, minlength=n)
+        return ext_flat.reshape(self.rows + 2, self.cols + 2) / (self.dx * self.dy)
 
 
 class DistributedFields:
-    """The field solver's state on one slab, with MPI generators."""
+    """The field solver's state on one block, with MPI generators."""
 
-    def __init__(self, slab: Slab, config: XpicConfig):
-        self.slab = slab
+    def __init__(self, block: Block2D, config: XpicConfig):
+        self.block = block
         self.config = config
-        self.E = slab.zeros_ext()
-        self.B = slab.zeros_ext()
-        self.E_theta = slab.zeros_ext()
+        self.E = block.zeros_ext()
+        self.B = block.zeros_ext()
+        self.E_theta = block.zeros_ext()
         self.last_cg_iters = 0
 
-    # -- halo exchange ----------------------------------------------------
+    # -- ghost exchange ----------------------------------------------------
     def halo_exchange(self, comm: Comm, ext: np.ndarray) -> Generator:
-        """Fill the ghost rows of an extended array from the neighbours.
+        """Fill all ghosts (faces + corners) of an extended array.
 
-        Single rank: periodic wrap is local.
+        An axis with one block wraps locally, with no message.
         """
-        slab = self.slab
-        if slab.n_ranks == 1:
+        b = self.block
+        # phase 1: x direction (interior rows only)
+        if b.px == 1:
+            ext[..., :, 0] = ext[..., :, -2]
+            ext[..., :, -1] = ext[..., :, 1]
+        else:
+            right_face = np.ascontiguousarray(ext[..., 1:-1, -2])
+            left_face = np.ascontiguousarray(ext[..., 1:-1, 1])
+            got_left = yield from comm.sendrecv(
+                right_face, dest=b.right, source=b.left,
+                sendtag=TAG_X, recvtag=TAG_X,
+            )
+            got_right = yield from comm.sendrecv(
+                left_face, dest=b.left, source=b.right,
+                sendtag=TAG_X + 100, recvtag=TAG_X + 100,
+            )
+            ext[..., 1:-1, 0] = got_left
+            ext[..., 1:-1, -1] = got_right
+        # phase 2: y direction, full width (propagates corners)
+        if b.py == 1:
             ext[..., 0, :] = ext[..., -2, :]
             ext[..., -1, :] = ext[..., 1, :]
-            return
-        top_owned = np.ascontiguousarray(ext[..., -2, :])
-        bottom_owned = np.ascontiguousarray(ext[..., 1, :])
-        # send my top row up / receive my bottom ghost from below
-        got_bottom = yield from comm.sendrecv(
-            top_owned, dest=slab.up, source=slab.down,
-            sendtag=TAG_HALO_UP, recvtag=TAG_HALO_UP,
-        )
-        # send my bottom row down / receive my top ghost from above
-        got_top = yield from comm.sendrecv(
-            bottom_owned, dest=slab.down, source=slab.up,
-            sendtag=TAG_HALO_DOWN, recvtag=TAG_HALO_DOWN,
-        )
-        ext[..., 0, :] = got_bottom
-        ext[..., -1, :] = got_top
+        else:
+            top_face = np.ascontiguousarray(ext[..., -2, :])
+            bottom_face = np.ascontiguousarray(ext[..., 1, :])
+            got_bottom = yield from comm.sendrecv(
+                top_face, dest=b.up, source=b.down,
+                sendtag=TAG_Y, recvtag=TAG_Y,
+            )
+            got_top = yield from comm.sendrecv(
+                bottom_face, dest=b.down, source=b.up,
+                sendtag=TAG_Y + 100, recvtag=TAG_Y + 100,
+            )
+            ext[..., 0, :] = got_bottom
+            ext[..., -1, :] = got_top
 
-    # -- distributed CG -----------------------------------------------------
-    def _apply_helmholtz(self, comm: Comm, dt: float, ext: np.ndarray) -> Generator:
+    # -- distributed CG ------------------------------------------------------
+    def _apply_helmholtz(self, comm, dt, ext) -> Generator:
         yield from self.halo_exchange(comm, ext)
         k = (self.config.c * self.config.theta * dt) ** 2
-        return self.slab.owned(ext) - k * self.slab.laplacian(ext)
+        return self.block.owned(ext) - k * self.block.laplacian(ext)
 
-    def _dot(self, comm: Comm, a: np.ndarray, b: np.ndarray) -> Generator:
-        local = float(np.sum(a * b))
-        total = yield from comm.allreduce(local)
+    def _dot(self, comm, a, b) -> Generator:
+        total = yield from comm.allreduce(float(np.sum(a * b)))
         return total
 
-    def _cg(
-        self, comm: Comm, dt: float, b_owned: np.ndarray, x0_ext: np.ndarray
-    ) -> Generator:
+    def _cg(self, comm, dt, b_owned, x0_ext) -> Generator:
         """Distributed conjugate gradients on one field component."""
-        slab = self.slab
+        blk = self.block
         x = x0_ext.copy()
         Ax = yield from self._apply_helmholtz(comm, dt, x)
         r = b_owned - Ax
-        p_ext = slab.zeros_ext(1)
-        p_ext[1:-1, :] = r
+        p_ext = blk.zeros_ext(1)
+        p_ext[1:-1, 1:-1] = r
         rs = yield from self._dot(comm, r, r)
         b_norm2 = yield from self._dot(comm, b_owned, b_owned)
         if b_norm2 == 0.0:
-            return slab.zeros_ext(1), 0
+            return blk.zeros_ext(1), 0
         tol2 = (self.config.cg_tol**2) * b_norm2
         it = 0
         while rs > tol2 and it < self.config.cg_max_iters:
             Ap = yield from self._apply_helmholtz(comm, dt, p_ext)
-            pAp = yield from self._dot(comm, slab.owned(p_ext), Ap)
+            pAp = yield from self._dot(comm, blk.owned(p_ext), Ap)
             alpha = rs / pAp
-            x[1:-1, :] += alpha * slab.owned(p_ext)
+            x[1:-1, 1:-1] += alpha * blk.owned(p_ext)
             r -= alpha * Ap
             rs_new = yield from self._dot(comm, r, r)
-            p_ext[1:-1, :] = r + (rs_new / rs) * slab.owned(p_ext)
+            p_ext[1:-1, 1:-1] = r + (rs_new / rs) * blk.owned(p_ext)
             rs = rs_new
             it += 1
         yield from self.halo_exchange(comm, x)
         return x, it
 
     # -- solver steps -----------------------------------------------------
-    def calculate_E(
-        self, comm: Comm, dt: float, rho_owned: np.ndarray, J_owned: np.ndarray
-    ) -> Generator:
+    def calculate_E(self, comm, dt, rho_owned, J_owned) -> Generator:
         """Distributed implicit field solve (cf. FieldSolver.calculate_E)."""
-        cfg, slab = self.config, self.slab
+        cfg, blk = self.config, self.block
         ctdt = cfg.c * cfg.theta * dt
         yield from self.halo_exchange(comm, self.B)
-        curlB = slab.curl(self.B)
-        rhs = slab.owned(self.E) + ctdt * (curlB - 4.0 * np.pi * J_owned / cfg.c)
-        total_iters = 0
+        curlB = blk.curl(self.B)
+        rhs = blk.owned(self.E) + ctdt * (curlB - 4.0 * np.pi * J_owned / cfg.c)
+        total = 0
         for c in range(3):
-            x0 = np.zeros((slab.rows + 2, slab.nx))
-            x0[:, :] = self.E_theta[c]
+            x0 = np.array(self.E_theta[c])
             sol, iters = yield from self._cg(comm, dt, rhs[c], x0)
             self.E_theta[c] = sol
-            total_iters += iters
+            total += iters
         if cfg.theta > 0:
-            self.E[:, 1:-1, :] = (
-                self.E_theta[:, 1:-1, :] - (1.0 - cfg.theta) * self.E[:, 1:-1, :]
+            self.E[:, 1:-1, 1:-1] = (
+                self.E_theta[:, 1:-1, 1:-1]
+                - (1.0 - cfg.theta) * self.E[:, 1:-1, 1:-1]
             ) / cfg.theta
         else:
             self.E = self.E_theta.copy()
         yield from self.halo_exchange(comm, self.E)
-        self.last_cg_iters = total_iters
-        return total_iters
+        self.last_cg_iters = total
+        return total
 
-    def calculate_B(self, comm: Comm, dt: float) -> Generator:
+    def calculate_B(self, comm, dt) -> Generator:
         """Distributed Faraday update of B from the decentred E field."""
         yield from self.halo_exchange(comm, self.E_theta)
-        curlE = self.slab.curl(self.E_theta)
-        self.B[:, 1:-1, :] -= self.config.c * dt * curlE
+        curlE = self.block.curl(self.E_theta)
+        self.B[:, 1:-1, 1:-1] -= self.config.c * dt * curlE
         yield from self.halo_exchange(comm, self.B)
 
     def field_energy_local(self) -> float:
-        """This slab's contribution to the total field energy."""
-        cell = self.slab.dx * self.slab.dy
+        """This block's contribution to the total field energy."""
+        cell = self.block.dx * self.block.dy
         return 0.5 * cell * float(
-            np.sum(self.slab.owned(self.E) ** 2)
-            + np.sum(self.slab.owned(self.B) ** 2)
+            np.sum(self.block.owned(self.E) ** 2)
+            + np.sum(self.block.owned(self.B) ** 2)
         )
 
 
 class DistributedParticles:
-    """The particle solver's state on one slab, with MPI generators."""
+    """The particle solver's state on one block, with two-phase
+    migration and moment fold."""
 
-    def __init__(self, slab: Slab, species: List[Species]):
-        self.slab = slab
+    def __init__(self, block: Block2D, species: List[Species]):
+        self.block = block
         self.species = species
 
-    def move(self, E_ext: np.ndarray, B_ext: np.ndarray, dt: float) -> None:
-        """Boris push against the slab-extended field arrays (local)."""
-        slab = self.slab
+    def move(self, E_ext, B_ext, dt) -> None:
+        """Boris push against the block-extended field arrays (local)."""
+        b = self.block
         for sp in self.species:
             if sp.n == 0:
                 continue
-            qmdt2 = 0.5 * dt * sp.config.charge / sp.config.mass
-            Ep = slab.interpolate(E_ext, sp.x, sp.y)
-            Bp = slab.interpolate(B_ext, sp.x, sp.y)
-            vminus = sp.v + qmdt2 * Ep
-            t = qmdt2 * Bp
-            t2 = np.sum(t * t, axis=0)
-            s = 2.0 * t / (1.0 + t2)
-            vprime = vminus + np.cross(vminus.T, t.T).T
-            vplus = vminus + np.cross(vprime.T, s.T).T
-            sp.v = vplus + qmdt2 * Ep
-            sp.x += dt * sp.v[0]
-            sp.y += dt * sp.v[1]
-            np.mod(sp.x, slab.global_grid.lx, out=sp.x)
-            np.mod(sp.y, slab.global_grid.ly, out=sp.y)
+            sp.push(
+                b.interpolate(E_ext, sp.x, sp.y),
+                b.interpolate(B_ext, sp.x, sp.y),
+                dt,
+            )
+            b.global_grid.wrap_positions(sp.x, sp.y)
 
-    def migrate(self, comm: Comm) -> Generator:
-        """Ship particles that left the slab to the neighbour ranks.
+    def _migrate_axis(self, comm, si, sp, axis) -> Generator:
+        b = self.block
+        if axis == "x":
+            lo, hi, length = b.x0, b.x1, b.global_grid.lx
+            coord = sp.x
+            dest_plus, dest_minus = b.right, b.left
+            tag = TAG_MIG_X + 20 * si
+        else:
+            lo, hi, length = b.y0, b.y1, b.global_grid.ly
+            coord = sp.y
+            dest_plus, dest_minus = b.up, b.down
+            tag = TAG_MIG_Y + 20 * si
+        inside = (coord >= lo) & (coord < hi)
+        d_plus = (coord - hi) % length
+        d_minus = (lo - coord) % length
+        goes_plus = ~inside & (d_plus <= d_minus)
+        goes_minus = ~inside & ~goes_plus
+        # the neighbours own [hi, hi + extent) and [lo - extent, lo):
+        # a particle further away cannot be handed on
+        extent = hi - lo
+        beyond = (goes_plus & (d_plus >= extent)) | (goes_minus & (d_minus > extent))
+        if beyond.any():
+            raise ValueError(
+                f"{int(beyond.sum())} particle(s) moved more than one block "
+                f"extent ({extent:g}) along {axis} in one step; "
+                "reduce dt or use fewer blocks along that axis"
+            )
+        plus_pack = sp.extract(goes_plus)
+        # extract() compacts the arrays: keep the mask aligned
+        minus_pack = sp.extract(goes_minus[~goes_plus])
+        got_minus = yield from comm.sendrecv(
+            plus_pack, dest=dest_plus, source=dest_minus,
+            sendtag=tag, recvtag=tag,
+        )
+        got_plus = yield from comm.sendrecv(
+            minus_pack, dest=dest_minus, source=dest_plus,
+            sendtag=tag + 1, recvtag=tag + 1,
+        )
+        sp.inject(got_minus)
+        sp.inject(got_plus)
 
-        One step's travel is assumed under one slab height (checked),
-        so only nearest-neighbour exchange is needed.
+    def migrate(self, comm) -> Generator:
+        """Ship particles that left the block to the neighbour ranks.
+
+        Two-phase nearest-neighbour exchange (x then y): diagonal movers
+        reach their block in two hops.  One step's travel must stay
+        under one block extent on each axis; a particle that goes
+        further raises :class:`ValueError`.
         """
-        slab = self.slab
-        if slab.n_ranks == 1:
-            return 0
-        moved = 0
+        b = self.block
         for si, sp in enumerate(self.species):
-            in_slab = (sp.y >= slab.y0) & (sp.y < slab.y1)
-            # periodic distance decides direction for wrapped leavers
-            dy_up = (sp.y - slab.y1) % slab.global_grid.ly
-            dy_down = (slab.y0 - sp.y) % slab.global_grid.ly
-            goes_up = ~in_slab & (dy_up <= dy_down)
-            goes_down = ~in_slab & ~goes_up
-            up_pack = sp.extract(goes_up)
-            # extract() compacts arrays; recompute the down mask
-            in_slab2 = (sp.y >= slab.y0) & (sp.y < slab.y1)
-            down_pack = sp.extract(~in_slab2)
-            got_down = yield from comm.sendrecv(
-                up_pack, dest=slab.up, source=slab.down,
-                sendtag=TAG_MIGRATE_UP + 10 * si,
-                recvtag=TAG_MIGRATE_UP + 10 * si,
-            )
-            got_up = yield from comm.sendrecv(
-                down_pack, dest=slab.down, source=slab.up,
-                sendtag=TAG_MIGRATE_DOWN + 10 * si,
-                recvtag=TAG_MIGRATE_DOWN + 10 * si,
-            )
-            sp.inject(got_down)
-            sp.inject(got_up)
-            moved += len(up_pack["x"]) + len(down_pack["x"])
-        return moved
+            if b.px > 1:
+                yield from self._migrate_axis(comm, si, sp, "x")
+            if b.py > 1:
+                yield from self._migrate_axis(comm, si, sp, "y")
 
-    def gather_moments(self, comm: Comm) -> Generator:
-        """Deposit rho and J on the slab and fold the top halo row into
-        the upper neighbour's first owned row."""
-        slab = self.slab
-        rho_ext = np.zeros((slab.rows + 2, slab.nx))
-        J_ext = np.zeros((3, slab.rows + 2, slab.nx))
+    def gather_moments(self, comm) -> Generator:
+        """Deposit rho and J on the block and fold ghosts to the owners."""
+        b = self.block
+        rho_ext = np.zeros((b.rows + 2, b.cols + 2))
+        J_ext = np.zeros((3, b.rows + 2, b.cols + 2))
         for sp in self.species:
             q = np.full(sp.x.shape, sp.charge)
-            rho_ext += slab.deposit(sp.x, sp.y, q)
+            rho_ext += b.deposit(sp.x, sp.y, q)
             for c in range(3):
-                J_ext[c] += slab.deposit(sp.x, sp.y, q * sp.v[c])
-        # fold: my slot rows+1 belongs to the neighbour above
-        if slab.n_ranks == 1:
-            rho_ext[1, :] += rho_ext[-1, :]
-            J_ext[:, 1, :] += J_ext[:, -1, :]
+                J_ext[c] += b.deposit(sp.x, sp.y, q * sp.v[c])
+        stacked = np.concatenate([rho_ext[None, ...], J_ext], axis=0)
+        yield from self._fold(comm, stacked)
+        return stacked[0, 1:-1, 1:-1], stacked[1:, 1:-1, 1:-1]
+
+    def _fold(self, comm, ext) -> Generator:
+        """Add ghost contributions into the owning neighbours
+        (x first, then y over the full width: corners fold correctly)."""
+        b = self.block
+        if b.px == 1:
+            ext[..., :, 1] += ext[..., :, -1]
+            ext[..., :, -1] = 0.0
         else:
-            send_up = np.concatenate(
-                [rho_ext[-1, :][None, :], J_ext[:, -1, :]], axis=0
-            )
+            send_right = np.ascontiguousarray(ext[..., :, -1])
             got = yield from comm.sendrecv(
-                np.ascontiguousarray(send_up),
-                dest=slab.up, source=slab.down,
-                sendtag=TAG_MOMENT_FOLD, recvtag=TAG_MOMENT_FOLD,
+                send_right, dest=b.right, source=b.left,
+                sendtag=TAG_FOLD_X, recvtag=TAG_FOLD_X,
             )
-            rho_ext[1, :] += got[0]
-            J_ext[:, 1, :] += got[1:]
-        return slab.owned(rho_ext[None, ...])[0], slab.owned(J_ext)
+            ext[..., :, 1] += got
+            ext[..., :, -1] = 0.0
+        if b.py == 1:
+            ext[..., 1, :] += ext[..., -1, :]
+            ext[..., -1, :] = 0.0
+        else:
+            send_up = np.ascontiguousarray(ext[..., -1, :])
+            got = yield from comm.sendrecv(
+                send_up, dest=b.up, source=b.down,
+                sendtag=TAG_FOLD_Y, recvtag=TAG_FOLD_Y,
+            )
+            ext[..., 1, :] += got
+            ext[..., -1, :] = 0.0
 
     def kinetic_energy_local(self) -> float:
-        """This slab's contribution to the total kinetic energy."""
+        """This block's contribution to the total kinetic energy."""
         return sum(sp.kinetic_energy() for sp in self.species)
 
     @property
     def n_particles(self) -> int:
-        """Macro-particles currently on this slab."""
+        """Macro-particles currently on this block."""
         return sum(sp.n for sp in self.species)
 
 
-def load_slab_species(config: XpicConfig, slab: Slab) -> List[Species]:
+def load_block_species(config: XpicConfig, block: Block2D) -> List[Species]:
     """Load the *same global particle population* as the reference run
-    and keep only this slab's share.
+    and keep only this block's share.
 
     Every rank draws the identical global sample (same seed, same
-    order) and filters by slab ownership — guaranteeing the distributed
+    order) and filters by block ownership — guaranteeing the distributed
     run starts from exactly the reference initial condition.
     """
     rng = np.random.default_rng(config.seed)
     out = []
     for sc in config.species:
-        sp_global = maxwellian_species(sc, slab.global_grid, rng)
-        mask = (sp_global.y >= slab.y0) & (sp_global.y < slab.y1)
+        sp_global = maxwellian_species(sc, block.global_grid, rng)
+        mask = (
+            (sp_global.x >= block.x0)
+            & (sp_global.x < block.x1)
+            & (sp_global.y >= block.y0)
+            & (sp_global.y < block.y1)
+        )
         out.append(
             Species(
                 sc,

@@ -12,8 +12,6 @@ Everything is fully vectorized over particles, per the guide's
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .config import SpeciesConfig
@@ -24,7 +22,7 @@ __all__ = ["Species", "maxwellian_species"]
 
 
 class Species:
-    """Macro-particles of one plasma species on (a slab of) the grid."""
+    """Macro-particles of one plasma species on (a block of) the grid."""
 
     def __init__(
         self,
@@ -65,12 +63,21 @@ class Species:
 
     # -- physics ------------------------------------------------------------
     def move(self, grid: Grid2D, E: np.ndarray, B: np.ndarray, dt: float) -> None:
-        """Boris push: half E-kick, B-rotation, half E-kick, then drift."""
+        """Gather E and B at the particles, Boris-push, wrap periodically."""
         if self.n == 0:
             return
+        self.push(
+            interpolate(grid, E, self.x, self.y),  # (3, N)
+            interpolate(grid, B, self.x, self.y),
+            dt,
+        )
+        grid.wrap_positions(self.x, self.y)
+
+    def push(self, Ep: np.ndarray, Bp: np.ndarray, dt: float) -> None:
+        """Boris push with the fields already gathered at the particles:
+        half E-kick, B-rotation, half E-kick, then drift.  Positions are
+        left unwrapped; the caller applies its boundaries."""
         qmdt2 = 0.5 * dt * self.charge / self.mass
-        Ep = interpolate(grid, E, self.x, self.y)  # (3, N)
-        Bp = interpolate(grid, B, self.x, self.y)
 
         # half electric acceleration
         vminus = self.v + qmdt2 * Ep
@@ -86,7 +93,6 @@ class Species:
         # position drift (2D positions, 3D velocities)
         self.x += dt * self.v[0]
         self.y += dt * self.v[1]
-        grid.wrap_positions(self.x, self.y)
 
     def moments(self, grid: Grid2D):
         """Charge and current density of this species (moment gathering)."""
@@ -130,18 +136,12 @@ def maxwellian_species(
     config: SpeciesConfig,
     grid: Grid2D,
     rng: np.random.Generator,
-    y_range: Optional[tuple] = None,
 ) -> Species:
-    """Uniformly loaded species with Maxwellian velocities.
-
-    ``y_range`` restricts loading to a slab (for domain decomposition);
-    defaults to the whole domain.
-    """
-    y0, y1 = y_range if y_range is not None else (0.0, grid.ly)
-    frac = (y1 - y0) / grid.ly
-    n = int(round(config.particles_per_cell * grid.cells * frac))
+    """Species loaded uniformly over the whole domain, with Maxwellian
+    velocities."""
+    n = int(round(config.particles_per_cell * grid.cells))
     x = rng.uniform(0.0, grid.lx, size=n)
-    y = rng.uniform(y0, y1, size=n)
+    y = rng.uniform(0.0, grid.ly, size=n)
     v = rng.normal(0.0, config.thermal_velocity, size=(3, n))
     v += np.asarray(config.drift_velocity).reshape(3, 1)
     # Weight so the species number density is ~1 in normalized units.

@@ -9,7 +9,7 @@ import pytest
 
 from repro.apps.xpic import Mode, SpeciesConfig, XpicConfig
 from repro.apps.xpic.numeric_driver import run_numeric_experiment
-from repro.apps.xpic.parallel2d import Block2D
+from repro.apps.xpic.parallel import Block2D
 from repro.hardware import build_deep_er_prototype
 from repro.mpi import MPIRuntime, cart_create
 
@@ -67,7 +67,7 @@ def test_numeric_traffic_scales_linearly_with_steps():
         machine = build_deep_er_prototype()
         before = machine.fabric.bytes_transferred
         run_numeric_experiment(
-            machine, Mode.CLUSTER, small_cfg(steps), nodes_per_solver=4
+            machine, Mode.CLUSTER, small_cfg(steps), layout=(1, 4)
         )
         return machine.fabric.bytes_transferred - before
 
@@ -86,11 +86,11 @@ def test_numeric_cb_moves_interface_buffers_each_step():
     cfg = small_cfg(steps=2)
     machine = build_deep_er_prototype()
     before = machine.fabric.bytes_transferred
-    run_numeric_experiment(machine, Mode.CB, cfg, nodes_per_solver=1)
+    run_numeric_experiment(machine, Mode.CB, cfg, layout=(1, 1))
     moved = machine.fabric.bytes_transferred - before
     cells = cfg.cells
-    # per step: extended fields (6 comps, (ny+2) x nx doubles) down and
-    # rho+J (4 comps) back up — a strict lower bound on total traffic
-    fields_b = 6 * (cfg.ny + 2) * cfg.nx * 8
+    # per step: extended fields (6 comps, (ny+2) x (nx+2) doubles) down
+    # and rho+J (4 comps) back up — a strict lower bound on total traffic
+    fields_b = 6 * (cfg.ny + 2) * (cfg.nx + 2) * 8
     moments_b = 4 * cells * 8
     assert moved >= 2 * (fields_b + moments_b)

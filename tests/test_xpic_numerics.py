@@ -227,14 +227,6 @@ def test_species_extract_inject_roundtrip():
     assert sp.kinetic_energy() == pytest.approx(ke0)
 
 
-def test_maxwellian_loading_slab():
-    g = Grid2D(8, 8, 1.0, 1.0)
-    sc = SpeciesConfig("e", -1.0, 1.0, 100)
-    sp = maxwellian_species(sc, g, np.random.default_rng(5), y_range=(0.25, 0.5))
-    assert np.all((sp.y >= 0.25) & (sp.y < 0.5))
-    assert sp.n == pytest.approx(100 * 64 * 0.25, rel=0.01)
-
-
 # --------------------------------------------------------------------- CG
 def test_cg_solves_identity():
     b = np.random.default_rng(6).normal(size=(8, 8))
