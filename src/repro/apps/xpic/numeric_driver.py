@@ -151,9 +151,27 @@ def run_numeric_experiment(
     """Run the real physics in the given mode, block-decomposed as
     ``layout = (px, py)`` with one rank (one node) per block and per
     solver; returns the global fingerprint (identical across modes and
-    layouts up to floating-point noise)."""
+    layouts up to floating-point noise).
+
+    Raises ``ValueError`` when a factor of ``layout`` is below 1 or the
+    layout has more blocks than a module it runs on has nodes (C+B
+    needs them on both modules)."""
     mode = Mode(mode)
-    n = layout[0] * layout[1]
+    px, py = layout
+    if px < 1 or py < 1:
+        raise ValueError(f"layout {layout} needs factors of at least 1")
+    n = px * py
+    modules = []
+    if mode is not Mode.BOOSTER:
+        modules.append(("Cluster", machine.cluster))
+    if mode is not Mode.CLUSTER:
+        modules.append(("Booster", machine.booster))
+    for name, nodes in modules:
+        if n > len(nodes):
+            raise ValueError(
+                f"layout {layout} needs {n} nodes, but the {name} has "
+                f"{len(nodes)}"
+            )
     rt = MPIRuntime(machine)
     if mode in (Mode.CLUSTER, Mode.BOOSTER):
         nodes = machine.cluster[:n] if mode is Mode.CLUSTER else machine.booster[:n]

@@ -566,6 +566,21 @@ def _run_spec_payload(spec_dict: dict) -> dict:
     return report.to_dict()
 
 
+def _run_cost(spec: ExperimentSpec) -> int:
+    """How long a run will take, guessed from its spec alone: steps x
+    ranks, a run on both modules (C+B, Split) counting both sides."""
+    steps = spec.config.steps if spec.config is not None else spec.steps
+    if spec.partition is not None:
+        from .partition import Partition
+
+        ranks = Partition.from_dict(spec.partition).total_nodes
+    elif spec.mode in ("C+B", "Split"):
+        ranks = 2 * spec.nodes_per_solver
+    else:
+        ranks = spec.nodes_per_solver
+    return steps * ranks
+
+
 def _coerce_cache(cache):
     """Accept a :class:`~repro.store.ResultCache`, a directory path
     (str/Path), or None."""
@@ -605,6 +620,10 @@ class Engine:
         reports are stored on the way out.  A cached report is
         bit-identical to the report of the run that populated it.
 
+        The pool gets the uncached specs longest first (by
+        :func:`_run_cost`, ties in spec order), so the longest run of a
+        sweep is not the one left running alone at its end.
+
         Serial fallback: ``workers=1``, at most one uncached spec, or
         any spec whose dict form does not pickle (e.g. exotic
         ``machine_overrides``) runs the misses in-process; only then do
@@ -632,13 +651,14 @@ class Engine:
             for i, spec in enumerate(specs):
                 reports[i] = cache.get(spec)
         misses = [i for i, r in enumerate(reports) if r is None]
-        payloads = [specs[i].to_dict() for i in misses]
         use_pool = bool(misses) and (
             pool is not None or (workers > 1 and len(misses) > 1)
         )
         if use_pool:
             import pickle
 
+            submitted = sorted(misses, key=lambda i: -_run_cost(specs[i]))
+            payloads = [specs[i].to_dict() for i in submitted]
             try:
                 pickle.dumps(payloads)
             except Exception:
@@ -649,7 +669,7 @@ class Engine:
             dicts = list(
                 pool.map(_run_spec_payload, payloads, chunksize=chunksize)
             )
-            for i, d in zip(misses, dicts):
+            for i, d in zip(submitted, dicts):
                 reports[i] = RunReport.from_dict(d)
         elif use_pool:
             from concurrent.futures import ProcessPoolExecutor
@@ -679,7 +699,7 @@ class Engine:
                 )
                 use_pool = False
             else:
-                for i, d in zip(misses, dicts):
+                for i, d in zip(submitted, dicts):
                     reports[i] = RunReport.from_dict(d)
         if not use_pool:
             workers = 1

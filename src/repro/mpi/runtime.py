@@ -371,23 +371,31 @@ class MPIRuntime:
         with the transport error otherwise: a ``RankError`` for a bad
         ``dest``, ``NodeFailedError`` without a policy, a typed
         :class:`~repro.mpi.errors.TransportError` once a policy's
-        retries are spent).  Sends run on callbacks (:class:`_Send`)
-        with no sim process, retries under a
+        retries are spent).
+
+        The send starts at the call, as ``MPI_Isend`` does: it is sized,
+        counted and makes its first transfer attempt before this
+        returns, so it claims its route (or queues on a busy link) at
+        the instant it is posted, and posting order decides a race for
+        a link between sends posted at the same instant.  Sends run on
+        callbacks (:class:`_Send`) with no sim process, retries under a
         :class:`FaultTolerancePolicy` included.  A policy with
         ``timeout_s`` (each attempt races a timeout in a process) and a
         fabric with ``fast_path_enabled = False`` (the verification
         oracle) run each send as a process over :meth:`transmit`
-        instead; both paths schedule the same events in the same order.
+        instead, started in place (:meth:`Process.start_now`) so it
+        too begins when posted.
         """
         policy = self.fault_tolerance
         if (
             policy is not None and policy.timeout_s is not None
         ) or not self.fabric.fast_path_enabled:
-            return self.sim.process(
+            return Process.start_now(
+                self.sim,
                 self._send(
                     src_proc, group, dest, context_id, source_rank, tag,
                     payload, nbytes,
-                )
+                ),
             )
         return _Send(
             self, src_proc, group, dest, context_id, source_rank, tag,
@@ -565,48 +573,45 @@ class _Send(Event):
     """One non-blocking send on the callback path; the event itself is
     the send's completion (what the request waits on).
 
-    Uncontended and fault-free it is two callbacks.  The start entry
-    (:meth:`_attempt`) resolves the destination rank, accounts the
-    message, claims the route and pushes the completion entry; the
-    completion entry (:meth:`_finish`) gives the links back, counts the
-    transfer, delivers the envelope and schedules the event itself.
+    It starts when it is posted: the constructor resolves the
+    destination rank, accounts the message, builds its envelope and
+    makes the first transfer attempt (:meth:`_attempt`), which claims
+    the route and pushes the completion entry.  Uncontended and
+    fault-free the send is then one callback: the completion entry
+    (:meth:`_finish`, at ``now + duration``) gives the links back,
+    counts the transfer, delivers the envelope and schedules the event
+    itself.  So such a message costs two queue entries, its completion
+    callback and its own event; the mailbox delivery creates none.
 
-    It takes queue slot for slot the entries a send process would: the
-    zero-delay start entry where the process's init event sat, the
-    completion entry at ``now + duration`` where its bare-delay wakeup
-    sat, and the event itself where the process's exit sat.  The
-    mailbox delivery in between creates no event, as in
-    :meth:`MPIRuntime.transmit`.  So every other event keeps its time
-    and order, and reports match the process path byte for byte except
-    for the simulator's own counters.
+    An error before the first attempt (a bad ``dest`` or ``nbytes``)
+    fails the event at once, as a send process's exit would: a waiter
+    gets it raised, otherwise ``sim.run()`` does.
 
     An attempt that fails under a :class:`FaultTolerancePolicy` backs
-    off on a callback too: :meth:`MPIRuntime._retry_delay` maps and
-    counts the error and gives the delay, and the retry entry (another
-    :meth:`_attempt`) sits where the send process's bare-delay backoff
-    wakeup sat.  Once the retries are spent, the typed error fails the
-    event as the process's exit would have.
+    off on a callback: :meth:`MPIRuntime._retry_delay` maps and counts
+    the error and gives the delay, and the retry entry (another
+    :meth:`_attempt`) sits where a send process's bare-delay backoff
+    wakeup would.  Once the retries are spent, the typed error fails
+    the event as the process's exit would have.
 
     A route an attempt finds contended still needs per-link FIFO
-    queueing; that part runs in a process started synchronously from
-    the attempt's callback, so its link requests join the queues at the
-    instant a send process would have made them.
+    queueing; that part runs in a process started in place
+    (:meth:`Process.start_now`), so its link requests join the queues
+    at the instant of the attempt.
     """
 
     __slots__ = (
-        "runtime", "src_proc", "group", "dest", "context_id",
-        "source_rank", "tag", "payload", "nbytes", "dst_proc", "rc", "t0",
-        "seq", "backoff",
+        "runtime", "src_proc", "dst_proc", "env", "rc", "t0", "seq",
+        "backoff",
     )
 
     def __init__(
         self, runtime, src_proc, group, dest, context_id, source_rank, tag,
         payload, nbytes,
     ):
-        sim = runtime.sim
         # Event.__init__, inlined (one send per message): every Event
         # slot is set here
-        self.sim = sim
+        self.sim = runtime.sim
         self.callbacks = []
         self._value = PENDING
         self._ok = None
@@ -614,39 +619,26 @@ class _Send(Event):
         self.abandoned = False
         self.runtime = runtime
         self.src_proc = src_proc
-        self.group = group
-        self.dest = dest
-        self.context_id = context_id
-        self.source_rank = source_rank
-        self.tag = tag
-        self.payload = payload
-        self.nbytes = nbytes
-        self.dst_proc = None
         self.backoff = None
-        sim.call_in(0.0, self._attempt)
+        try:
+            self.dst_proc = group.proc(dest)
+            nbytes, self.seq = runtime._account(context_id, payload, nbytes)
+        except Exception as exc:
+            self.fail(exc)
+            return
+        self.env = Envelope(context_id, source_rank, tag, nbytes, payload)
+        self._attempt(None)
 
     def _attempt(self, _entry) -> None:
-        """One transfer attempt.  The first, from the start entry, also
-        resolves the destination rank and accounts the message; each
-        retry comes from its own backoff entry."""
+        """One transfer attempt: the first when the send is posted,
+        each retry from its own backoff entry."""
         runtime = self.runtime
         sim = self.sim
-        if self.dst_proc is None:
-            try:
-                self.dst_proc = self.group.proc(self.dest)
-                self.nbytes, self.seq = runtime._account(
-                    self.context_id, self.payload, self.nbytes
-                )
-            except Exception as exc:
-                # as a send process would: the error fails the request,
-                # so a waiter gets it raised and otherwise sim.run() does
-                self.fail(exc)
-                return
         try:
             duration, self.rc, claimed = runtime.fabric.begin_transfer(
                 self.src_proc.node.node_id,
                 self.dst_proc.node.node_id,
-                self.nbytes,
+                self.env.nbytes,
             )
         except Exception as exc:
             # back off and retry as a send process would, or fail the
@@ -682,21 +674,13 @@ class _Send(Event):
         if held and rc is not None:
             fabric.release_route(rc)
         dst_proc = self.dst_proc
-        nbytes = self.nbytes
+        env = self.env
         fabric.end_transfer(
             self.src_proc.node.node_id,
             dst_proc.node.node_id,
-            nbytes,
+            env.nbytes,
             rc,
             self.t0,
         )
-        dst_proc.mailbox.put(
-            Envelope(
-                self.context_id, self.source_rank, self.tag, nbytes,
-                self.payload,
-            )
-        )
-        # succeed(), inlined: a send in flight has not been triggered
-        self._ok = True
-        self._value = None
-        self.sim._schedule(self)
+        dst_proc.mailbox.put(env)
+        self.succeed()

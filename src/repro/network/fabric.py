@@ -48,9 +48,9 @@ class NoRouteError(nx.exception.NetworkXNoPath):
 #: ParaStation-MPI-like eager/rendezvous switch point.
 EAGER_THRESHOLD_BYTES = 32 * 1024
 
-#: Wire times :meth:`Fabric.transfer_time` remembers before it starts
-#: over; a run asks for a handful of (pair, size) prices, so only a
-#: caller sweeping sizes ever reaches it.
+#: Prices :meth:`Fabric.transfer_time` and :meth:`Fabric.begin_transfer`
+#: remember before they start over; a run asks for a handful of
+#: (pair, size) prices, so only a caller sweeping sizes ever reaches it.
 TIME_CACHE_MAX = 4096
 
 #: Fraction of raw link bandwidth achievable by the MPI payload
@@ -92,7 +92,9 @@ class Fabric:
 
     Endpoints are :class:`~repro.hardware.node.Node` objects registered
     under their ``node_id``.  The fabric caches routes, their cost
-    terms and the wire times :meth:`transfer_time` has priced (the
+    terms and each message price it has computed, as ``(duration,
+    route cost)`` per ``(src, dst, nbytes, rdma)``: one memo that
+    :meth:`transfer_time` and :meth:`begin_transfer` share (the
     topology is static between faults).  The fault methods below are
     the only way to change a route or a link: each forgets whatever the
     change can make stale.
@@ -132,8 +134,8 @@ class Fabric:
         self._nodes: Dict[str, Node] = {}
         self._route_cache: Dict[Tuple[str, str], list] = {}
         self._cost_cache: Dict[Tuple[str, str], _RouteCost] = {}
-        # (src, dst, nbytes, rdma) -> transfer_time, up to TIME_CACHE_MAX
-        self._time_cache: Dict[tuple, float] = {}
+        # (src, dst, nbytes, rdma) -> (duration, rc), up to TIME_CACHE_MAX
+        self._time_cache: Dict[tuple, tuple] = {}
         self._request_pool: List[Request] = []
         self.bytes_transferred = 0
         self.messages_transferred = 0
@@ -268,31 +270,25 @@ class Fabric:
         :data:`TIME_CACHE_MAX` prices; a full table starts over).
         """
         key = (src, dst, nbytes, rdma)
-        times = self._time_cache
-        t = times.get(key)
-        if t is None:
+        priced = self._time_cache.get(key)
+        if priced is None:
             nodes = self._nodes
-            t = self._price(
-                src, dst, nodes.get(src), nodes.get(dst), nbytes, rdma
-            )[0]
-            if len(times) >= TIME_CACHE_MAX:
-                times.clear()
-            times[key] = t
-        return t
+            priced = self._price(key, nodes.get(src), nodes.get(dst))
+        return priced[0]
 
     def _price(
         self,
-        src: str,
-        dst: str,
+        key: tuple,
         src_node: Optional[Node],
         dst_node: Optional[Node],
-        nbytes: int,
-        rdma: bool,
     ) -> Tuple[float, Optional[_RouteCost]]:
-        """``(duration, rc)`` of one uncontended message: the LogGP sum
-        over the route ``rc``, or a memory copy with no route (``rc``
-        ``None``) when both ends are one node.  Raises for a negative
-        size, then an unregistered node, then a missing route."""
+        """Price the message ``key = (src, dst, nbytes, rdma)`` and
+        remember the price: ``(duration, rc)`` of one uncontended
+        message, the LogGP sum over the route ``rc``, or a memory copy
+        with no route (``rc`` ``None``) when both ends are one node.
+        Raises for a negative size, then an unregistered node, then a
+        missing route, and remembers nothing then."""
+        src, dst, nbytes, rdma = key
         if nbytes < 0:
             raise ValueError("negative message size")
         if src_node is None or dst_node is None:
@@ -302,25 +298,33 @@ class Fabric:
             # bounded with negligible latency.
             memory = src_node.memory
             bw = memory.peak_bandwidth if memory else 50e9
-            return 200e-9 + nbytes / bw, None
-        rc = self.route_cost(src, dst)
-        if rdma:
-            # Remote DMA: no software processing on the remote side.
-            return (
-                src_node.nic_sw_overhead_s
-                + rc.hop_latency_s
-                + nbytes / rc.bw_eff
-            ), rc
-        t = (
-            src_node.nic_sw_overhead_s
-            + dst_node.nic_sw_overhead_s
-            + rc.hop_latency_s
-            + nbytes / rc.bw_eff
-        )
-        if nbytes > self.eager_threshold:
-            # Rendezvous: request-to-send / clear-to-send round trip.
-            t += rc.rtt_s + dst_node.nic_sw_overhead_s
-        return t, rc
+            priced = (200e-9 + nbytes / bw, None)
+        else:
+            rc = self.route_cost(src, dst)
+            if rdma:
+                # Remote DMA: no software processing on the remote side.
+                t = (
+                    src_node.nic_sw_overhead_s
+                    + rc.hop_latency_s
+                    + nbytes / rc.bw_eff
+                )
+            else:
+                t = (
+                    src_node.nic_sw_overhead_s
+                    + dst_node.nic_sw_overhead_s
+                    + rc.hop_latency_s
+                    + nbytes / rc.bw_eff
+                )
+                if nbytes > self.eager_threshold:
+                    # Rendezvous: request-to-send / clear-to-send round
+                    # trip.
+                    t += rc.rtt_s + dst_node.nic_sw_overhead_s
+            priced = (t, rc)
+        times = self._time_cache
+        if len(times) >= TIME_CACHE_MAX:
+            times.clear()
+        times[key] = priced
+        return priced
 
     # -- simulated transfer (with contention) -------------------------------
     def transfer(
@@ -382,8 +386,10 @@ class Fabric:
         simulated time: it cannot deadlock, and a same-time rival sees
         the links busy.  Raises :class:`NodeFailedError` when an
         endpoint has failed, then what :meth:`transfer_time` raises
-        (negative size, unregistered node, no route), in that order;
-        the route is looked up once.
+        (negative size, unregistered node, no route), in that order.
+        The price comes from the memo :meth:`transfer_time` fills, so a
+        message priced before costs no route lookup and a new one costs
+        one.
         """
         nodes = self._nodes
         src_node = nodes.get(src)
@@ -392,7 +398,11 @@ class Fabric:
             raise NodeFailedError(f"node {src} has failed")
         if dst_node is not None and dst_node.failed:
             raise NodeFailedError(f"node {dst} has failed")
-        duration, rc = self._price(src, dst, src_node, dst_node, nbytes, rdma)
+        key = (src, dst, nbytes, rdma)
+        priced = self._time_cache.get(key)
+        if priced is None:
+            priced = self._price(key, src_node, dst_node)
+        duration, rc = priced
         if rc is None:
             return duration, None, True
         resources = rc.resources

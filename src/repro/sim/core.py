@@ -114,8 +114,9 @@ class Simulator:
     def call_in(self, delay: float, callback) -> None:
         """Run ``callback(entry)`` ``delay`` seconds from now.
 
-        One plain queue entry, no :class:`Event` and no process: it
-        takes the queue slot an event scheduled at this point would
+        One queue entry of one object (a :class:`_Call` holding the
+        callback), no :class:`Event`, no callback list and no process:
+        it takes the queue slot an event scheduled at this point would
         take and is dispatched in the same (time, FIFO) order.  The
         callback receives the spent entry, which it may ignore.
         """
@@ -195,10 +196,11 @@ class Simulator:
         return when, batch
 
     def _dispatch(self, entry) -> None:
-        """Deliver one entry of the in-flight batch (wakeup fast path or
-        callbacks) at the batch's time; a cancelled wakeup is dropped
-        without moving the clock."""
-        if entry.__class__ is _Wakeup:
+        """Deliver one entry of the in-flight batch (wakeup fast path,
+        plain call or callbacks) at the batch's time; a cancelled wakeup
+        is dropped without moving the clock."""
+        cls = entry.__class__
+        if cls is _Wakeup:
             entry.pending = False
             if not entry.cancelled:
                 self._now = self._pending_when
@@ -206,6 +208,9 @@ class Simulator:
                 entry.process._resume(WAKE_OK)
             return
         self._now = self._pending_when
+        if cls is _Call:
+            entry.fn(entry)
+            return
         callbacks = entry.callbacks
         entry.callbacks = None  # mark processed
         for cb in callbacks:
@@ -280,7 +285,8 @@ class Simulator:
 
         Everything dispatch needs is bound to locals; the per-event work
         for a pooled wakeup is the class check, two flag writes, and the
-        generator resume.  A mid-batch exception (including the
+        generator resume, and for a :meth:`call_in` entry two class
+        checks and the call.  A mid-batch exception (including the
         ``StopSimulation`` a ``run(until=...)`` stopper raises) stashes
         the undelivered tail in ``_pending`` so queue state stays exact.
         A cancelled wakeup is discarded without moving the clock, so a
@@ -289,6 +295,7 @@ class Simulator:
         pop_batch = self._pop_batch
         pending = self._pending
         hist_cls = _Wakeup
+        call_cls = _Call
         while True:
             if pending:
                 # tail of a batch a step()/stop cut short: finish it
@@ -302,7 +309,8 @@ class Simulator:
             fast = 0
             if n == 1:
                 entry = batch[0]
-                if entry.__class__ is hist_cls:
+                cls = entry.__class__
+                if cls is hist_cls:
                     entry.pending = False
                     if not entry.cancelled:
                         self._now = when
@@ -310,6 +318,9 @@ class Simulator:
                         entry.process._resume(WAKE_OK)
                     continue
                 self._now = when
+                if cls is call_cls:
+                    entry.fn(entry)
+                    continue
                 callbacks = entry.callbacks
                 entry.callbacks = None
                 for cb in callbacks:
@@ -325,13 +336,17 @@ class Simulator:
             try:
                 for entry in it:
                     self._draining -= 1
-                    if entry.__class__ is hist_cls:
+                    cls = entry.__class__
+                    if cls is hist_cls:
                         entry.pending = False
                         if entry.cancelled:
                             skipped += 1
                         else:
                             fast += 1
                             entry.process._resume(WAKE_OK)
+                        continue
+                    if cls is call_cls:
+                        entry.fn(entry)
                         continue
                     callbacks = entry.callbacks
                     entry.callbacks = None

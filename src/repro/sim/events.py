@@ -52,18 +52,17 @@ class _Call:
     """Queue entry that runs one plain callback (see
     :meth:`Simulator.call_in`).
 
-    The run loop dispatches it exactly like a succeeded event — it pops
-    the callback list and calls each entry with the entry itself — so
-    library code can act at a simulated instant without allocating an
-    :class:`Event` or driving a :class:`~repro.sim.Process`.
+    One object per entry, with no callback list: the run loop knows
+    the class and calls ``fn`` with the entry itself, in the slot a
+    succeeded event would take.  Library code can so act at a
+    simulated instant without allocating an :class:`Event` or driving
+    a :class:`~repro.sim.Process`.
     """
 
-    __slots__ = ("callbacks",)
-    _ok = True
-    _defused = False
+    __slots__ = ("fn",)
 
-    def __init__(self, callback):
-        self.callbacks = [callback]
+    def __init__(self, fn):
+        self.fn = fn
 
 
 class _WakeValue:

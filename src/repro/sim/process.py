@@ -40,10 +40,12 @@ class Process(Event):
         """Start a process by running its generator to the first yield
         right away, instead of at a zero-delay init event.
 
-        For callbacks the run loop is already dispatching at the
-        instant the process begins: what the generator does first (say,
-        queueing on a link) then happens in the callback's own queue
-        slot, not behind events scheduled for the same time meanwhile.
+        What the generator does first (say, queueing on a link) then
+        happens at the call, not behind events scheduled for the same
+        time meanwhile: a send posted by a rank claims its route when
+        it is posted, and a callback's process acts in the callback's
+        own queue slot.  It may be called from inside another process;
+        that process is the active one again once the new one yields.
         """
         proc = cls.__new__(cls)
         proc._bind(sim, generator)
@@ -108,6 +110,9 @@ class Process(Event):
             return
         sim = self.sim
         send = self.generator.send
+        # a process started (start_now) from inside another one hands
+        # the active slot back to it, not to nobody
+        caller = sim._active_process
         sim._active_process = self
         try:
             while True:
@@ -160,4 +165,4 @@ class Process(Event):
                 self._target = target
                 break
         finally:
-            sim._active_process = None
+            sim._active_process = caller

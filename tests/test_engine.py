@@ -15,6 +15,7 @@ from repro.engine import (
     preset_machine,
 )
 from repro.apps.xpic import Mode, XpicConfig
+from repro.partition import Partition
 
 
 # -- ExperimentSpec ---------------------------------------------------------
@@ -193,7 +194,8 @@ def test_run_many_parallel_matches_serial_in_spec_order():
     serial = Engine().run_many(SWEEP_SPECS, workers=1)
     parallel = Engine().run_many(SWEEP_SPECS, workers=2)
     assert serial.workers == 1 and parallel.workers == 2
-    # spec order regardless of worker completion order
+    # spec order regardless of worker completion order (the pool got
+    # them longest first: 4, 3, 2 steps)
     assert [r.result["steps"] for r in parallel.reports] == [2, 3, 4]
     # parallel payloads are bit-identical to a serial sweep
     for a, b in zip(serial.reports, parallel.reports):
@@ -205,6 +207,59 @@ def test_run_many_parallel_matches_serial_in_spec_order():
     assert serial.reports[0].run_result is not None
     for sweep in (serial, parallel):
         assert sweep.reports[0].result_view.total_runtime > 0
+
+
+#: a sweep whose longest run comes last in spec order; steps x ranks:
+#: 6, 24, 12, 12, 8 (nested: 8 ranks), 8 (Split: 2 + 2), 32 (the
+#: config's 4 steps on 4 + 4 ranks)
+LONGEST_LAST_SPECS = [
+    ExperimentSpec(mode="C+B", nodes_per_solver=1, steps=3),
+    ExperimentSpec(mode="Cluster", nodes_per_solver=4, steps=6),
+    ExperimentSpec(mode="C+B", nodes_per_solver=2, steps=3),
+    ExperimentSpec(mode="Booster", nodes_per_solver=4, steps=3),
+    Partition(8, 0, cluster_arm=Partition(4, 4)).to_spec(steps=1),
+    ExperimentSpec(app="seismic", mode="Split", nodes_per_solver=2, steps=2),
+    ExperimentSpec(mode="C+B", nodes_per_solver=4, steps=2, config=XpicConfig(
+        nx=32, ny=32, steps=4,
+    )),
+]
+
+
+class _RecordingPool:
+    """An external pool that runs every payload in-process and records
+    the order they were submitted in."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def map(self, fn, payloads, chunksize=1):
+        payloads = list(payloads)
+        self.submitted.extend(payloads)
+        return [fn(p) for p in payloads]
+
+
+def _physics(report):
+    d = report.to_dict()
+    del d["sim"]
+    return json.dumps(d, sort_keys=True)
+
+
+def test_run_many_submits_longest_first_and_reports_in_spec_order():
+    """The pool gets the uncached specs by descending steps x ranks
+    (the config's steps win, C+B and Split count both sides, a nested
+    partition all its nodes; ties keep spec order), and the sweep
+    still reports in spec order, equal to a serial sweep."""
+    pool = _RecordingPool()
+    pooled = Engine().run_many(LONGEST_LAST_SPECS, pool=pool)
+    order = [
+        LONGEST_LAST_SPECS.index(ExperimentSpec.from_dict(d))
+        for d in pool.submitted
+    ]
+    assert order == [6, 1, 2, 3, 4, 5, 0]
+    serial = Engine().run_many(LONGEST_LAST_SPECS, workers=1)
+    assert [_physics(r) for r in pooled.reports] == [
+        _physics(r) for r in serial.reports
+    ]
 
 
 def test_run_many_serial_fallback_for_unpicklable_spec():

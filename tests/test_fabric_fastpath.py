@@ -189,10 +189,9 @@ def test_route_cost_cached_and_invalidated_by_link_faults():
     assert fabric.transfer_time("cn00", "bn00", 1024) == pytest.approx(t_direct)
 
 
-def test_begin_transfer_prices_like_transfer_time_from_one_lookup(
-    monkeypatch,
-):
-    fabric = preset_machine("deep-er").fabric
+def _counted_begin(monkeypatch, fabric):
+    """``begin(src, dst, nbytes, rdma=False)`` on ``fabric``: ``(duration,
+    route lookups)`` of one claimed transfer, its links given back."""
     route_cost = fabric.route_cost
     lookups = []
 
@@ -201,16 +200,40 @@ def test_begin_transfer_prices_like_transfer_time_from_one_lookup(
         return route_cost(src, dst)
 
     monkeypatch.setattr(fabric, "route_cost", counted)
+
+    def begin(src, dst, nbytes, rdma=False):
+        lookups.clear()
+        duration, rc, claimed = fabric.begin_transfer(src, dst, nbytes, rdma)
+        assert claimed
+        if rc is not None:
+            fabric.release_route(rc)
+        return duration, len(lookups)
+
+    return begin
+
+
+def test_begin_transfer_prices_like_transfer_time_from_one_lookup(
+    monkeypatch,
+):
+    """``begin_transfer`` charges what ``transfer_time`` reports, bit for
+    bit, from the memo the two share: a message priced for the first
+    time costs one route lookup and a priced one none."""
+    fabric = preset_machine("deep-er").fabric
+    fresh = preset_machine("deep-er").fabric  # prices on its own memo
+    begin = _counted_begin(monkeypatch, fabric)
     for nbytes in (0, 4096, fabric.eager_threshold + 1, 10**6):
         for rdma in (False, True):
-            expected = fabric.transfer_time("cn00", "bn00", nbytes, rdma)
-            lookups.clear()
-            duration, rc, claimed = fabric.begin_transfer(
-                "cn00", "bn00", nbytes, rdma
+            expected = fresh.transfer_time("cn00", "bn00", nbytes, rdma)
+            assert begin("cn00", "bn00", nbytes, rdma) == (expected, 1)
+            assert begin("cn00", "bn00", nbytes, rdma) == (expected, 0)
+            assert fabric.transfer_time("cn00", "bn00", nbytes, rdma) == (
+                expected
             )
-            assert lookups == [("cn00", "bn00")]
-            assert claimed and duration == expected  # bit for bit
-            fabric.release_route(rc)
+    # transfer_time fills the memo begin_transfer reads, too
+    fabric.transfer_time("cn01", "bn01", 512)
+    assert begin("cn01", "bn01", 512) == (
+        fresh.transfer_time("cn01", "bn01", 512), 0
+    )
     # a same-node message is a memory copy, 200 ns + n / bandwidth,
     # with no route to look up or claim
     bw = fabric.node("cn00").memory.peak_bandwidth
@@ -218,10 +241,7 @@ def test_begin_transfer_prices_like_transfer_time_from_one_lookup(
     for nbytes in (0, 2**20):
         expected = fabric.transfer_time("cn00", "cn00", nbytes)
         assert expected == 200e-9 + nbytes / bw
-        lookups.clear()
-        duration, rc, claimed = fabric.begin_transfer("cn00", "cn00", nbytes)
-        assert lookups == [] and rc is None and claimed
-        assert duration == expected
+        assert begin("cn00", "cn00", nbytes) == (expected, 0)
 
 
 def test_begin_transfer_error_order():
@@ -304,6 +324,26 @@ def test_wire_times_forget_every_fabric_change(case):
         after = _wire_times(warm)
         assert after != before  # the change moved prices the memo held
     assert after == _wire_times(fresh)
+
+
+@pytest.mark.parametrize("case", sorted(_FABRIC_CHANGES))
+def test_begin_transfer_looks_up_again_after_every_fabric_change(
+    monkeypatch, case
+):
+    """Each fault method empties the shared memo: the next message looks
+    its route up again and is priced as on a fabric given the same
+    change."""
+    fabric = preset_machine("deep-er").fabric
+    changed = preset_machine("deep-er").fabric
+    begin = _counted_begin(monkeypatch, fabric)
+    begin("cn01", "bn01", 512)
+    assert begin("cn01", "bn01", 512)[1] == 0  # warm
+    for method, *args in _FABRIC_CHANGES[case]:
+        getattr(fabric, method)(*args)
+        getattr(changed, method)(*args)
+        assert begin("cn01", "bn01", 512) == (
+            changed.transfer_time("cn01", "bn01", 512), 1
+        )
 
 
 # -- event-free acquisition primitives ---------------------------------------

@@ -381,6 +381,53 @@ def test_contended_isend_queues_at_its_own_instant():
     assert stalls == ref_stalls
 
 
+def _isend_races_a_later_send(path):
+    """Rank 0 (cn00) posts a 1 MiB isend to rank 2 (cn02); rank 1
+    (cn01), run next at the same instant, sends rank 2 1 MiB with the
+    blocking send.  Both need the link into cn02.  ``path`` is
+    ``"callback"``, ``"oracle"`` (``fast_path_enabled = False``) or
+    ``"timeout"`` (a policy with ``timeout_s``: sends in processes).
+    Returns when each message arrived at rank 2, by source rank."""
+    machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
+    machine.fabric.fast_path_enabled = path != "oracle"
+    policy = FaultTolerancePolicy(timeout_s=1.0) if path == "timeout" else None
+    rt = MPIRuntime(machine, fault_tolerance=policy)
+    arrived = {}
+
+    def app(ctx):
+        comm = ctx.world
+        if comm.rank == 0:
+            yield comm.isend(Bytes(2**20), dest=2).wait()
+        elif comm.rank == 1:
+            yield from comm.send(Bytes(2**20), dest=2)
+        else:
+            status = Status()
+            for _ in range(2):
+                yield from comm.recv(source=ANY_SOURCE, status=status)
+                arrived[status.source] = ctx.sim.now
+
+    rt.run_app(app, machine.cluster[:3])
+    return arrived
+
+
+@pytest.mark.parametrize("path", ["callback", "oracle", "timeout"])
+def test_posting_order_decides_a_same_instant_link_race(path):
+    """An isend claims its route when it is posted, as ``MPI_Isend``
+    starts at the call, on every send path: rank 0's isend takes the
+    link into cn02 first and arrives after one wire time (103.98 us);
+    the blocking send rank 1 issues later in the same instant queues
+    behind it and arrives after two.  A send that began one queue
+    entry after it was posted would let the blocking send overtake
+    it."""
+    arrived = _isend_races_a_later_send(path)
+    wire = build_deep_er_prototype(
+        cluster_nodes=4, booster_nodes=4
+    ).fabric.transfer_time("cn00", "cn02", 2**20)
+    assert arrived[0] == pytest.approx(103.98e-6, abs=5e-9)
+    assert arrived[0] == pytest.approx(wire)
+    assert arrived[1] == pytest.approx(2 * wire)
+
+
 @pytest.mark.parametrize("fast_path", [True, False])
 def test_isend_to_a_failed_node_fails_its_request(fast_path):
     def make_rt():

@@ -627,6 +627,38 @@ def test_active_process_visible_during_execution():
     assert sim.active_process is None
 
 
+def test_nested_start_now_restores_the_active_process():
+    """A process that starts a child in place (``Process.start_now``)
+    is the active process again once the child yields."""
+    sim = Simulator()
+    seen = []
+
+    def child(sim):
+        seen.append(("child", sim.active_process))
+        yield sim.timeout(1.0)
+        seen.append(("child later", sim.active_process))
+
+    def parent(sim):
+        seen.append(("parent", sim.active_process))
+        kid = Process.start_now(sim, child(sim))
+        seen.append(("parent after start", sim.active_process))
+        yield kid
+        seen.append(("parent joined", sim.active_process))
+
+    p = sim.process(parent(sim))
+    sim.run()
+    kid = seen[1][1]
+    assert kid is not p
+    assert seen == [
+        ("parent", p),
+        ("child", kid),
+        ("parent after start", p),
+        ("child later", kid),
+        ("parent joined", p),
+    ]
+    assert sim.active_process is None
+
+
 def test_schedule_at_past_rejected():
     sim = Simulator(start_time=3.0)
     ev = Event(sim)

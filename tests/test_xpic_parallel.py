@@ -199,6 +199,36 @@ def test_cb_block_partition_matches_reference():
     assert_matches_reference(Mode.CB, (2, 2), steps=2)
 
 
+@pytest.mark.parametrize(
+    "mode, layout, machine_kwargs, message",
+    [
+        (
+            Mode.BOOSTER, (4, 4), {},
+            r"layout \(4, 4\) needs 16 nodes, but the Booster has 8",
+        ),
+        (Mode.CLUSTER, (2, 2), {"cluster_nodes": 2}, r"but the Cluster has 2"),
+        (
+            Mode.CB, (2, 2),
+            {"cluster_nodes": 4, "booster_nodes": 2},
+            r"but the Booster has 2",
+        ),
+        (
+            Mode.CLUSTER, (0, 2), {},
+            r"layout \(0, 2\) needs factors of at least 1",
+        ),
+        (Mode.BOOSTER, (2, -1), {}, r"layout \(2, -1\) needs factors"),
+    ],
+    ids=["booster-4x4", "cluster-2x2", "cb-2x2", "zero-factor", "negative-factor"],
+)
+def test_layout_must_fit_its_modules(mode, layout, machine_kwargs, message):
+    """A layout larger than a module it runs on (or with a factor below
+    1) is refused up front, naming the layout and the module size,
+    instead of failing deep in MPI on a rank out of range."""
+    machine = build_deep_er_prototype(**machine_kwargs)
+    with pytest.raises(ValueError, match=message):
+        run_numeric_experiment(machine, mode, small_cfg(steps=1), layout=layout)
+
+
 def test_all_three_modes_agree():
     cfg = small_cfg(steps=2)
     fps = []
