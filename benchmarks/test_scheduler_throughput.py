@@ -24,7 +24,9 @@ def run_policy(accelerated, seed=11):
     sim = Simulator()
     machine = preset_machine()
     cls = AcceleratedNodeAllocator if accelerated else ModularAllocator
-    sched = BatchScheduler(sim, cls(machine.cluster, machine.booster))
+    sched = BatchScheduler(
+        sim, cls({"cluster": machine.cluster, "booster": machine.booster})
+    )
     sched.submit_all(mixed_center_workload(N_JOBS, seed=seed))
     sim.run()
     return sched.report()

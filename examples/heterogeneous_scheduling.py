@@ -27,7 +27,8 @@ from repro.sim import Simulator
 def run(policy_name, allocator_cls, jobs):
     sim = Simulator()
     machine = preset_machine()
-    sched = BatchScheduler(sim, allocator_cls(machine.cluster, machine.booster))
+    pools = {"cluster": machine.cluster, "booster": machine.booster}
+    sched = BatchScheduler(sim, allocator_cls(pools))
     sched.submit_all(jobs)
     sim.run()
     rep = sched.report()
@@ -43,7 +44,8 @@ def main():
     jobs_c = mixed_center_workload(60, seed=2026)
     print(f"{len(jobs_m)} jobs, e.g.:")
     for j in jobs_m[:4]:
-        print(f"  {j.name:8s} wants C{j.n_cluster}+B{j.n_booster} "
+        nc, nb = j.requests.get("cluster", 0), j.requests.get("booster", 0)
+        print(f"  {j.name:8s} wants C{nc}+B{nb} "
               f"for {j.duration_s / 60:5.1f} min")
     print()
 
@@ -63,9 +65,11 @@ def main():
     ):
         sim = Simulator()
         machine = preset_machine()
-        sched = BatchScheduler(sim, cls(machine.cluster, machine.booster))
+        pools = {"cluster": machine.cluster, "booster": machine.booster}
+        sched = BatchScheduler(sim, cls(pools))
         sched.submit_all(
-            [Job("cpu", 16, 0, 3600.0), Job("acc", 0, 8, 3600.0)]
+            [Job("cpu", {"cluster": 16}, 3600.0),
+             Job("acc", {"booster": 8}, 3600.0)]
         )
         sim.run()
         rep = sched.report()

@@ -12,15 +12,9 @@ Run:  python examples/modular_supercomputing.py
 
 import numpy as np
 
-from repro.modular import (
-    ModularJob,
-    ModularScheduler,
-    MultiModuleAllocator,
-    booster_module,
-    build_modular_system,
-    cluster_module,
-    data_analytics_module,
-)
+from repro.hardware import booster_module, build_modular_system, cluster_module
+from repro.jobs import BatchScheduler, Job, ModularAllocator
+from repro.modular import data_analytics_module
 from repro.mpi import MPIRuntime
 
 
@@ -92,27 +86,28 @@ def main():
         [cluster_module(nodes=8), booster_module(nodes=4),
          data_analytics_module(nodes=2)]
     )
-    alloc = MultiModuleAllocator(
+    alloc = ModularAllocator(
         {m: machine2.module(m) for m in machine2.module_names}
     )
-    sched = ModularScheduler(machine2.sim, alloc)
+    sched = BatchScheduler(machine2.sim, alloc)
     sched.submit_all(
         [
-            ModularJob("xpic", {"cluster": 4, "booster": 4}, 3600.0),
-            ModularJob("hpda", {"dam": 2}, 1800.0),
-            ModularJob("cpu-only", {"cluster": 4}, 3600.0),
-            ModularJob("coupled", {"cluster": 8, "booster": 2, "dam": 1}, 1200.0),
+            Job("xpic", {"cluster": 4, "booster": 4}, 3600.0),
+            Job("hpda", {"dam": 2}, 1800.0),
+            Job("cpu-only", {"cluster": 4}, 3600.0),
+            Job("coupled", {"cluster": 8, "booster": 2, "dam": 1}, 1200.0),
         ]
     )
     machine2.sim.run()
+    rep = sched.report()
     print("N-module scheduling (jobs pick any module combination):")
     for j in sched.jobs:
         req = "+".join(f"{n}{m[0].upper()}" for m, n in j.requests.items())
         print(f"  {j.name:9s} [{req:12s}] start {j.start_time / 60:5.1f} min, "
               f"wait {j.wait_time / 60:4.1f} min")
-    print(f"  makespan {sched.makespan / 3600:.2f} h; utilization "
+    print(f"  makespan {rep.makespan / 3600:.2f} h; utilization "
           + ", ".join(
-              f"{m} {sched.module_utilization(m) * 100:.0f}%"
+              f"{m} {rep.module_utilization(m) * 100:.0f}%"
               for m in machine2.module_names
           ))
 

@@ -1,9 +1,11 @@
 """Modular resource management (section II-A, ref [5]).
 
-Batch jobs request Cluster and Booster nodes independently; the
-scheduler places them FCFS with EASY backfill.  The accelerated-node
-allocator models the conventional host-coupled baseline the paper
-contrasts against.
+Batch jobs request nodes from each module independently (Cluster and
+Booster, or any module of a DEEP-EST system) and may depend on other
+jobs; the one scheduler places them FCFS with EASY backfill.  The
+accelerated-node allocator models the conventional host-coupled
+baseline the paper contrasts against.  Malleable jobs keep their own
+equipartition scheduler.
 """
 
 from .allocator import (

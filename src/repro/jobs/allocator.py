@@ -12,7 +12,8 @@ can quantify the modularity advantage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Mapping, Sequence
 
 from ..hardware.node import Node
 from .job import Job
@@ -25,106 +26,97 @@ class AllocationError(Exception):
 
 
 class ModularAllocator:
-    """Independent pools per module — the Cluster-Booster policy."""
+    """One independent free pool per module — the Cluster-Booster policy.
 
-    def __init__(self, cluster_nodes: Sequence[Node], booster_nodes: Sequence[Node]):
-        self._free_cluster: List[Node] = list(cluster_nodes)
-        self._free_booster: List[Node] = list(booster_nodes)
-        self.total_cluster = len(self._free_cluster)
-        self.total_booster = len(self._free_booster)
+    ``pools`` maps module names to their nodes, e.g.
+    ``{"cluster": machine.cluster, "booster": machine.booster}`` or
+    ``{m: machine.module(m) for m in machine.module_names}``.
+    """
+
+    def __init__(self, pools: Mapping[str, Sequence[Node]]):
+        if not pools:
+            raise ValueError("need at least one module pool")
+        self._free: Dict[str, List[Node]] = {k: list(v) for k, v in pools.items()}
+        self.totals = {k: len(v) for k, v in self._free.items()}
+
+    def footprint(self, job: Job) -> Dict[str, int]:
+        """Nodes the job occupies per module: exactly what it requests."""
+        return job.requests
 
     def validate(self, job: Job) -> None:
         """Reject jobs that could never fit the machine."""
-        if job.n_cluster > self.total_cluster or job.n_booster > self.total_booster:
-            raise AllocationError(
-                f"{job.name}: requests C{job.n_cluster}+B{job.n_booster}, "
-                f"machine has C{self.total_cluster}+B{self.total_booster}"
-            )
+        for mod in job.requests:
+            if mod not in self.totals:
+                raise AllocationError(f"{job.name}: unknown module {mod!r}")
+        for mod, n in self.footprint(job).items():
+            if n > self.totals[mod]:
+                raise AllocationError(
+                    f"{job.name}: wants {n} {mod} nodes, module has "
+                    f"{self.totals[mod]}"
+                )
 
     def can_allocate(self, job: Job) -> bool:
         """Whether the job fits the currently free pools."""
-        return (
-            job.n_cluster <= len(self._free_cluster)
-            and job.n_booster <= len(self._free_booster)
+        return all(
+            n <= len(self._free.get(mod, ()))
+            for mod, n in self.footprint(job).items()
         )
 
-    def allocate(self, job: Job) -> Tuple[List[Node], List[Node]]:
+    def allocate(self, job: Job) -> Dict[str, List[Node]]:
         """Take the job's nodes out of the free pools."""
         if not self.can_allocate(job):
             raise AllocationError(f"insufficient free nodes for {job.name}")
-        cn = [self._free_cluster.pop() for _ in range(job.n_cluster)]
-        bn = [self._free_booster.pop() for _ in range(job.n_booster)]
-        return cn, bn
+        return {
+            mod: [self._free[mod].pop() for _ in range(n)]
+            for mod, n in self.footprint(job).items()
+        }
 
-    def release(self, cluster_nodes: List[Node], booster_nodes: List[Node]) -> None:
-        """Return a job's nodes to the free pools."""
-        self._free_cluster.extend(cluster_nodes)
-        self._free_booster.extend(booster_nodes)
+    def release(self, allocation: Mapping[str, List[Node]]) -> None:
+        """Return an allocation to the free pools."""
+        for mod, nodes in allocation.items():
+            self._free[mod].extend(nodes)
 
-    @property
-    def free_cluster(self) -> int:
-        """Free Cluster nodes right now."""
-        return len(self._free_cluster)
+    def free_count(self, module: str) -> int:
+        """Free nodes currently available in one module."""
+        return len(self._free[module])
 
-    @property
-    def free_booster(self) -> int:
-        """Free Booster nodes right now."""
-        return len(self._free_booster)
-
-    def utilization_snapshot(self) -> Tuple[float, float]:
-        """(cluster, booster) busy fractions at this instant."""
-        c = 1.0 - len(self._free_cluster) / max(self.total_cluster, 1)
-        b = 1.0 - len(self._free_booster) / max(self.total_booster, 1)
-        return c, b
+    def utilization_snapshot(self) -> Dict[str, float]:
+        """Busy fraction of each module at this instant."""
+        return {
+            mod: 1.0 - len(free) / max(self.totals[mod], 1)
+            for mod, free in self._free.items()
+        }
 
 
 class AcceleratedNodeAllocator(ModularAllocator):
     """Host-coupled accelerators: the conventional-cluster baseline.
 
-    Accelerators are statically attached to hosts in a fixed ratio
-    (``boosters_per_host``).  Allocating a host removes its accelerators
-    from the pool and vice-versa: a booster request must also reserve
-    the attached host nodes.
+    The ``booster`` nodes are statically attached to the ``cluster``
+    hosts in the ratio of the two pools, B accelerators per C hosts.
+    Allocating a host pins its accelerators and vice versa: a job
+    occupies ``max(n_cluster, ceil(n_booster * C / B))`` hosts and the
+    ``round(hosts * B / C)`` accelerators they carry (at least its own
+    ``n_booster``).  The footprint is computed in integers, so every
+    job :meth:`validate` accepts fits the empty machine.
     """
 
-    def __init__(
-        self,
-        cluster_nodes: Sequence[Node],
-        booster_nodes: Sequence[Node],
-        boosters_per_host: Optional[float] = None,
-    ):
-        super().__init__(cluster_nodes, booster_nodes)
-        if boosters_per_host is None:
-            boosters_per_host = self.total_booster / max(self.total_cluster, 1)
-        if boosters_per_host <= 0:
-            raise ValueError("boosters_per_host must be positive")
-        self.boosters_per_host = boosters_per_host
+    def __init__(self, pools: Mapping[str, Sequence[Node]]):
+        super().__init__(pools)
+        if not self.totals.get("cluster") or not self.totals.get("booster"):
+            raise ValueError("host coupling needs cluster and booster nodes")
 
-    def _hosts_needed(self, job: Job) -> int:
-        """Hosts a job must occupy: its own CPU demand plus enough
-        hosts to reach the accelerators it wants."""
-        import math
-
-        hosts_for_boosters = math.ceil(job.n_booster / self.boosters_per_host)
-        return max(job.n_cluster, hosts_for_boosters)
-
-    def can_allocate(self, job: Job) -> bool:
-        """Whether the job fits under host-coupling constraints."""
-        hosts = self._hosts_needed(job)
-        # occupied hosts also pin their attached accelerators
-        boosters_pinned = int(round(hosts * self.boosters_per_host))
-        return hosts <= len(self._free_cluster) and max(
-            job.n_booster, boosters_pinned
-        ) <= len(self._free_booster)
-
-    def allocate(self, job: Job) -> Tuple[List[Node], List[Node]]:
-        """Allocate hosts plus the accelerators they pin."""
-        if not self.can_allocate(job):
-            raise AllocationError(f"insufficient free nodes for {job.name}")
-        hosts = self._hosts_needed(job)
-        boosters_pinned = max(
-            job.n_booster, int(round(hosts * self.boosters_per_host))
+    def footprint(self, job: Job) -> Dict[str, int]:
+        """Hosts and accelerators the job occupies under coupling."""
+        hosts_total, accels_total = self.totals["cluster"], self.totals["booster"]
+        n_booster = job.requests.get("booster", 0)
+        hosts = max(
+            job.requests.get("cluster", 0),
+            -(-n_booster * hosts_total // accels_total),  # ceil
         )
-        cn = [self._free_cluster.pop() for _ in range(hosts)]
-        bn = [self._free_booster.pop() for _ in range(boosters_pinned)]
-        return cn, bn
+        # exact ratio, ties to even: one host of 16 carries none of 8 boosters
+        pinned = round(Fraction(hosts * accels_total, hosts_total))
+        return {
+            **job.requests,
+            "cluster": hosts,
+            "booster": max(n_booster, pinned),
+        }

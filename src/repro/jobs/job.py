@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Dict, List, Optional
+
+from ..hardware.node import Node
 
 __all__ = ["JobState", "Job"]
 
@@ -17,36 +20,54 @@ class JobState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
-    """A batch job requesting nodes from one or both modules.
+    """A batch job requesting nodes from any combination of modules.
 
     The Cluster-Booster architecture "poses no constraints on the
     combination of CPU and accelerator nodes that an application may
     select, since resources are reserved and allocated independently"
-    (section II-A) — hence two independent node counts.
+    (section II-A) — hence one node count per module name, e.g.
+    ``Job("xpic", {"cluster": 4, "booster": 4}, 3600.0)``.
+
+    ``after`` lists jobs this one depends on (a workflow DAG, like
+    Slurm's ``--dependency=afterok``): it becomes eligible only once
+    every listed job has completed.
     """
 
     name: str
-    n_cluster: int
-    n_booster: int
+    requests: Dict[str, int]
     duration_s: float
     submit_time: float = 0.0
+    after: tuple = ()
     _ids = itertools.count()
 
     def __post_init__(self):
-        if self.n_cluster < 0 or self.n_booster < 0:
+        if not isinstance(self.requests, Mapping):
+            raise TypeError("requests must map module names to node counts")
+        if any(v < 0 for v in self.requests.values()):
             raise ValueError("node counts cannot be negative")
-        if self.n_cluster == 0 and self.n_booster == 0:
+        if not any(self.requests.values()):
             raise ValueError("job must request at least one node")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
+        self.after = tuple(self.after)
+        for dep in self.after:
+            if not isinstance(dep, Job):
+                raise TypeError("after must contain Job instances")
+        self.requests = {k: v for k, v in self.requests.items() if v > 0}
         self.job_id = next(Job._ids)
         self.state = JobState.PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self.cluster_nodes: list = []
-        self.booster_nodes: list = []
+        #: nodes held per module while running (host coupling may pin
+        #: more than ``requests``)
+        self.allocation: Dict[str, List[Node]] = {}
+
+    @property
+    def dependencies_met(self) -> bool:
+        """Whether every prerequisite job has completed."""
+        return all(d.state is JobState.COMPLETED for d in self.after)
 
     @property
     def wait_time(self) -> Optional[float]:
@@ -57,15 +78,9 @@ class Job:
 
     @property
     def total_nodes(self) -> int:
-        """Nodes requested across both modules."""
-        return self.n_cluster + self.n_booster
+        """Nodes requested across all modules."""
+        return sum(self.requests.values())
 
     def node_seconds(self) -> float:
         """Requested node-seconds (work volume) of the job."""
         return self.total_nodes * self.duration_s
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Job {self.name!r} C{self.n_cluster}+B{self.n_booster} "
-            f"{self.state.value}>"
-        )

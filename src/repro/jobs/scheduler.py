@@ -1,16 +1,18 @@
 """Event-driven batch scheduler (FCFS with optional EASY backfill).
 
-Runs on the discrete-event simulator: jobs arrive, wait in the queue,
-are placed by the allocator policy, occupy their nodes for their
-duration, and release them.  Extends the batch-system work the DEEP
-project invested in (ref [5] of the paper) in a simplified form
-sufficient for the modularity-throughput ablation.
+Runs on the discrete-event simulator: jobs arrive, wait in the queue
+until their dependencies complete, are placed by the allocator policy,
+occupy their nodes for their duration, and release them.  Extends the
+batch-system work the DEEP project invested in (ref [5] of the paper)
+in a simplified form sufficient for the modularity-throughput ablation,
+over any number of modules (section VI: DEEP-EST's resource management
+"to deal with any number of compute modules").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional
 
 from ..sim import Simulator
 from .allocator import ModularAllocator
@@ -22,11 +24,10 @@ __all__ = ["BatchScheduler", "ScheduleReport"]
 class ScheduleReport:
     """Aggregate statistics of a completed schedule."""
 
-    def __init__(self, jobs: List[Job], makespan: float, total_cluster: int, total_booster: int):
+    def __init__(self, jobs: List[Job], makespan: float, totals: Dict[str, int]):
         self.jobs = jobs
         self.makespan = makespan
-        self.total_cluster = total_cluster
-        self.total_booster = total_booster
+        self.totals = dict(totals)
 
     @property
     def mean_wait(self) -> float:
@@ -54,7 +55,17 @@ class ScheduleReport:
             for j in self.jobs
             if j.state is JobState.COMPLETED
         )
-        capacity = (self.total_cluster + self.total_booster) * self.makespan
+        capacity = sum(self.totals.values()) * self.makespan
+        return used / capacity if capacity > 0 else 0.0
+
+    def module_utilization(self, module: str) -> float:
+        """:attr:`utilization` restricted to one module."""
+        used = sum(
+            j.requests.get(module, 0) * j.duration_s
+            for j in self.jobs
+            if j.state is JobState.COMPLETED
+        )
+        capacity = self.totals[module] * self.makespan
         return used / capacity if capacity > 0 else 0.0
 
 
@@ -73,8 +84,7 @@ class BatchScheduler:
         self.queue: Deque[Job] = deque()
         self.jobs: List[Job] = []
         self._kick = sim.event()
-        self._driver = sim.process(self._loop())
-        self._running = 0
+        sim.process(self._loop())
         self.last_completion = 0.0
 
     # -- public API ---------------------------------------------------------
@@ -93,10 +103,7 @@ class BatchScheduler:
     def report(self) -> ScheduleReport:
         """Aggregate statistics of the schedule so far."""
         return ScheduleReport(
-            list(self.jobs),
-            makespan=self.last_completion,
-            total_cluster=self.allocator.total_cluster,
-            total_booster=self.allocator.total_booster,
+            list(self.jobs), self.last_completion, self.allocator.totals
         )
 
     # -- internals -----------------------------------------------------------
@@ -120,19 +127,26 @@ class BatchScheduler:
             yield self._kick
 
     def _try_start(self) -> None:
-        if not self.queue:
-            return
         # FCFS head
-        while self.queue and self.allocator.can_allocate(self.queue[0]):
+        while (
+            self.queue
+            and self.queue[0].dependencies_met
+            and self.allocator.can_allocate(self.queue[0])
+        ):
             self._start(self.queue.popleft())
         if not self.backfill or not self.queue:
             return
         # EASY backfill: a later job may jump ahead if it fits right now
-        # and finishes before the head job's earliest possible start.
-        head_start = self._estimate_head_start()
+        # and finishes before the head job's earliest possible start,
+        # estimated once per pass.  A head still waiting on its
+        # dependencies reserves nothing, so it never starves the queue.
+        head_ready = self.queue[0].dependencies_met
+        head_start = self._estimate_head_start() if head_ready else None
         for job in list(self.queue)[1:]:
-            if self.allocator.can_allocate(job) and (
-                head_start is None or self.sim.now + job.duration_s <= head_start
+            if (
+                job.dependencies_met
+                and self.allocator.can_allocate(job)
+                and (head_start is None or self.sim.now + job.duration_s <= head_start)
             ):
                 self.queue.remove(job)
                 self._start(job)
@@ -145,20 +159,18 @@ class BatchScheduler:
             (j for j in self.jobs if j.state is JobState.RUNNING),
             key=lambda j: j.start_time + j.duration_s,
         )
-        free_c, free_b = self.allocator.free_cluster, self.allocator.free_booster
+        free = {m: self.allocator.free_count(m) for m in self.allocator.totals}
         for j in running:
-            free_c += len(j.cluster_nodes)
-            free_b += len(j.booster_nodes)
-            if free_c >= head.n_cluster and free_b >= head.n_booster:
+            for mod, nodes in j.allocation.items():
+                free[mod] += len(nodes)
+            if all(free[mod] >= n for mod, n in head.requests.items()):
                 return j.start_time + j.duration_s
         return None
 
     def _start(self, job: Job) -> None:
-        cn, bn = self.allocator.allocate(job)
-        job.cluster_nodes, job.booster_nodes = cn, bn
+        job.allocation = self.allocator.allocate(job)
         job.state = JobState.RUNNING
         job.start_time = self.sim.now
-        self._running += 1
         self.sim.process(self._run(job))
 
     def _run(self, job: Job):
@@ -166,6 +178,5 @@ class BatchScheduler:
         job.state = JobState.COMPLETED
         job.end_time = self.sim.now
         self.last_completion = max(self.last_completion, self.sim.now)
-        self.allocator.release(job.cluster_nodes, job.booster_nodes)
-        self._running -= 1
+        self.allocator.release(job.allocation)
         self._wake()

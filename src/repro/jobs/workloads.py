@@ -59,8 +59,7 @@ def mixed_center_workload(
         jobs.append(
             Job(
                 name=name,
-                n_cluster=nc,
-                n_booster=nb,
+                requests={"cluster": nc, "booster": nb},
                 duration_s=duration,
                 submit_time=t,
             )

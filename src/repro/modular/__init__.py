@@ -2,7 +2,10 @@
 
 Any number of compute modules — Cluster and Booster are two — behind a
 unified fabric and resource manager, so "codes and work-flows [can]
-run distributed over the whole machine".
+run distributed over the whole machine".  The machine builder
+(:func:`repro.hardware.build_modular_system`) and the batch scheduler
+(:mod:`repro.jobs`) take any number of modules; this package adds the
+Data Analytics Module spec and declarative machine config files.
 """
 
 from .config_io import (
@@ -11,25 +14,10 @@ from .config_io import (
     machine_to_config,
     save_config,
 )
-from .machine import ModularMachine, build_modular_system
-from .scheduler import ModularJob, ModularScheduler, MultiModuleAllocator
-from .spec import (
-    ModuleSpec,
-    booster_module,
-    cluster_module,
-    data_analytics_module,
-)
+from .spec import data_analytics_module
 
 __all__ = [
-    "ModuleSpec",
-    "cluster_module",
-    "booster_module",
     "data_analytics_module",
-    "ModularMachine",
-    "build_modular_system",
-    "ModularJob",
-    "MultiModuleAllocator",
-    "ModularScheduler",
     "machine_to_config",
     "machine_from_config",
     "save_config",

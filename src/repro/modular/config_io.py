@@ -14,12 +14,11 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..hardware.machine import Machine, ModuleSpec, build_modular_system
 from ..hardware.memory import MemoryLevel, MemorySystem
 from ..hardware.node import NodeKind
 from ..hardware.processor import Processor
 from ..sim import Simulator
-from .machine import ModularMachine, build_modular_system
-from .spec import ModuleSpec
 
 __all__ = [
     "machine_to_config",
@@ -62,8 +61,8 @@ def _memory_from_list(levels: List[Dict]) -> MemorySystem:
     return MemorySystem([MemoryLevel(**lv) for lv in levels])
 
 
-def machine_to_config(machine: ModularMachine) -> Dict:
-    """Serialize a modular machine's structure to a plain dict."""
+def machine_to_config(machine: Machine) -> Dict:
+    """Serialize a machine's module structure to a plain dict."""
     modules = []
     for name in machine.module_names:
         nodes = machine.module(name)
@@ -90,8 +89,8 @@ def machine_to_config(machine: ModularMachine) -> Dict:
 
 def machine_from_config(
     config: Dict, sim: Optional[Simulator] = None
-) -> ModularMachine:
-    """Build a modular machine from a config dict."""
+) -> Machine:
+    """Build a machine from a config dict."""
     if config.get("format") != "repro-machine/1":
         raise ValueError(
             f"unsupported config format {config.get('format')!r}"

@@ -1,88 +1,24 @@
-"""Module specifications for Modular Supercomputing (DEEP-EST).
+"""The Data Analytics Module of Modular Supercomputing (DEEP-EST).
 
 Section VI: DEEP-EST "combines any number of compute modules (Cluster
 and Booster are two such modules) into a unified computing platform.
 Each compute module is a cluster of a potentially large size, tailored
 to the specific needs of a class of applications."
 
-A :class:`ModuleSpec` describes one such module; prefab specs cover the
-three modules of the DEEP-EST prototype: general-purpose Cluster,
-many-core Booster (ESB), and a Data Analytics Module (DAM: fat-memory
-nodes for HPDA workloads).
+The Cluster and Booster specs live with the machine builder in
+:mod:`repro.hardware`; this adds the third module of the DEEP-EST
+prototype, a Data Analytics Module (DAM: fat-memory nodes for HPDA
+workloads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
+from ..hardware.machine import ModuleSpec
 from ..hardware.memory import GB, MemoryLevel, MemorySystem
 from ..hardware.node import NodeKind
-from ..hardware.presets import (
-    BOOSTER_NIC_OVERHEAD_S,
-    CLUSTER_NIC_OVERHEAD_S,
-    booster_memory,
-    cluster_memory,
-)
-from ..hardware.processor import HASWELL_E5_2680V3, KNL_7210, Processor
+from ..hardware.processor import Processor
 
-__all__ = [
-    "ModuleSpec",
-    "cluster_module",
-    "booster_module",
-    "data_analytics_module",
-]
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    """One compute module: homogeneous nodes behind one fabric group."""
-
-    name: str
-    node_count: int
-    processor: Processor
-    memory_factory: Callable[[], MemorySystem]
-    kind: NodeKind
-    nic_sw_overhead_s: float
-    with_nvme: bool = True
-    node_prefix: Optional[str] = None
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("a module needs at least one node")
-        if not self.name.isidentifier():
-            raise ValueError(f"module name {self.name!r} must be identifier-like")
-
-    @property
-    def prefix(self) -> str:
-        """Node-id prefix used when instantiating the module."""
-        return self.node_prefix or (self.name[:2] + "n")
-
-
-def cluster_module(name: str = "cluster", nodes: int = 16) -> ModuleSpec:
-    """General-purpose module (Haswell, as in the DEEP-ER prototype)."""
-    return ModuleSpec(
-        name=name,
-        node_count=nodes,
-        processor=HASWELL_E5_2680V3,
-        memory_factory=cluster_memory,
-        kind=NodeKind.CLUSTER,
-        nic_sw_overhead_s=CLUSTER_NIC_OVERHEAD_S,
-        node_prefix="cn",
-    )
-
-
-def booster_module(name: str = "booster", nodes: int = 8) -> ModuleSpec:
-    """Many-core/accelerator module (KNL, as in the DEEP-ER prototype)."""
-    return ModuleSpec(
-        name=name,
-        node_count=nodes,
-        processor=KNL_7210,
-        memory_factory=booster_memory,
-        kind=NodeKind.BOOSTER,
-        nic_sw_overhead_s=BOOSTER_NIC_OVERHEAD_S,
-        node_prefix="bn",
-    )
+__all__ = ["data_analytics_module"]
 
 
 #: Fat-memory processor for the Data Analytics Module: fewer, faster

@@ -13,13 +13,7 @@ from .fabric import (
     NoRouteError,
 )
 from .link import Link, LinkSpec, TOURMALET_LINK
-from .topology import (
-    BOOSTER_SWITCH,
-    CLUSTER_SWITCH,
-    Topology,
-    build_torus_topology,
-    build_two_level_topology,
-)
+from .topology import Topology, build_mesh_topology, build_torus_topology
 
 __all__ = [
     "Fabric",
@@ -29,10 +23,8 @@ __all__ = [
     "LinkSpec",
     "TOURMALET_LINK",
     "Topology",
-    "build_two_level_topology",
+    "build_mesh_topology",
     "build_torus_topology",
-    "CLUSTER_SWITCH",
-    "BOOSTER_SWITCH",
     "EAGER_THRESHOLD_BYTES",
     "PROTOCOL_EFFICIENCY",
 ]

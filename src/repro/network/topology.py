@@ -1,31 +1,39 @@
 """Fabric topology construction (networkx-based).
 
 The DEEP-ER prototype runs one uniform EXTOLL Tourmalet fabric across
-Cluster, Booster and storage.  We model it as a two-level fat topology:
+Cluster, Booster and storage.  We model it as a mesh of module switch
+groups (:func:`build_mesh_topology`):
 
-* every Cluster node attaches to a Cluster-side switch group ``sw.cluster``;
-* every Booster node attaches to a Booster-side switch group ``sw.booster``;
-* the groups are joined by a multi-channel backbone trunk that also
-  hosts the storage servers and NAM devices.
+* every node of a module attaches to that module's switch group
+  ``sw.<module>`` (``sw.cluster``, ``sw.booster``, ...);
+* each pair of groups is joined by a multi-channel backbone trunk;
+* the storage servers and NAM devices attach to every group.
 
-Hop counts therefore come out as CN-CN / BN-BN = 2 links and
-CN-BN = 3 links, which (together with the per-node software overheads)
-reproduces the latency ordering of Fig 3.
+Hop counts therefore come out as 2 links inside a module (CN-CN,
+BN-BN) and 3 links across modules (CN-BN), which (together with the
+per-node software overheads) reproduces the latency ordering of Fig 3.
+The Cluster-Booster prototype is the two-module case; a DEEP-EST
+system (section VI) adds modules to the same mesh.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import networkx as nx
 
 from ..sim import Simulator
 from .link import Link, LinkSpec, TOURMALET_LINK
 
-__all__ = ["Topology", "build_two_level_topology", "build_torus_topology"]
+__all__ = ["Topology", "build_mesh_topology", "build_torus_topology"]
 
-CLUSTER_SWITCH = "sw.cluster"
-BOOSTER_SWITCH = "sw.booster"
+#: Inter-module trunk: the prototype's torus offers several independent
+#: paths between two module sub-fabrics.
+_BACKBONE_LINK = LinkSpec(
+    bandwidth_bps=TOURMALET_LINK.bandwidth_bps,
+    hop_latency_s=TOURMALET_LINK.hop_latency_s,
+    channels=8,
+)
 
 
 class Topology:
@@ -176,53 +184,39 @@ class Topology:
         return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "node"]
 
 
-def build_two_level_topology(
+def build_mesh_topology(
     sim: Simulator,
-    cluster_ids: Iterable[str],
-    booster_ids: Iterable[str],
+    module_groups: Dict[str, Sequence[str]],
     storage_ids: Iterable[str] = (),
     nam_ids: Iterable[str] = (),
-    link_spec: LinkSpec = TOURMALET_LINK,
-    backbone_channels: int = 8,
 ) -> Topology:
-    """Build the DEEP-ER style two-level fabric.
+    """Build the mesh of module switch groups.
 
-    ``backbone_channels`` sets the trunking factor of the inter-module
-    connection (the prototype's torus offers several independent paths
-    between the Cluster and Booster sub-fabrics).
+    ``module_groups`` maps each module name to its node ids, in module
+    order; links are added backbone first, then module by module, then
+    storage and NAM devices (each to every group in module order).
     """
     topo = Topology(sim)
-    topo.add_endpoint(CLUSTER_SWITCH, kind="switch")
-    topo.add_endpoint(BOOSTER_SWITCH, kind="switch")
-    backbone_spec = LinkSpec(
-        bandwidth_bps=link_spec.bandwidth_bps,
-        hop_latency_s=link_spec.hop_latency_s,
-        channels=backbone_channels,
-    )
-    topo.add_link(CLUSTER_SWITCH, BOOSTER_SWITCH, backbone_spec)
-
-    for cid in cluster_ids:
-        topo.add_endpoint(cid)
-        topo.add_link(cid, CLUSTER_SWITCH, link_spec)
-    for bid in booster_ids:
-        topo.add_endpoint(bid)
-        topo.add_link(bid, BOOSTER_SWITCH, link_spec)
-    # Storage and NAM sit on the backbone: equidistant-ish from both sides.
-    for sid in storage_ids:
+    switches = {name: f"sw.{name}" for name in module_groups}
+    for sw in switches.values():
+        topo.add_endpoint(sw, kind="switch")
+    names = list(switches.values())
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            topo.add_link(a, b, _BACKBONE_LINK)
+    for name, ids in module_groups.items():
+        for nid in ids:
+            topo.add_endpoint(nid)
+            topo.add_link(nid, switches[name], TOURMALET_LINK)
+    for sid in [*storage_ids, *nam_ids]:
         topo.add_endpoint(sid)
-        topo.add_link(sid, CLUSTER_SWITCH, link_spec)
-        topo.add_link(sid, BOOSTER_SWITCH, link_spec)
-    for nid in nam_ids:
-        topo.add_endpoint(nid)
-        topo.add_link(nid, CLUSTER_SWITCH, link_spec)
-        topo.add_link(nid, BOOSTER_SWITCH, link_spec)
+        for sw in names:
+            topo.add_link(sid, sw, TOURMALET_LINK)
     return topo
 
 
 def _torus_dims(n: int) -> tuple:
     """Smallest near-cubic 3D torus with at least ``n`` vertices."""
-    import math
-
     side = max(2, round(n ** (1 / 3)))
     dims = [side, side, side]
     i = 0
@@ -246,7 +240,7 @@ def build_torus_topology(
     coordinates; unused torus slots become passive forwarding vertices
     (kind ``"spare"``).
 
-    This is the physically faithful alternative to the two-level model
+    This is the physically faithful alternative to the module mesh
     (which matches the paper's uniform measured latencies); the fabric
     bench compares the two.
     """

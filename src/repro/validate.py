@@ -329,7 +329,7 @@ def _stack_claims() -> List[Claim]:
         sim = Simulator()
         m = _machine()
         cls = AcceleratedNodeAllocator if accelerated else ModularAllocator
-        sched = BatchScheduler(sim, cls(m.cluster, m.booster))
+        sched = BatchScheduler(sim, cls({"cluster": m.cluster, "booster": m.booster}))
         sched.submit_all(mixed_center_workload(40, seed=3))
         sim.run()
         return sched.report().makespan

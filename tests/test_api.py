@@ -11,6 +11,8 @@ import repro
 from repro.api import Session
 from repro.bench import run_fig7
 from repro.engine import Engine, ExperimentSpec
+from repro.hardware import build_deep_er_prototype
+from repro.jobs import AcceleratedNodeAllocator, Job
 from repro.partition import Partition
 from repro.store import ResultCache
 
@@ -130,6 +132,16 @@ def test_spec_keyword_args_do_not_warn():
     assert spec.steps == 5
 
 
+def _attr(module, name):
+    return lambda: getattr(importlib.import_module(module), name)
+
+
+def _coupled_with_ratio():
+    m = build_deep_er_prototype()
+    pools = {"cluster": m.cluster, "booster": m.booster}
+    return AcceleratedNodeAllocator(pools, boosters_per_host=0.5)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -138,6 +150,20 @@ def test_spec_keyword_args_do_not_warn():
         (lambda: importlib.import_module("repro.cache"), ModuleNotFoundError),
         (lambda: run_fig7(workers=2), TypeError),
         (lambda: Session().tune(nested=True), TypeError),
+        (_attr("repro.network", "build_two_level_topology"), AttributeError),
+        (_attr("repro.network", "CLUSTER_SWITCH"), AttributeError),
+        (_attr("repro.network", "BOOSTER_SWITCH"), AttributeError),
+        (_attr("repro.modular", "ModularMachine"), AttributeError),
+        (_attr("repro.modular", "ModularJob"), AttributeError),
+        (_attr("repro.modular", "MultiModuleAllocator"), AttributeError),
+        (_attr("repro.modular", "ModularScheduler"), AttributeError),
+        (_attr("repro.modular", "build_modular_system"), AttributeError),
+        (lambda: importlib.import_module("repro.modular.machine"),
+         ModuleNotFoundError),
+        (lambda: importlib.import_module("repro.modular.scheduler"),
+         ModuleNotFoundError),
+        (_coupled_with_ratio, TypeError),
+        (lambda: Job("j", 4, 2, 100.0), TypeError),
     ],
     ids=[
         "positional-spec",
@@ -145,13 +171,27 @@ def test_spec_keyword_args_do_not_warn():
         "cache-module",
         "run_fig7-workers",
         "tune-nested",
+        "two-level-topology",
+        "cluster-switch",
+        "booster-switch",
+        "modular-machine",
+        "modular-job",
+        "multi-module-allocator",
+        "modular-scheduler",
+        "modular-builder-path",
+        "modular-machine-module",
+        "modular-scheduler-module",
+        "boosters-per-host",
+        "positional-job",
     ],
 )
 def test_removed_spellings_stay_removed(call, error):
     """Each input has one spelling since 2.0: the old ones fail loudly
     instead of running (a positional spec, a bare tuple, the
     ``repro.cache`` path, the runners' engine/workers/cache keywords,
-    ``Session.tune(nested=)``)."""
+    ``Session.tune(nested=)``, the second machine builder and job
+    scheduler with their names, the host-coupling ratio option and the
+    positional ``Job(name, n_cluster, n_booster, duration)``)."""
     with pytest.raises(error):
         call()
 

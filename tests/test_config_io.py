@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.modular import (
+from repro.hardware import (
     booster_module,
+    build_deep_er_prototype,
     build_modular_system,
     cluster_module,
+)
+from repro.modular import (
     data_analytics_module,
     load_config,
     machine_from_config,
@@ -61,6 +64,33 @@ def test_json_file_roundtrip(machine, tmp_path):
     assert loaded == cfg
     rebuilt = machine_from_config(loaded)
     assert rebuilt.module_names == machine.module_names
+
+
+def _structure(machine):
+    """Everything a config round-trip must rebuild, as plain values."""
+    topo = machine.fabric.topology
+    nodes = [
+        (
+            n.node_id, n.kind, n.nic_sw_overhead_s, n.module,
+            n.nvme is not None,
+            [(lv.name, lv.capacity_bytes, lv.bandwidth_bps, lv.latency_s)
+             for lv in n.memory.levels] if n.memory else None,
+        )
+        for n in machine.all_nodes
+    ]
+    links = [(link.u, link.v, link.spec) for link in topo.links]
+    return nodes, links, topo.endpoints
+
+
+def test_prototype_roundtrip_rebuilds_the_same_machine():
+    """The DEEP-ER prototype is a modular machine: its config rebuilds
+    the same links (in order), endpoints and nodes."""
+    machine = build_deep_er_prototype()
+    cfg = machine_to_config(machine)
+    assert [m["name"] for m in cfg["modules"]] == ["cluster", "booster"]
+    rebuilt = machine_from_config(cfg)
+    assert rebuilt.module_names == ["cluster", "booster"]
+    assert _structure(rebuilt) == _structure(machine)
 
 
 def test_unknown_format_rejected():

@@ -190,6 +190,24 @@ def test_prototype_node_counts(machine):
 def test_prototype_modules_by_name(machine):
     assert machine.module("cluster") == machine.cluster
     assert machine.module("booster") == machine.booster
+    assert machine.module_names == ["cluster", "booster"]
+    assert machine.module_of("bn03") == "booster"
+
+
+def test_empty_module_is_left_out():
+    """A module given no nodes has no switch group: the Booster-only
+    machine is the one-module mesh, and storage still sits 2 links
+    from every Booster node."""
+    machine = build_deep_er_prototype(cluster_nodes=0)
+    assert machine.module_names == ["booster"]
+    assert machine.cluster == []
+    topo = machine.fabric.topology
+    assert "sw.cluster" not in topo.graph
+    assert len(topo.links) == 8 + 3 + 2  # nodes, storage, NAMs
+    assert machine.fabric.hops("bn00", "st0") == 2
+    assert machine.fabric.latency("bn00", "bn01") == pytest.approx(
+        presets.BOOSTER_MPI_LATENCY_S
+    )
 
 
 def test_prototype_peak_flops(machine):

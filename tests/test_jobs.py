@@ -1,5 +1,7 @@
 """Tests for the modular resource manager and batch scheduler."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,24 +19,33 @@ from repro.jobs import (
 from repro.sim import Simulator
 
 
+def pools(m):
+    return {"cluster": m.cluster, "booster": m.booster}
+
+
 def make_allocator(accelerated=False, nc=16, nb=8):
     m = build_deep_er_prototype(cluster_nodes=nc, booster_nodes=nb)
     cls = AcceleratedNodeAllocator if accelerated else ModularAllocator
-    return cls(m.cluster, m.booster)
+    return cls(pools(m))
+
+
+def job(name, nc, nb, duration):
+    """A Cluster+Booster job: ``nc`` Cluster and ``nb`` Booster nodes."""
+    return Job(name, {"cluster": nc, "booster": nb}, duration)
 
 
 # --------------------------------------------------------------------- job
 def test_job_validation():
     with pytest.raises(ValueError):
-        Job("j", -1, 0, 10)
+        job("j", -1, 0, 10)
     with pytest.raises(ValueError):
-        Job("j", 0, 0, 10)
+        job("j", 0, 0, 10)
     with pytest.raises(ValueError):
-        Job("j", 1, 1, 0)
+        job("j", 1, 1, 0)
 
 
 def test_job_accounting_fields():
-    j = Job("j", 2, 1, 100.0)
+    j = job("j", 2, 1, 100.0)
     assert j.total_nodes == 3
     assert j.node_seconds() == 300.0
     assert j.state is JobState.PENDING
@@ -44,57 +55,53 @@ def test_job_accounting_fields():
 # ---------------------------------------------------------------- modular
 def test_modular_allocate_release_roundtrip():
     alloc = make_allocator()
-    job = Job("j", 4, 2, 10)
-    cn, bn = alloc.allocate(job)
-    assert len(cn) == 4 and len(bn) == 2
-    assert alloc.free_cluster == 12 and alloc.free_booster == 6
-    alloc.release(cn, bn)
-    assert alloc.free_cluster == 16 and alloc.free_booster == 8
+    a = alloc.allocate(job("j", 4, 2, 10))
+    assert len(a["cluster"]) == 4 and len(a["booster"]) == 2
+    assert alloc.free_count("cluster") == 12 and alloc.free_count("booster") == 6
+    alloc.release(a)
+    assert alloc.free_count("cluster") == 16 and alloc.free_count("booster") == 8
 
 
 def test_modular_independent_pools():
     """A Booster-only job leaves the whole Cluster available."""
     alloc = make_allocator()
-    alloc.allocate(Job("acc", 0, 8, 10))
-    assert alloc.free_booster == 0
-    assert alloc.free_cluster == 16
-    assert alloc.can_allocate(Job("cpu", 16, 0, 10))
+    alloc.allocate(job("acc", 0, 8, 10))
+    assert alloc.free_count("booster") == 0
+    assert alloc.free_count("cluster") == 16
+    assert alloc.can_allocate(job("cpu", 16, 0, 10))
 
 
 def test_modular_rejects_oversize():
     alloc = make_allocator()
     with pytest.raises(AllocationError):
-        alloc.validate(Job("big", 17, 0, 10))
+        alloc.validate(job("big", 17, 0, 10))
     with pytest.raises(AllocationError):
-        alloc.allocate(Job("j", 0, 9, 10))
+        alloc.allocate(job("j", 0, 9, 10))
 
 
 def test_utilization_snapshot():
     alloc = make_allocator()
-    alloc.allocate(Job("j", 8, 4, 10))
-    c, b = alloc.utilization_snapshot()
-    assert c == pytest.approx(0.5)
-    assert b == pytest.approx(0.5)
+    alloc.allocate(job("j", 8, 4, 10))
+    snap = alloc.utilization_snapshot()
+    assert snap == {"cluster": pytest.approx(0.5), "booster": pytest.approx(0.5)}
 
 
 # ------------------------------------------------------------ accelerated
 def test_accelerated_booster_request_pins_hosts():
     """In the host-coupled model, accelerators cost host nodes too."""
     alloc = make_allocator(accelerated=True)  # 0.5 boosters per host
-    job = Job("acc", 0, 4, 10)
-    cn, bn = alloc.allocate(job)
-    assert len(bn) == 4
-    assert len(cn) == 8  # 4 boosters at 0.5/host -> 8 hosts occupied
-    assert alloc.free_cluster == 8
+    a = alloc.allocate(job("acc", 0, 4, 10))
+    assert len(a["booster"]) == 4
+    assert len(a["cluster"]) == 8  # 4 boosters at 0.5/host -> 8 hosts occupied
+    assert alloc.free_count("cluster") == 8
 
 
 def test_accelerated_host_request_pins_boosters():
     alloc = make_allocator(accelerated=True)
-    job = Job("cpu", 16, 0, 10)
-    cn, bn = alloc.allocate(job)
-    assert len(cn) == 16
-    assert len(bn) == 8  # all accelerators pinned by their hosts
-    assert not alloc.can_allocate(Job("acc", 0, 1, 10))
+    a = alloc.allocate(job("cpu", 16, 0, 10))
+    assert len(a["cluster"]) == 16
+    assert len(a["booster"]) == 8  # all accelerators pinned by their hosts
+    assert not alloc.can_allocate(job("acc", 0, 1, 10))
 
 
 def test_modular_beats_accelerated_for_complementary_jobs():
@@ -102,14 +109,55 @@ def test_modular_beats_accelerated_for_complementary_jobs():
     share the machine.  A full-Cluster job + full-Booster job coexist
     under modular allocation but not under host coupling."""
     modular = make_allocator()
-    cpu, acc = Job("cpu", 16, 0, 10), Job("acc", 0, 8, 10)
+    cpu, acc = job("cpu", 16, 0, 10), job("acc", 0, 8, 10)
     modular.allocate(cpu)
     assert modular.can_allocate(acc)
 
     coupled = make_allocator(accelerated=True)
-    cpu2, acc2 = Job("cpu", 16, 0, 10), Job("acc", 0, 8, 10)
+    cpu2, acc2 = job("cpu", 16, 0, 10), job("acc", 0, 8, 10)
     coupled.allocate(cpu2)
     assert not coupled.can_allocate(acc2)
+
+
+def test_accelerated_allocator_needs_both_pools():
+    m = build_deep_er_prototype()
+    with pytest.raises(ValueError):
+        AcceleratedNodeAllocator({"cluster": m.cluster, "booster": []})
+    with pytest.raises(ValueError):
+        AcceleratedNodeAllocator({"booster": m.booster})
+
+
+def test_accelerated_validate_implies_placeable():
+    """Every request the host-coupled allocator accepts fits the empty
+    machine, for every C hosts and B accelerators in 1..32.  The
+    footprint is integer arithmetic: with a float ratio, a request for
+    all 11 of 11 accelerators on 15 hosts needed ceil(15.000000000000002)
+    = 16 hosts and waited forever."""
+    for c in range(1, 33):
+        for b in range(1, 33):
+            alloc = AcceleratedNodeAllocator(
+                {"cluster": list(range(c)), "booster": list(range(b))}
+            )
+            for nb in range(b + 1):
+                for nc in {0, 1, c // 2, c}:
+                    if nc == nb == 0:
+                        continue
+                    j = job("j", nc, nb, 10)
+                    alloc.validate(j)
+                    assert alloc.can_allocate(j), (c, b, nc, nb)
+                    held = alloc.footprint(j)
+                    assert held["cluster"] <= c and held["booster"] <= b
+
+
+def test_accelerated_whole_booster_runs_on_15_plus_11():
+    m = build_deep_er_prototype(cluster_nodes=15, booster_nodes=11)
+    sched = BatchScheduler(m.sim, AcceleratedNodeAllocator(pools(m)))
+    acc = sched.submit(job("acc", 0, 11, 100.0))
+    m.sim.run()
+    assert acc.state is JobState.COMPLETED
+    assert {k: len(v) for k, v in acc.allocation.items()} == {
+        "booster": 11, "cluster": 15,
+    }
 
 
 # -------------------------------------------------------------- scheduler
@@ -117,14 +165,14 @@ def run_schedule(jobs, accelerated=False, backfill=True):
     sim = Simulator()
     m = build_deep_er_prototype()
     cls = AcceleratedNodeAllocator if accelerated else ModularAllocator
-    sched = BatchScheduler(sim, cls(m.cluster, m.booster), backfill=backfill)
+    sched = BatchScheduler(sim, cls(pools(m)), backfill=backfill)
     sched.submit_all(jobs)
     sim.run()
     return sched.report()
 
 
 def test_scheduler_runs_all_jobs():
-    jobs = [Job(f"j{i}", 4, 2, 100.0) for i in range(6)]
+    jobs = [job(f"j{i}", 4, 2, 100.0) for i in range(6)]
     rep = run_schedule(jobs)
     assert all(j.state is JobState.COMPLETED for j in rep.jobs)
     assert rep.makespan > 0
@@ -132,13 +180,13 @@ def test_scheduler_runs_all_jobs():
 
 def test_scheduler_parallelism_when_resources_allow():
     """Two half-machine jobs run concurrently."""
-    jobs = [Job("a", 8, 4, 100.0), Job("b", 8, 4, 100.0)]
+    jobs = [job("a", 8, 4, 100.0), job("b", 8, 4, 100.0)]
     rep = run_schedule(jobs)
     assert rep.makespan == pytest.approx(100.0)
 
 
 def test_scheduler_serializes_when_full():
-    jobs = [Job("a", 16, 0, 100.0), Job("b", 16, 0, 100.0)]
+    jobs = [job("a", 16, 0, 100.0), job("b", 16, 0, 100.0)]
     rep = run_schedule(jobs)
     assert rep.makespan == pytest.approx(200.0)
 
@@ -146,16 +194,16 @@ def test_scheduler_serializes_when_full():
 def test_backfill_fills_gaps():
     """A small job jumps a blocked head job when it cannot delay it."""
     jobs = [
-        Job("big1", 16, 0, 100.0),  # occupies whole cluster
-        Job("big2", 16, 0, 100.0),  # head of queue, blocked
-        Job("small", 0, 2, 50.0),  # fits now on the booster
+        job("big1", 16, 0, 100.0),  # occupies whole cluster
+        job("big2", 16, 0, 100.0),  # head of queue, blocked
+        job("small", 0, 2, 50.0),  # fits now on the booster
     ]
     rep = run_schedule(jobs, backfill=True)
     small = next(j for j in rep.jobs if j.name == "small")
     assert small.start_time == pytest.approx(0.0)
 
     rep2 = run_schedule(
-        [Job("big1", 16, 0, 100.0), Job("big2", 16, 0, 100.0), Job("small", 0, 2, 50.0)],
+        [job("big1", 16, 0, 100.0), job("big2", 16, 0, 100.0), job("small", 0, 2, 50.0)],
         backfill=False,
     )
     small2 = next(j for j in rep2.jobs if j.name == "small")
@@ -174,10 +222,39 @@ def test_modular_throughput_advantage():
     assert modular.mean_wait <= coupled.mean_wait
 
 
+#: sha256 of ``repr([(name, start_time, end_time), ...])`` and makespan
+#: of mixed-centre streams under host coupling with backfill.  The
+#: head's start is estimated once per pass: re-estimating after each
+#: backfill moves it earlier under host coupling and changes these
+#: schedules (seed 125 would end at 51,296.1 s).
+HOST_COUPLED_SCHEDULES = {
+    (40, 125): (
+        50926.92472435057,
+        "392f77f1deb5c6d1871dce8e64b9e28d2ef11e129a215210ebf2f67e34f070bd",
+    ),
+    (60, 102): (
+        92100.42974494283,
+        "a3c053b33543bfab12d07c28dd8b13e106d210fe438c1a0c88f461b7f0b48bbb",
+    ),
+}
+
+
+@pytest.mark.parametrize("n_jobs, seed", sorted(HOST_COUPLED_SCHEDULES))
+def test_host_coupled_schedule_is_pinned(n_jobs, seed):
+    jobs = mixed_center_workload(n_jobs, seed=seed)
+    rep = run_schedule(jobs, accelerated=True, backfill=True)
+    timeline = [(j.name, j.start_time, j.end_time) for j in jobs]
+    makespan, digest = HOST_COUPLED_SCHEDULES[n_jobs, seed]
+    assert rep.makespan == makespan
+    assert hashlib.sha256(repr(timeline).encode()).hexdigest() == digest
+
+
 def test_report_metrics_sane():
-    rep = run_schedule([Job("j", 8, 4, 100.0)])
+    rep = run_schedule([job("j", 8, 4, 100.0)])
     assert 0 < rep.utilization <= 1.0
     assert rep.throughput > 0
+    assert rep.module_utilization("cluster") == pytest.approx(0.5)
+    assert rep.module_utilization("booster") == pytest.approx(0.5)
 
 
 def test_workload_generator_validation():
@@ -205,20 +282,22 @@ def test_scheduler_never_oversubscribes(requests):
     """Property: at no time do running jobs exceed machine capacity."""
     sim = Simulator()
     m = build_deep_er_prototype()
-    alloc = ModularAllocator(m.cluster, m.booster)
+    alloc = ModularAllocator(pools(m))
     sched = BatchScheduler(sim, alloc)
-    jobs = [Job(f"j{i}", nc, nb, 50.0) for i, (nc, nb) in enumerate(requests)]
+    jobs = [job(f"j{i}", nc, nb, 50.0) for i, (nc, nb) in enumerate(requests)]
     sched.submit_all(jobs)
     sim.run()
     assert all(j.state is JobState.COMPLETED for j in jobs)
     # pools fully restored
-    assert alloc.free_cluster == 16
-    assert alloc.free_booster == 8
+    assert alloc.free_count("cluster") == 16
+    assert alloc.free_count("booster") == 8
     # no overlap beyond capacity: check pairwise concurrent usage
     events = []
     for j in jobs:
-        events.append((j.start_time, 1, len(j.cluster_nodes), len(j.booster_nodes)))
-        events.append((j.end_time, 0, -len(j.cluster_nodes), -len(j.booster_nodes)))
+        nc = len(j.allocation.get("cluster", ()))
+        nb = len(j.allocation.get("booster", ()))
+        events.append((j.start_time, 1, nc, nb))
+        events.append((j.end_time, 0, -nc, -nb))
     # releases sort before same-instant starts (marker 0 < 1)
     events.sort(key=lambda e: (e[0], e[1]))
     c = b = 0

@@ -2,18 +2,20 @@
 
 import pytest
 
-from repro.jobs.allocator import AllocationError
-from repro.jobs.job import JobState
-from repro.modular import (
-    ModularJob,
-    ModularScheduler,
+from repro.hardware import (
     ModuleSpec,
-    MultiModuleAllocator,
     booster_module,
     build_modular_system,
     cluster_module,
-    data_analytics_module,
 )
+from repro.jobs import (
+    AllocationError,
+    BatchScheduler,
+    Job,
+    JobState,
+    ModularAllocator,
+)
+from repro.modular import data_analytics_module
 from repro.mpi import MPIRuntime
 from repro.sim import Simulator
 
@@ -119,18 +121,18 @@ def test_spawn_across_three_modules(machine):
 # --------------------------------------------------------------- scheduling
 def test_modular_job_validation():
     with pytest.raises(ValueError):
-        ModularJob("j", {}, 10.0)
+        Job("j", {}, 10.0)
     with pytest.raises(ValueError):
-        ModularJob("j", {"cluster": -1}, 10.0)
+        Job("j", {"cluster": -1}, 10.0)
     with pytest.raises(ValueError):
-        ModularJob("j", {"cluster": 1}, 0.0)
+        Job("j", {"cluster": 1}, 0.0)
 
 
 def test_multi_allocator_roundtrip(machine):
-    alloc = MultiModuleAllocator(
+    alloc = ModularAllocator(
         {m: machine.module(m) for m in machine.module_names}
     )
-    job = ModularJob("wf", {"cluster": 2, "booster": 1, "dam": 1}, 60.0)
+    job = Job("wf", {"cluster": 2, "booster": 1, "dam": 1}, 60.0)
     a = alloc.allocate(job)
     assert {k: len(v) for k, v in a.items()} == {
         "cluster": 2, "booster": 1, "dam": 1
@@ -141,9 +143,9 @@ def test_multi_allocator_roundtrip(machine):
 
 
 def test_multi_allocator_unknown_module(machine):
-    alloc = MultiModuleAllocator({"cluster": machine.module("cluster")})
+    alloc = ModularAllocator({"cluster": machine.module("cluster")})
     with pytest.raises(AllocationError):
-        alloc.validate(ModularJob("j", {"gpu": 1}, 10.0))
+        alloc.validate(Job("j", {"gpu": 1}, 10.0))
 
 
 def test_modular_scheduler_runs_mixed_stream():
@@ -152,15 +154,15 @@ def test_modular_scheduler_runs_mixed_stream():
          data_analytics_module(nodes=2)]
     )
     sim = machine.sim
-    alloc = MultiModuleAllocator(
+    alloc = ModularAllocator(
         {m: machine.module(m) for m in machine.module_names}
     )
-    sched = ModularScheduler(sim, alloc)
+    sched = BatchScheduler(sim, alloc)
     jobs = [
-        ModularJob("sim1", {"cluster": 4, "booster": 2}, 100.0),
-        ModularJob("hpda1", {"dam": 2}, 100.0),
-        ModularJob("cpu1", {"cluster": 4}, 100.0),
-        ModularJob("sim2", {"cluster": 8, "booster": 4, "dam": 1}, 50.0),
+        Job("sim1", {"cluster": 4, "booster": 2}, 100.0),
+        Job("hpda1", {"dam": 2}, 100.0),
+        Job("cpu1", {"cluster": 4}, 100.0),
+        Job("sim2", {"cluster": 8, "booster": 4, "dam": 1}, 50.0),
     ]
     sched.submit_all(jobs)
     sim.run()
@@ -169,21 +171,21 @@ def test_modular_scheduler_runs_mixed_stream():
     assert jobs[0].start_time == jobs[1].start_time == jobs[2].start_time == 0.0
     # sim2 needs everything: it waits for the others
     assert jobs[3].start_time == pytest.approx(100.0)
-    assert sched.makespan == pytest.approx(150.0)
-    assert 0 < sched.module_utilization("cluster") <= 1.0
+    assert sched.report().makespan == pytest.approx(150.0)
+    assert 0 < sched.report().module_utilization("cluster") <= 1.0
 
 
 def test_modular_backfill():
     machine = build_modular_system([cluster_module(nodes=4), booster_module(nodes=2)])
     sim = machine.sim
-    alloc = MultiModuleAllocator(
+    alloc = ModularAllocator(
         {m: machine.module(m) for m in machine.module_names}
     )
-    sched = ModularScheduler(sim, alloc, backfill=True)
+    sched = BatchScheduler(sim, alloc, backfill=True)
     jobs = [
-        ModularJob("big1", {"cluster": 4}, 100.0),
-        ModularJob("big2", {"cluster": 4}, 100.0),
-        ModularJob("small", {"booster": 1}, 30.0),
+        Job("big1", {"cluster": 4}, 100.0),
+        Job("big2", {"cluster": 4}, 100.0),
+        Job("small", {"booster": 1}, 30.0),
     ]
     sched.submit_all(jobs)
     sim.run()
@@ -196,29 +198,29 @@ def make_three_module_scheduler():
         [cluster_module(nodes=8), booster_module(nodes=4),
          data_analytics_module(nodes=2)]
     )
-    alloc = MultiModuleAllocator(
+    alloc = ModularAllocator(
         {m: machine.module(m) for m in machine.module_names}
     )
-    return machine.sim, ModularScheduler(machine.sim, alloc)
+    return machine.sim, BatchScheduler(machine.sim, alloc)
 
 
 def test_job_dependency_ordering():
     """A DAG workflow: simulate -> analyse -> archive."""
     sim, sched = make_three_module_scheduler()
-    simulate = ModularJob("simulate", {"cluster": 4, "booster": 4}, 100.0)
-    analyse = ModularJob("analyse", {"dam": 2}, 50.0, after=(simulate,))
-    archive = ModularJob("archive", {"cluster": 1}, 10.0, after=(analyse,))
+    simulate = Job("simulate", {"cluster": 4, "booster": 4}, 100.0)
+    analyse = Job("analyse", {"dam": 2}, 50.0, after=(simulate,))
+    archive = Job("archive", {"cluster": 1}, 10.0, after=(analyse,))
     sched.submit_all([simulate, analyse, archive])
     sim.run()
     assert simulate.end_time <= analyse.start_time
     assert analyse.end_time <= archive.start_time
-    assert sched.makespan == pytest.approx(160.0)
+    assert sched.report().makespan == pytest.approx(160.0)
 
 
 def test_dependent_job_waits_even_with_free_resources():
     sim, sched = make_three_module_scheduler()
-    a = ModularJob("a", {"cluster": 1}, 100.0)
-    b = ModularJob("b", {"dam": 1}, 10.0, after=(a,))  # DAM is free all along
+    a = Job("a", {"cluster": 1}, 100.0)
+    b = Job("b", {"dam": 1}, 10.0, after=(a,))  # DAM is free all along
     sched.submit_all([a, b])
     sim.run()
     assert b.start_time == pytest.approx(100.0)
@@ -227,9 +229,9 @@ def test_dependent_job_waits_even_with_free_resources():
 def test_independent_jobs_overtake_blocked_head():
     """A dependency-blocked head job must not starve the queue."""
     sim, sched = make_three_module_scheduler()
-    a = ModularJob("a", {"cluster": 8}, 100.0)
-    blocked = ModularJob("blocked", {"cluster": 1}, 10.0, after=(a,))
-    free = ModularJob("free", {"dam": 1}, 20.0)
+    a = Job("a", {"cluster": 8}, 100.0)
+    blocked = Job("blocked", {"cluster": 1}, 10.0, after=(a,))
+    free = Job("free", {"dam": 1}, 20.0)
     sched.submit(a)
     sched.submit(blocked, delay=1.0)
     sched.submit(free, delay=2.0)
@@ -240,19 +242,19 @@ def test_independent_jobs_overtake_blocked_head():
 
 def test_dependency_validation():
     with pytest.raises(TypeError):
-        ModularJob("j", {"cluster": 1}, 10.0, after=("not-a-job",))
+        Job("j", {"cluster": 1}, 10.0, after=("not-a-job",))
 
 
 def test_diamond_dependency():
     sim, sched = make_three_module_scheduler()
-    root = ModularJob("root", {"cluster": 2}, 10.0)
-    left = ModularJob("left", {"cluster": 2}, 20.0, after=(root,))
-    right = ModularJob("right", {"booster": 2}, 30.0, after=(root,))
-    join = ModularJob("join", {"dam": 1}, 5.0, after=(left, right))
+    root = Job("root", {"cluster": 2}, 10.0)
+    left = Job("left", {"cluster": 2}, 20.0, after=(root,))
+    right = Job("right", {"booster": 2}, 30.0, after=(root,))
+    join = Job("join", {"dam": 1}, 5.0, after=(left, right))
     sched.submit_all([root, left, right, join])
     sim.run()
     # left and right run concurrently after root
     assert left.start_time == pytest.approx(10.0)
     assert right.start_time == pytest.approx(10.0)
     assert join.start_time == pytest.approx(40.0)  # max(30, 20) + 10
-    assert sched.makespan == pytest.approx(45.0)
+    assert sched.report().makespan == pytest.approx(45.0)

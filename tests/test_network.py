@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import build_deep_er_prototype, presets
-from repro.network import (
-    BOOSTER_SWITCH,
-    CLUSTER_SWITCH,
-    LinkSpec,
-    Topology,
-    build_two_level_topology,
-)
+from repro.network import LinkSpec, Topology
 from repro.sim import Simulator
 
 

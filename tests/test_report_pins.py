@@ -6,6 +6,11 @@ in the ``sim`` section), dumped with ``json.dumps(sort_keys=True)``.
 Every byte of it, the simulator's own counters included, is
 deterministic, so each run below is pinned by the sha256 of that text.
 
+``booster-1-no-cluster`` builds the prototype without Cluster nodes
+(``machine_overrides={"cluster_nodes": 0}``): a module given no nodes
+is left out of the machine, and the Booster-only report must not see
+the difference.
+
 The last three runs go through the epoch supervisor: a C+B 2+2 run
 healing a Booster crash from its checkpoints, a C+B 1+1 run under a
 Poisson crash stream, and a malleable C+B 8+8 run re-tuned after
@@ -52,6 +57,10 @@ SPECS = {
     "cb-1": ExperimentSpec(mode="C+B", nodes_per_solver=1, steps=40),
     "cluster-2": ExperimentSpec(mode="Cluster", nodes_per_solver=2, steps=40),
     "booster-4": ExperimentSpec(mode="Booster", nodes_per_solver=4, steps=40),
+    "booster-1-no-cluster": ExperimentSpec(
+        mode="Booster", nodes_per_solver=1, steps=40,
+        machine_overrides={"cluster_nodes": 0},
+    ),
     "cb-4-no-overlap": ExperimentSpec(
         mode="C+B", nodes_per_solver=4, steps=40, overlap=False
     ),
@@ -83,6 +92,7 @@ PINS = {
     "cb-1": "46435175f6905a345c7fd0607885d0e71d0e0ec607bc8b4dc67ff109b7663b74",
     "cluster-2": "f586ba6d45ed66f81da9bde167534745c7dc7f4699818138423c13e6dd9de6c2",
     "booster-4": "d15e9aadc9a58ea6c39f6286fecd728c9e16bfd38cd4fd53aab7160c95799dba",
+    "booster-1-no-cluster": "6981c110182d4267dfc4d312e62eac61fd2f942dcf878d077374ae8eb471118d",
     "cb-4-no-overlap": "96a3f32fab182f7658a4ccb902d5ebb27b3a95c56bcb64528f59235e21f656dc",
     "cb-2-traced": "0f09bd224880fd30e05c1522f3d4ac130272ca9fc35cf4ae5f9f788cafe673e2",
     "seismic-split-4": "ea281c0938d4a1a6d4d6dcc0d34b375f563709f0e70b4ca0b9c16ba7424662db",
@@ -99,6 +109,7 @@ PHYSICS_PINS = {
     "cb-1": "a2dac1ebee71428aa115c14d3efe135fe60951ba37509e46a5e3b55520d75b33",
     "cluster-2": "feebea3637f718d6e9c2b4fb6790d9a019492a8c788fb5e9b10a1f7a167d498a",
     "booster-4": "747980e27d67cd1129515beec1c9a0d008bd40b4d9a182f6bb45b873a8b3bcde",
+    "booster-1-no-cluster": "27d5330a3fdc126667f5687eddfb43d7509db272bf34bae5a96b7ca3c2ebefa8",
     "cb-4-no-overlap": "67f3e4a22753a11c4f2261bc715cbb2783b2ab55727f1b7ad1db0fec402d6f1a",
     "cb-2-traced": "a3c50c5a575549f897255ee16ce99a9ea1ad0bceee9ffae0a085be1d2cbebc19",
     "seismic-split-4": "218c2a67ddd1a17a30f9000c8688277295677384e4fb760711173a5bbbbea462",
