@@ -6,7 +6,6 @@ module and stay there.
 """
 
 from .driver import SeismicPlacement, SeismicResult, run_seismic, stencil_kernel
-from .kernel import AcousticWave2D, ricker_wavelet
 
 __all__ = [
     "AcousticWave2D",
@@ -16,3 +15,15 @@ __all__ = [
     "run_seismic",
     "stencil_kernel",
 ]
+
+
+def __getattr__(name):
+    # the numeric solver needs numpy: it loads on first use (PEP 562),
+    # so a modelled run never imports numpy
+    if name not in ("AcousticWave2D", "ricker_wavelet"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import kernel
+
+    value = getattr(kernel, name)
+    globals()[name] = value
+    return value

@@ -112,14 +112,3 @@ class AcousticWave2D:
     def cells(self) -> int:
         """Total grid cells."""
         return self.nx * self.ny
-
-    # -- work counting for the performance model --------------------------
-    @staticmethod
-    def flops_per_cell_step() -> float:
-        """5-point stencil + update + sponge: ~12 flops per cell."""
-        return 12.0
-
-    @staticmethod
-    def bytes_per_cell_step() -> float:
-        """Three full-grid arrays streamed read+write per step."""
-        return 7 * 8.0

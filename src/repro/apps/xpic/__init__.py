@@ -6,22 +6,46 @@ partitioned drivers that run it across the simulated Cluster-Booster
 machine in the paper's three evaluation modes.
 """
 
+import importlib
+
 from .config import SpeciesConfig, XpicConfig, table2_setup
 from .driver import Mode, RunResult, normalize_mode, run_experiment
-from .fields import FieldSolver, conjugate_gradient
-from .grid import Grid2D
-from .interface import (
+from .workload import (
+    StepWorkload,
+    build_workload,
     fields_nbytes,
     moments_nbytes,
-    pack_fields,
-    pack_moments,
-    unpack_fields,
-    unpack_moments,
 )
-from .moments import deposit_moments, deposit_scalar, interpolate
-from .particles import Species, maxwellian_species
-from .simulation import StepDiagnostics, XpicSimulation
-from .workload import StepWorkload, build_workload
+
+#: the numeric layer, which needs numpy, by exported name -> module;
+#: each name loads on first use (PEP 562), so a modelled run never
+#: imports numpy
+_NUMERIC = {
+    "FieldSolver": "fields",
+    "conjugate_gradient": "fields",
+    "Grid2D": "grid",
+    "pack_fields": "interface",
+    "unpack_fields": "interface",
+    "pack_moments": "interface",
+    "unpack_moments": "interface",
+    "deposit_moments": "moments",
+    "deposit_scalar": "moments",
+    "interpolate": "moments",
+    "Species": "particles",
+    "maxwellian_species": "particles",
+    "StepDiagnostics": "simulation",
+    "XpicSimulation": "simulation",
+}
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_NUMERIC[name]}", __name__)
+    value = getattr(module, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "XpicConfig",

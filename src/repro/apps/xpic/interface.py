@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .grid import Grid2D
+from .workload import fields_nbytes, moments_nbytes
 
 __all__ = [
     "pack_fields",
@@ -59,13 +60,3 @@ def unpack_moments(buf: np.ndarray, grid: Grid2D) -> Tuple[np.ndarray, np.ndarra
     rho = buf[:n].reshape(grid.shape).copy()
     J = buf[n:].reshape(3, grid.ny, grid.nx).copy()
     return rho, J
-
-
-def fields_nbytes(cells: int) -> int:
-    """Wire size of the packed field buffer for ``cells`` grid cells."""
-    return 6 * cells * 8
-
-
-def moments_nbytes(cells: int) -> int:
-    """Wire size of the packed moment buffer for ``cells`` grid cells."""
-    return 4 * cells * 8

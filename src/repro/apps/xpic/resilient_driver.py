@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ...hardware.machine import Machine
 from ...io.beegfs import BeeGFS
@@ -37,7 +35,7 @@ from ...mpi import FaultTolerancePolicy, MPIRuntime
 from ...mpi.datatypes import payload_nbytes
 from ...mpi.errors import TransportError
 from ...nam.device import NAMDevice
-from ...network.fabric import NodeFailedError
+from ...network.fabric import NodeFailedError, NoRouteError
 from ...partition import Partition
 from ...perfmodel import field_kernel, particle_kernel, time_on_node
 from ...perfmodel.calibration import PARTICLE_STATE_BYTES
@@ -53,7 +51,9 @@ from ...sim import Interrupt
 from ...sim.events import AllOf
 from .config import XpicConfig
 from .driver import Mode, Placement, partition_of, place, workload_of
-from .simulation import XpicSimulation
+
+if TYPE_CHECKING:
+    from .simulation import XpicSimulation
 
 __all__ = [
     "capture_state",
@@ -69,7 +69,7 @@ ABORT_EXCEPTIONS = (
     Interrupt,
     TransportError,
     NodeFailedError,
-    nx.exception.NetworkXNoPath,
+    NoRouteError,
 )
 
 
@@ -138,6 +138,8 @@ def run_resilient(
         raise ValueError("ckpt_every must be >= 1")
     if fail_at_step is not None and not 0 < fail_at_step < config.steps:
         raise ValueError("fail_at_step must fall inside the run")
+    from .simulation import XpicSimulation
+
     nodes = machine.booster[:2]  # rank 0 + its buddy
     spare = machine.booster[2]
     scr = SCR(machine.sim, nodes, machine.fabric)
@@ -367,7 +369,7 @@ def _heal(
             machine.fabric.directed_route(
                 placement.spawn[0].node_id, placement.launch[0].node_id
             )
-        except nx.exception.NetworkXNoPath:
+        except NoRouteError:
             return False
         return True
 

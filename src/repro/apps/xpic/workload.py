@@ -16,9 +16,14 @@ from dataclasses import dataclass
 from ...perfmodel import Kernel, field_kernel, particle_kernel
 from ...perfmodel.calibration import CG_ITERS_PER_STEP, PARTICLE_STATE_BYTES
 from .config import XpicConfig
-from .interface import fields_nbytes
 
-__all__ = ["StepWorkload", "build_workload", "LOAD_IMBALANCE_ALPHA"]
+__all__ = [
+    "StepWorkload",
+    "build_workload",
+    "LOAD_IMBALANCE_ALPHA",
+    "fields_nbytes",
+    "moments_nbytes",
+]
 
 #: Growth rate of particle-solver load imbalance with node count:
 #: imbalance(n) = 1 + alpha * log2(n).  Spatially clustering plasma makes
@@ -109,6 +114,18 @@ class StepWorkload:
         if rank == 0:
             return peak
         return (n - peak) / (n - 1)
+
+
+def fields_nbytes(cells: int) -> int:
+    """Wire size of the packed field buffer for ``cells`` grid cells
+    (:func:`.interface.pack_fields`: E and B, six float64 per cell)."""
+    return 6 * cells * 8
+
+
+def moments_nbytes(cells: int) -> int:
+    """Wire size of the packed moment buffer for ``cells`` grid cells
+    (:func:`.interface.pack_moments`: rho and J, four float64 per cell)."""
+    return 4 * cells * 8
 
 
 def build_workload(

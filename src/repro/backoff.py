@@ -32,8 +32,10 @@ forever).
 
 from __future__ import annotations
 
-import numpy as np
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ExponentialBackoff"]
 
@@ -100,6 +102,8 @@ class ExponentialBackoff:
     def _generator(self) -> np.random.Generator:
         """The private jitter stream, seeded on its first use."""
         if self._rng is None:
+            import numpy as np
+
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 

@@ -53,11 +53,6 @@ class Node:
             self.module = self.kind.value
 
     @property
-    def is_compute(self) -> bool:
-        """Whether the node runs application ranks."""
-        return self.kind in (NodeKind.CLUSTER, NodeKind.BOOSTER)
-
-    @property
     def peak_flops(self) -> float:
         """Peak DP flop/s of the node's processor (0 without one)."""
         if self.processor is None:

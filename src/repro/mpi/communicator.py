@@ -33,16 +33,20 @@ def SUM(a, b):
 
 def MAX(a, b):
     """Reduction operator: elementwise/numeric maximum."""
-    import numpy as np
+    if hasattr(a, "shape"):
+        import numpy as np
 
-    return np.maximum(a, b) if hasattr(a, "shape") else max(a, b)
+        return np.maximum(a, b)
+    return max(a, b)
 
 
 def MIN(a, b):
     """Reduction operator: elementwise/numeric minimum."""
-    import numpy as np
+    if hasattr(a, "shape"):
+        import numpy as np
 
-    return np.minimum(a, b) if hasattr(a, "shape") else min(a, b)
+        return np.minimum(a, b)
+    return min(a, b)
 
 
 def PROD(a, b):

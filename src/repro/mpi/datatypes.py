@@ -9,9 +9,8 @@ allocating; everything else falls back to a pickle estimate.
 from __future__ import annotations
 
 import pickle
+import sys
 from typing import Any
-
-import numpy as np
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Bytes", "payload_nbytes"]
 
@@ -53,9 +52,10 @@ def payload_nbytes(obj: Any) -> int:
         return 0
     if isinstance(obj, Bytes):
         return obj.nbytes
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, np.generic):
+    # an array exists only once numpy is loaded: look the module up
+    # instead of importing it, so a run that sends none never loads it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.nbytes
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)

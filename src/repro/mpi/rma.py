@@ -11,14 +11,15 @@ Synchronization implements the passive-target model (``lock`` /
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Generator, List
 
 from ..sim import Resource
 from .communicator import Comm
 from .datatypes import payload_nbytes
 from .errors import MPIError, RankError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Window"]
 
@@ -54,6 +55,8 @@ class Window:
         key = ("_rma_window", comm._ctx_coll, tuple(sizes), comm._coll_seq)
         shared = comm.group.spawn_results.setdefault("_rma", {})
         if key not in shared:
+            import numpy as np
+
             win = Window(comm, sizes)
             sim = comm.runtime.sim
             for rank, size in enumerate(sizes):
@@ -112,6 +115,8 @@ class Window:
 
     def put(self, data: np.ndarray, target: int, offset: int = 0) -> Generator:
         """MPI_Put: write ``data`` into the target's region."""
+        import numpy as np
+
         self._check_rank(target)
         buf = np.frombuffer(np.ascontiguousarray(data).tobytes(), dtype=np.uint8)
         self._check_range(target, offset, buf.size)
@@ -131,6 +136,8 @@ class Window:
         self, data: np.ndarray, target: int, offset: int = 0
     ) -> Generator:
         """MPI_Accumulate with SUM on float64 payloads."""
+        import numpy as np
+
         self._check_rank(target)
         arr = np.ascontiguousarray(data, dtype=np.float64)
         nbytes = arr.nbytes
@@ -141,7 +148,7 @@ class Window:
         view = self._regions[target][offset : offset + nbytes].view(np.float64)
         view += arr.ravel()
 
-    def local_view(self, dtype=np.uint8) -> np.ndarray:
+    def local_view(self, dtype="uint8") -> np.ndarray:
         """This rank's own exposed region (like MPI_Win_allocate's
         returned buffer)."""
         return self._regions[self.comm.rank].view(dtype)

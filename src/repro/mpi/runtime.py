@@ -26,12 +26,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..backoff import ExponentialBackoff
 from ..hardware.machine import Machine
 from ..hardware.node import Node
-from ..network.fabric import NodeFailedError
+from ..network.fabric import NodeFailedError, NoRouteError
 from ..sim import Event, Process, Simulator
 from ..sim.events import PENDING, AnyOf
 from .datatypes import payload_nbytes
@@ -480,7 +478,7 @@ class MPIRuntime:
             raise exc
         if isinstance(exc, NodeFailedError):
             error = PeerFailedError(str(exc))
-        elif isinstance(exc, nx.exception.NetworkXNoPath):
+        elif isinstance(exc, NoRouteError):
             error = RouteDownError(str(exc))
         elif isinstance(exc, TransportTimeoutError):
             error = exc

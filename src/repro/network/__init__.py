@@ -1,8 +1,8 @@
 """EXTOLL-like interconnect fabric model.
 
-Topology (networkx graph of nodes, switches and trunked links), LogGP
-message cost model, and contention-aware transfers driven by the
-discrete-event simulator.
+Topology (graph of nodes, switches and trunked links, with fewest-link
+routing), LogGP message cost model, and contention-aware transfers
+driven by the discrete-event simulator.
 """
 
 from .fabric import (
@@ -10,10 +10,14 @@ from .fabric import (
     PROTOCOL_EFFICIENCY,
     Fabric,
     NodeFailedError,
-    NoRouteError,
 )
 from .link import Link, LinkSpec, TOURMALET_LINK
-from .topology import Topology, build_mesh_topology, build_torus_topology
+from .topology import (
+    NoRouteError,
+    Topology,
+    build_mesh_topology,
+    build_torus_topology,
+)
 
 __all__ = [
     "Fabric",

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-import networkx as nx
-
 from ..hardware.node import Node
 from ..sim import Simulator
 from ..sim.resources import Request, Resource
-from .topology import Topology
+from .topology import NoRouteError, Topology
 
 __all__ = [
     "Fabric",
@@ -37,13 +35,6 @@ __all__ = [
 class NodeFailedError(Exception):
     """A transfer was attempted to or from a failed node."""
 
-
-class NoRouteError(nx.exception.NetworkXNoPath):
-    """No surviving path connects two endpoints.
-
-    Subclasses ``networkx.NetworkXNoPath`` so callers that already catch
-    the raw networkx error keep working.
-    """
 
 #: ParaStation-MPI-like eager/rendezvous switch point.
 EAGER_THRESHOLD_BYTES = 32 * 1024
@@ -151,7 +142,7 @@ class Fabric:
     # -- registration -----------------------------------------------------
     def register_node(self, node: Node) -> None:
         """Attach a node object to its topology endpoint."""
-        if node.node_id not in self.topology.graph:
+        if node.node_id not in self.topology.adj:
             raise KeyError(f"{node.node_id} not present in topology")
         self._nodes[node.node_id] = node
 
@@ -177,12 +168,7 @@ class Fabric:
         """
         key = (src, dst)
         if key not in self._route_cache:
-            try:
-                path = self.topology.shortest_path(src, dst)
-            except nx.exception.NetworkXNoPath:
-                raise NoRouteError(
-                    f"no surviving route {src!r} -> {dst!r}"
-                ) from None
+            path = self.topology.shortest_path(src, dst)
             self._route_cache[key] = self.topology.directed_links_on_path(path)
         return self._route_cache[key]
 
@@ -200,8 +186,8 @@ class Fabric:
     def fail_link(self, u: str, v: str) -> None:
         """Fail a fabric link; subsequent traffic reroutes around it.
 
-        Raises ``networkx.NetworkXNoPath`` later if a destination
-        becomes unreachable.
+        A route that no longer exists raises :class:`NoRouteError` when
+        it is next asked for.
         """
         self.topology.fail_link(u, v)
         self._forget(routes=True)

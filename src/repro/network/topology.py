@@ -1,4 +1,4 @@
-"""Fabric topology construction (networkx-based).
+"""Fabric topology: the routing graph and its builders.
 
 The DEEP-ER prototype runs one uniform EXTOLL Tourmalet fabric across
 Cluster, Booster and storage.  We model it as a mesh of module switch
@@ -14,18 +14,31 @@ BN-BN) and 3 links across modules (CN-BN), which (together with the
 per-node software overheads) reproduces the latency ordering of Fig 3.
 The Cluster-Booster prototype is the two-module case; a DEEP-EST
 system (section VI) adds modules to the same mesh.
+
+Routes are fewest-link paths found by a bidirectional breadth-first
+search that visits neighbours in the order their links (re)joined the
+routing graph, so a route depends only on the fabric's history, never
+on hashing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim import Simulator
 from .link import Link, LinkSpec, TOURMALET_LINK
 
-__all__ = ["Topology", "build_mesh_topology", "build_torus_topology"]
+__all__ = [
+    "NoRouteError",
+    "Topology",
+    "build_mesh_topology",
+    "build_torus_topology",
+]
+
+
+class NoRouteError(Exception):
+    """No surviving path connects two endpoints."""
+
 
 #: Inter-module trunk: the prototype's torus offers several independent
 #: paths between two module sub-fabrics.
@@ -44,12 +57,18 @@ class Topology:
     An edge is present in the routing graph iff its link exists, is not
     itself failed, and neither endpoint vertex is down — so failing a
     node atomically detaches all of its links without forgetting which
-    ones were independently failed.
+    ones were independently failed.  A vertex stays in the graph while
+    it is down, cut off from every neighbour.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.graph = nx.Graph()
+        #: the routing graph: vertex -> its live neighbours, both in
+        #: insertion order; an edge that leaves and rejoins moves to
+        #: the end of its endpoints' neighbour orders
+        self.adj: Dict[str, Dict[str, None]] = {}
+        #: vertex -> kind ("node", "switch" or "spare")
+        self.kinds: Dict[str, str] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         #: canonical (u, v) keys of links individually taken down
         self._failed_links: set = set()
@@ -58,17 +77,22 @@ class Topology:
 
     def add_endpoint(self, node_id: str, kind: str = "node") -> None:
         """Add a vertex (node or switch) to the fabric graph."""
-        self.graph.add_node(node_id, kind=kind)
+        self.kinds[node_id] = kind
+        self.adj.setdefault(node_id, {})
 
     def add_link(self, u: str, v: str, spec: LinkSpec) -> Link:
         """Connect two existing endpoints with a new link."""
         for n in (u, v):
-            if n not in self.graph:
+            if n not in self.adj:
                 raise KeyError(f"unknown endpoint {n!r}")
         link = Link(self.sim, u, v, spec)
-        self.graph.add_edge(u, v)
+        self._add_edge(u, v)
         self._links[tuple(sorted((u, v)))] = link
         return link
+
+    def _add_edge(self, u: str, v: str) -> None:
+        self.adj[u][v] = None
+        self.adj[v][u] = None
 
     def link(self, u: str, v: str) -> Link:
         """The link object between two directly connected endpoints."""
@@ -84,11 +108,13 @@ class Topology:
 
     def _sync_edge(self, key: Tuple[str, str]) -> None:
         """Make the routing graph agree with the link/node failure sets."""
-        present = self.graph.has_edge(*key)
+        u, v = key
+        present = v in self.adj[u]
         if self._edge_should_exist(key) and not present:
-            self.graph.add_edge(*key)
+            self._add_edge(u, v)
         elif not self._edge_should_exist(key) and present:
-            self.graph.remove_edge(*key)
+            del self.adj[u][v]
+            self.adj[v].pop(u, None)
 
     def fail_link(self, u: str, v: str) -> None:
         """Take a link out of service (routing will avoid it).
@@ -122,7 +148,7 @@ class Topology:
     def fail_node(self, node_id: str) -> None:
         """Take a vertex down: all of its links leave the routing graph
         (traffic *through* the vertex reroutes or fails cleanly)."""
-        if node_id not in self.graph:
+        if node_id not in self.adj:
             raise ValueError(f"unknown endpoint {node_id!r}")
         if node_id in self._failed_nodes:
             raise ValueError(f"node {node_id!r} is already down")
@@ -133,7 +159,7 @@ class Topology:
 
     def restore_node(self, node_id: str) -> None:
         """Bring a vertex back up; its non-failed links rejoin the graph."""
-        if node_id not in self.graph:
+        if node_id not in self.adj:
             raise ValueError(f"unknown endpoint {node_id!r}")
         self._failed_nodes.discard(node_id)
         for key in self._links:
@@ -165,13 +191,55 @@ class Topology:
             out.append((link, link.u == a))
         return out
 
-    def shortest_path(self, src: str, dst: str):
-        """Shortest vertex path between two endpoints."""
-        return nx.shortest_path(self.graph, src, dst)
+    def shortest_path(self, src: str, dst: str) -> List[str]:
+        """A fewest-link vertex path from ``src`` to ``dst``.
+
+        Bidirectional breadth-first search: each round grows the
+        smaller frontier (the forward one on a tie) by one level,
+        visiting neighbours in :attr:`adj` order, and stops at the
+        first vertex both searches have reached.  Raises
+        :class:`NoRouteError` when no live path connects the two.
+        """
+        adj = self.adj
+        for n in (src, dst):
+            if n not in adj:
+                raise KeyError(f"unknown endpoint {n!r}")
+        pred: Dict[str, Optional[str]] = {src: None}
+        succ: Dict[str, Optional[str]] = {dst: None}
+        forward, reverse = [src], [dst]
+        meet = src if src == dst else None
+        while meet is None and forward and reverse:
+            if len(forward) <= len(reverse):
+                forward, meet = _grow(adj, forward, pred, succ)
+            else:
+                reverse, meet = _grow(adj, reverse, succ, pred)
+        if meet is None:
+            raise NoRouteError(f"no surviving route {src!r} -> {dst!r}")
+        path = []
+        w = meet
+        while w is not None:
+            path.append(w)
+            w = pred[w]
+        path.reverse()
+        w = succ[meet]
+        while w is not None:
+            path.append(w)
+            w = succ[w]
+        return path
 
     def is_connected(self) -> bool:
-        """Whether every endpoint can reach every other."""
-        return nx.is_connected(self.graph)
+        """Whether every vertex can reach every other over live links."""
+        if not self.adj:
+            raise ValueError("connectivity is undefined for an empty fabric")
+        start = next(iter(self.adj))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in self.adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(self.adj)
 
     @property
     def links(self):
@@ -181,7 +249,23 @@ class Topology:
     @property
     def endpoints(self):
         """All node (non-switch) vertices."""
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "node"]
+        return [n for n, kind in self.kinds.items() if kind == "node"]
+
+
+def _grow(adj, fringe, reached, other):
+    """Advance one search frontier of :meth:`Topology.shortest_path` by
+    a level: record each newly reached vertex's parent in ``reached``.
+    Returns the next frontier and the first vertex found in ``other``
+    (the meeting point), or ``None`` when the searches have not met."""
+    nxt = []
+    for v in fringe:
+        for w in adj[v]:
+            if w not in reached:
+                reached[w] = v
+                nxt.append(w)
+            if w in other:
+                return nxt, w
+    return nxt, None
 
 
 def build_mesh_topology(

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..hardware.node import Node
 from ..sim import Simulator
 
@@ -64,6 +62,8 @@ class FailureModel:
             raise ValueError("MTBF must be positive")
         if not nodes:
             raise ValueError("need at least one node")
+        import numpy as np
+
         self.sim = sim
         self.nodes = list(nodes)
         self.node_mtbf_s = node_mtbf_s

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..sim import Interrupt
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjector", "FAULT_KINDS", "PLAN_SCHEMA"]
@@ -153,6 +151,8 @@ class FaultPlan:
         targets = list(targets)
         if not targets:
             raise ValueError("need at least one fault target")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         events = []
         t = 0.0
@@ -247,6 +247,8 @@ class FaultInjector:
         if self.mtbf_s is not None and self.mtbf_s <= 0:
             raise ValueError("MTBF must be positive")
         self.targets = list(targets) if targets is not None else None
+        import numpy as np
+
         self.rng = np.random.default_rng(
             seed if plan is None or plan.seed is None else plan.seed
         )

@@ -202,7 +202,7 @@ def test_empty_module_is_left_out():
     assert machine.module_names == ["booster"]
     assert machine.cluster == []
     topo = machine.fabric.topology
-    assert "sw.cluster" not in topo.graph
+    assert "sw.cluster" not in topo.kinds
     assert len(topo.links) == 8 + 3 + 2  # nodes, storage, NAMs
     assert machine.fabric.hops("bn00", "st0") == 2
     assert machine.fabric.latency("bn00", "bn01") == pytest.approx(
