@@ -179,11 +179,12 @@ def _field_phase(ctx, comm: Comm, wl: StepWorkload):
     n = comm.size
     if n > 1:
         up, down = (comm.rank + 1) % n, (comm.rank - 1) % n
+        nbytes = wl.field_halo_nbytes
         yield from comm.sendrecv(
-            Bytes(wl.field_halo_nbytes), dest=up, source=down, sendtag=1, recvtag=1
+            None, dest=up, source=down, sendtag=1, recvtag=1, nbytes=nbytes
         )
         yield from comm.sendrecv(
-            Bytes(wl.field_halo_nbytes), dest=down, source=up, sendtag=2, recvtag=2
+            None, dest=down, source=up, sendtag=2, recvtag=2, nbytes=nbytes
         )
         yield from comm.allreduce(0.0)
         remaining = wl.field_allreduce_count - 1
@@ -201,11 +202,12 @@ def _moment_halo(ctx, comm: Comm, wl: StepWorkload):
     n = comm.size
     if n > 1:
         up, down = (comm.rank + 1) % n, (comm.rank - 1) % n
+        nbytes = wl.moment_halo_nbytes
         yield from comm.sendrecv(
-            Bytes(wl.moment_halo_nbytes), dest=up, source=down, sendtag=3, recvtag=3
+            None, dest=up, source=down, sendtag=3, recvtag=3, nbytes=nbytes
         )
         yield from comm.sendrecv(
-            Bytes(wl.moment_halo_nbytes), dest=down, source=up, sendtag=4, recvtag=4
+            None, dest=down, source=up, sendtag=4, recvtag=4, nbytes=nbytes
         )
 
 
@@ -216,10 +218,10 @@ def _migration(ctx, comm: Comm, wl: StepWorkload):
         nbytes = migration_nbytes(wl)
         up, down = (comm.rank + 1) % n, (comm.rank - 1) % n
         yield from comm.sendrecv(
-            Bytes(nbytes), dest=up, source=down, sendtag=5, recvtag=5
+            None, dest=up, source=down, sendtag=5, recvtag=5, nbytes=nbytes
         )
         yield from comm.sendrecv(
-            Bytes(nbytes), dest=down, source=up, sendtag=6, recvtag=6
+            None, dest=down, source=up, sendtag=6, recvtag=6, nbytes=nbytes
         )
 
 
@@ -236,8 +238,8 @@ def _rebalance(ctx, comm: Comm, wl: StepWorkload, step: int):
     up = (comm.rank + 1) % n
     down = (comm.rank - 1) % n
     yield from comm.sendrecv(
-        Bytes(wl.rebalance_nbytes), dest=up, source=down,
-        sendtag=7, recvtag=7,
+        None, dest=up, source=down, sendtag=7, recvtag=7,
+        nbytes=wl.rebalance_nbytes,
     )
 
 

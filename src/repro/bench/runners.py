@@ -111,6 +111,14 @@ class Fig8Result:
         """C+B speedup over a homogeneous baseline at n nodes per solver."""
         return self.runtime(baseline, n) / self.runtime(Mode.CB, n)
 
+    def fig7(self) -> Fig7Result:
+        """Fig 7 from this sweep's 1-node runs, which are its three
+        specs (needs 1 among the node counts)."""
+        return Fig7Result(
+            runs={m: self.runs[(m, 1)] for m in Mode},
+            reports={m: self.reports[(m, 1)] for m in Mode},
+        )
+
 
 def run_fig7(
     steps: int = FIG78_STEPS,

@@ -1180,6 +1180,7 @@ def cmd_bench(args) -> str:
             if args.all
             else [
                 "benchmarks/test_events_per_sec.py",
+                "benchmarks/test_mpi_rounds_per_sec.py",
                 "benchmarks/test_cache_lookup.py",
                 "benchmarks/test_journal_append.py",
                 "benchmarks/test_fleet_router.py",

@@ -229,18 +229,18 @@ class Comm:
     ) -> Generator:
         """Simultaneous send and receive (deadlock-free exchange).
 
-        Posts the send, then the receive (validating ``source`` as
-        :meth:`recv` does), and yields the two events in that order.
+        One round (:meth:`~repro.mpi.runtime.MPIRuntime.exchange`):
+        posts the send, then the receive, and waits for both.  An
+        out-of-range ``dest`` or ``source`` raises :class:`RankError`
+        before anything is posted; a failed send is raised here.
         """
-        peers = self._peer_group()
-        sent = self.runtime.isend(
-            self._proc, peers, dest, self._ctx_pt2pt, self._rank, sendtag,
-            payload, nbytes=nbytes,
+        group = self.group
+        env = yield group.runtime.exchange(
+            self._proc,
+            group if self.remote is None else self.remote,
+            dest, self._ctx_pt2pt, self._rank, sendtag, payload,
+            source, recvtag, nbytes,
         )
-        if source != ANY_SOURCE:
-            peers.proc(source)  # validate rank
-        env = yield self._proc.mailbox.get(self._ctx_pt2pt, source, recvtag)
-        yield sent
         return env.payload
 
     # -- collective helpers ----------------------------------------------
@@ -271,18 +271,15 @@ class Comm:
             raise CommError("collectives are intra-communicator operations")
         size, rank = self.size, self._rank
         tag = self._next_coll_tag()
-        from .datatypes import Bytes
-
-        runtime, proc, ctx = self.runtime, self._proc, self._ctx_coll
+        group, proc, ctx = self.group, self._proc, self._ctx_coll
+        exchange = group.runtime.exchange
         k = 1
         while k < size:
-            dest = (rank + k) % size
-            src = (rank - k) % size
-            sent = runtime.isend(
-                proc, self.group, dest, ctx, rank, tag, Bytes(0)
+            # an empty token to rank + k, one from rank - k
+            yield exchange(
+                proc, group, (rank + k) % size, ctx, rank, tag, None,
+                (rank - k) % size, tag, 0,
             )
-            yield proc.mailbox.get(ctx, src, tag)
-            yield sent
             k <<= 1
 
     def isend_internal(self, payload, dest, tag) -> Request:
@@ -415,16 +412,15 @@ class Comm:
         size, rank = self.size, self._rank
         if size & (size - 1) == 0:
             tag = self._next_coll_tag()
-            runtime, proc, ctx = self.runtime, self._proc, self._ctx_coll
+            group, proc, ctx = self.group, self._proc, self._ctx_coll
+            exchange = group.runtime.exchange
             acc = value
             mask = 1
             while mask < size:
                 partner = rank ^ mask
-                sent = runtime.isend(
-                    proc, self.group, partner, ctx, rank, tag, acc
+                env = yield exchange(
+                    proc, group, partner, ctx, rank, tag, acc, partner, tag
                 )
-                env = yield proc.mailbox.get(ctx, partner, tag)
-                yield sent
                 other = env.payload
                 # Keep op application order rank-independent.
                 acc = op(acc, other) if rank < partner else op(other, acc)
@@ -459,15 +455,18 @@ class Comm:
             raise CommError("collectives are intra-communicator operations")
         size, rank = self.size, self._rank
         tag = self._next_coll_tag()
+        group, proc, ctx = self.group, self._proc, self._ctx_coll
         out: List[Any] = [None] * size
         out[rank] = value
         right = (rank + 1) % size
         left = (rank - 1) % size
         carry_idx = rank
         for _ in range(size - 1):
-            req = self.isend_internal((carry_idx, out[carry_idx]), right, tag)
-            idx, item = yield from self._coll_recv(left, tag)
-            yield req.wait()
+            env = yield group.runtime.exchange(
+                proc, group, right, ctx, rank, tag,
+                (carry_idx, out[carry_idx]), left, tag,
+            )
+            idx, item = env.payload
             out[idx] = item
             carry_idx = idx
         return out
@@ -497,14 +496,17 @@ class Comm:
         if len(values) != size:
             raise ValueError(f"alltoall needs exactly {size} values")
         tag = self._next_coll_tag()
+        group, proc, ctx = self.group, self._proc, self._ctx_coll
         out: List[Any] = [None] * size
         out[rank] = values[rank]
         for k in range(1, size):
             send_to = (rank + k) % size
             recv_from = (rank - k) % size
-            req = self.isend_internal(values[send_to], send_to, tag)
-            out[recv_from] = yield from self._coll_recv(recv_from, tag)
-            yield req.wait()
+            env = yield group.runtime.exchange(
+                proc, group, send_to, ctx, rank, tag, values[send_to],
+                recv_from, tag,
+            )
+            out[recv_from] = env.payload
         return out
 
     def reduce_scatter_block(
@@ -683,12 +685,10 @@ class Comm:
         # coordination a merge needs.  The token travels on the
         # collective context, so no user receive can take it.
         if self._rank == 0:
-            sent = self.runtime.isend(
+            env = yield self.runtime.exchange(
                 self._proc, self.remote, 0, self._ctx_coll, self._rank,
-                -42, ("merge", high),
+                -42, ("merge", high), 0, -42,
             )
-            env = yield self._proc.mailbox.get(self._ctx_coll, 0, -42)
-            yield sent
             if env.payload[1] == high:
                 exc = CommError(
                     "both sides of merge passed the same 'high' value"

@@ -48,6 +48,13 @@ class Bytes:
 
 def payload_nbytes(obj: Any) -> int:
     """Best-effort wire size of a Python payload in bytes."""
+    # the payloads every message path sends, answered by exact type
+    # before the isinstance chain (a subclass takes the chain)
+    cls = obj.__class__
+    if cls is float or cls is int:
+        return _SCALAR_BYTES
+    if cls is Bytes:
+        return obj.nbytes
     if obj is None:
         return 0
     if isinstance(obj, Bytes):

@@ -38,14 +38,24 @@ class Envelope:
         )
 
 
+class _Receive(Event):
+    """A posted receive: the event succeeds with the matched envelope."""
+
+    __slots__ = ()
+
+    #: how the mailbox hands a matched envelope to a waiter
+    _deliver = Event.succeed
+
+
 class Mailbox:
     """One rank's MPI matching queues.
 
     Three queues, as production MPIs keep them: ``unexpected`` holds
     delivered envelopes nobody has asked for yet, in arrival order;
-    posted receives (:meth:`get`) and probes (:meth:`watch`) wait in
-    posting order.  A receive matches an envelope on equal context id,
-    equal source (or ``ANY_SOURCE``) and equal tag (or ``ANY_TAG``).
+    posted receives (:meth:`get`, :meth:`post`) and probes
+    (:meth:`watch`) wait in posting order.  A receive matches an
+    envelope on equal context id, equal source (or ``ANY_SOURCE``) and
+    equal tag (or ``ANY_TAG``).
 
     The order is a FIFO store's:
 
@@ -57,9 +67,12 @@ class Mailbox:
     * a receive or probe whose process was interrupted away (its event
       ``abandoned``) is skipped and dropped, never satisfied.
 
-    Every wait is one :class:`~repro.sim.Event`, succeeded in the same
-    call a match is found, so a receive costs exactly the queue entry
-    a ``Store.get`` would.
+    A posted receive is a *waiter*: anything with an ``abandoned`` flag
+    and a ``_deliver(env)`` method, called in the same call a match is
+    found.  :meth:`get` posts an event that succeeds with the envelope,
+    so a receive costs exactly the queue entry a ``Store.get`` would; an
+    MPI exchange round posts itself (see
+    :meth:`~repro.mpi.runtime.MPIRuntime.exchange`).
     """
 
     __slots__ = ("sim", "unexpected", "_posted", "_probes")
@@ -67,7 +80,7 @@ class Mailbox:
     def __init__(self, sim: "Simulator"):  # noqa: F821
         self.sim = sim
         self.unexpected: Deque[Envelope] = deque()
-        # (event, context_id, source, tag) in posting order
+        # (waiter, context_id, source, tag) in posting order
         self._posted: List[tuple] = []
         self._probes: List[tuple] = []
 
@@ -92,10 +105,24 @@ class Mailbox:
                     kept.append(entry)
             self._probes = kept
         posted = self._posted
+        if not posted:
+            self.unexpected.append(env)
+            return
+        # the usual case: the receive posted first is live and matches
+        waiter, c, s, t = posted[0]
+        if (
+            c == ctx
+            and (s == source or s == ANY_SOURCE)
+            and (t == tag or t == ANY_TAG)
+            and not waiter.abandoned
+        ):
+            del posted[0]
+            waiter._deliver(env)
+            return
         i = 0
         while i < len(posted):
-            ev, c, s, t = posted[i]
-            if ev.abandoned:
+            waiter, c, s, t = posted[i]
+            if waiter.abandoned:
                 del posted[i]
             elif (
                 c == ctx
@@ -103,7 +130,7 @@ class Mailbox:
                 and (t == tag or t == ANY_TAG)
             ):
                 del posted[i]
-                ev.succeed(env)
+                waiter._deliver(env)
                 return
             else:
                 i += 1
@@ -114,15 +141,24 @@ class Mailbox:
     ) -> Event:
         """Post a receive: an event that succeeds with the matching
         envelope, removed from the mailbox."""
-        ev = Event(self.sim)
+        ev = _Receive(self.sim)
+        self.post(ev, context_id, source, tag)
+        return ev
+
+    def post(
+        self, waiter, context_id: int, source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+    ) -> None:
+        """Post a receive for ``waiter``: ``waiter._deliver(env)`` gets
+        the matching envelope, removed from the mailbox, now if one is
+        queued, else from the :meth:`put` that delivers it."""
         i = self._find(context_id, source, tag) if self.unexpected else None
         if i is None:
-            self._posted.append((ev, context_id, source, tag))
+            self._posted.append((waiter, context_id, source, tag))
         else:
             env = self.unexpected[i]
             del self.unexpected[i]
-            ev.succeed(env)
-        return ev
+            waiter._deliver(env)
 
     def peek(
         self, context_id: int, source: int = ANY_SOURCE, tag: int = ANY_TAG

@@ -32,7 +32,7 @@ from ..hardware.node import Node
 from ..network.fabric import NodeFailedError, NoRouteError
 from ..sim import Event, Process, Simulator
 from ..sim.events import PENDING, AnyOf
-from .datatypes import payload_nbytes
+from .datatypes import ANY_SOURCE, payload_nbytes
 from .errors import (
     CommError,
     PeerFailedError,
@@ -159,14 +159,19 @@ class GroupState:
     def proc(self, rank: int) -> MPIProcess:
         """The member process at a rank (validates the rank)."""
         if not 0 <= rank < len(self.procs):
-            raise RankError(
-                f"rank {rank} out of range for group {self.name!r} "
-                f"of size {len(self.procs)}"
-            )
+            raise _rank_error(self, rank)
         return self.procs[rank]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<GroupState {self.name!r} size={self.size}>"
+
+
+def _rank_error(group: GroupState, rank: int) -> RankError:
+    """The error for a ``rank`` outside ``group``."""
+    return RankError(
+        f"rank {rank} out of range for group {group.name!r} "
+        f"of size {len(group.procs)}"
+    )
 
 
 class RankContext:
@@ -384,10 +389,7 @@ class MPIRuntime:
         instead, started in place (:meth:`Process.start_now`) so it
         too begins when posted.
         """
-        policy = self.fault_tolerance
-        if (
-            policy is not None and policy.timeout_s is not None
-        ) or not self.fabric.fast_path_enabled:
+        if self._process_sends():
             return Process.start_now(
                 self.sim,
                 self._send(
@@ -400,6 +402,74 @@ class MPIRuntime:
             payload, nbytes,
         )
 
+    def exchange(
+        self,
+        src_proc: MPIProcess,
+        group: GroupState,
+        dest: int,
+        context_id: int,
+        source_rank: int,
+        sendtag: int,
+        payload: Any,
+        source: int,
+        recvtag: int,
+        nbytes: Optional[int] = None,
+    ) -> Event:
+        """Post one send+receive round: a send to rank ``dest`` of
+        ``group``, then a receive from ``source`` (a rank of ``group``
+        or ``ANY_SOURCE``) with ``recvtag``, both on ``context_id``.
+
+        Returns one event.  It succeeds with the received
+        :class:`~repro.mpi.message.Envelope` once the send is complete
+        and the receive has matched, whichever comes last; it fails
+        with the send's error (as :meth:`isend`'s event would) the
+        moment the send fails, and its receive is then withdrawn, so a
+        later matching message stays for another receive.  A rank
+        interrupted while it waits abandons the round: the round never
+        resumes it, and its receive takes no message.
+
+        An out-of-range ``dest`` or ``source`` raises
+        :class:`RankError` here, before anything is posted.  The send
+        starts at the call, exactly as :meth:`isend`'s does, and the
+        path choice is :meth:`isend`'s: on callbacks, the round is the
+        send itself (:class:`_SendRound`), whose completion and the
+        mailbox's delivery complete the round directly, so a round
+        message costs two queue entries, the send's completion callback
+        and the round event.  The oracle (``fast_path_enabled =
+        False``) and a ``timeout_s`` policy run the send as a process
+        over :meth:`transmit` that completes the round when it ends.
+        """
+        procs = group.procs
+        if not 0 <= dest < len(procs):
+            raise _rank_error(group, dest)
+        if source != ANY_SOURCE and not 0 <= source < len(procs):
+            raise _rank_error(group, source)
+        if self._process_sends():
+            rnd = _Round(self.sim)
+            Process.start_now(
+                self.sim,
+                self._send_round(
+                    rnd, src_proc, procs[dest], context_id, source_rank,
+                    sendtag, payload, nbytes,
+                ),
+            )
+        else:
+            rnd = _SendRound(
+                self, src_proc, group, dest, context_id, source_rank,
+                sendtag, payload, nbytes,
+            )
+        if rnd._value is PENDING:  # else the send failed at the post
+            src_proc.mailbox.post(rnd, context_id, source, recvtag)
+        return rnd
+
+    def _process_sends(self) -> bool:
+        """Whether a send runs as a process over :meth:`transmit` (a
+        ``timeout_s`` policy, or the oracle) instead of on callbacks."""
+        policy = self.fault_tolerance
+        return (
+            policy is not None and policy.timeout_s is not None
+        ) or not self.fabric.fast_path_enabled
+
     def _send(
         self, src_proc, group, dest, context_id, source_rank, tag, payload,
         nbytes,
@@ -410,11 +480,28 @@ class MPIRuntime:
             payload, nbytes=nbytes,
         )
 
+    def _send_round(
+        self, rnd, src_proc, dst_proc, context_id, source_rank, tag,
+        payload, nbytes,
+    ) -> Generator:
+        """Process body of a generator-path :meth:`exchange`: the send,
+        then its half of the round."""
+        try:
+            yield from self.transmit(
+                src_proc, dst_proc, context_id, source_rank, tag, payload,
+                nbytes=nbytes,
+            )
+        except Exception as exc:
+            rnd._error(exc)
+        else:
+            rnd._sent()
+
     def _account(
         self, context_id: int, payload: Any, nbytes
     ) -> Tuple[int, int]:
         """Size one message, add it to its context's traffic and number
-        it; returns ``(nbytes, send number)``."""
+        it; returns ``(nbytes, send number)``.  :class:`_Send` does the
+        same inline."""
         n = payload_nbytes(payload) if nbytes is None else int(nbytes)
         stats = self.traffic.setdefault(context_id, [0, 0])
         stats[0] += 1
@@ -577,20 +664,21 @@ class _Send(Event):
     the route and pushes the completion entry.  Uncontended and
     fault-free the send is then one callback: the completion entry
     (:meth:`_finish`, at ``now + duration``) gives the links back,
-    counts the transfer, delivers the envelope and schedules the event
-    itself.  So such a message costs two queue entries, its completion
-    callback and its own event; the mailbox delivery creates none.
+    counts the transfer, delivers the envelope and completes the send
+    (:meth:`_sent`, which schedules the event itself).  So such a
+    message costs two queue entries, its completion callback and its
+    own event; the mailbox delivery creates none.
 
     An error before the first attempt (a bad ``dest`` or ``nbytes``)
-    fails the event at once, as a send process's exit would: a waiter
-    gets it raised, otherwise ``sim.run()`` does.
+    fails the send at once (:meth:`_error`), as a send process's exit
+    would: a waiter gets it raised, otherwise ``sim.run()`` does.
 
     An attempt that fails under a :class:`FaultTolerancePolicy` backs
     off on a callback: :meth:`MPIRuntime._retry_delay` maps and counts
     the error and gives the delay, and the retry entry (another
     :meth:`_attempt`) sits where a send process's bare-delay backoff
     wakeup would.  Once the retries are spent, the typed error fails
-    the event as the process's exit would have.
+    the send as the process's exit would have.
 
     A route an attempt finds contended still needs per-link FIFO
     queueing; that part runs in a process started in place
@@ -602,6 +690,11 @@ class _Send(Event):
         "runtime", "src_proc", "dst_proc", "env", "rc", "t0", "seq",
         "backoff",
     )
+
+    #: how the send completes and fails: as this event (a round
+    #: overrides both, see :class:`_RoundHalves`)
+    _sent = Event.succeed
+    _error = Event.fail
 
     def __init__(
         self, runtime, src_proc, group, dest, context_id, source_rank, tag,
@@ -618,12 +711,24 @@ class _Send(Event):
         self.runtime = runtime
         self.src_proc = src_proc
         self.backoff = None
+        # GroupState.proc and MPIRuntime._account, inlined
+        procs = group.procs
         try:
-            self.dst_proc = group.proc(dest)
-            nbytes, self.seq = runtime._account(context_id, payload, nbytes)
+            if not 0 <= dest < len(procs):
+                raise _rank_error(group, dest)
+            nbytes = payload_nbytes(payload) if nbytes is None else int(nbytes)
         except Exception as exc:
-            self.fail(exc)
+            self._error(exc)
             return
+        self.dst_proc = procs[dest]
+        traffic = runtime.traffic
+        stats = traffic.get(context_id)
+        if stats is None:
+            stats = traffic[context_id] = [0, 0]
+        stats[0] += 1
+        stats[1] += nbytes
+        self.seq = runtime.send_count
+        runtime.send_count += 1
         self.env = Envelope(context_id, source_rank, tag, nbytes, payload)
         self._attempt(None)
 
@@ -646,7 +751,7 @@ class _Send(Event):
                     exc, self.seq, self.backoff
                 )
             except Exception as error:
-                self.fail(error)
+                self._error(error)
                 return
             sim.call_in(delay, self._attempt)
             return
@@ -666,19 +771,89 @@ class _Send(Event):
         """Complete the send: give the route's links back (unless
         :meth:`~repro.network.fabric.Fabric.queue_transfer` already did,
         ``held=False``), count the transfer, deliver the envelope and
-        schedule the event itself."""
+        complete (:meth:`_sent`).  The fabric's ``release_route`` and
+        ``end_transfer`` are inlined here: this runs once per
+        message."""
         fabric = self.runtime.fabric
         rc = self.rc
-        if held and rc is not None:
-            fabric.release_route(rc)
-        dst_proc = self.dst_proc
         env = self.env
-        fabric.end_transfer(
-            self.src_proc.node.node_id,
-            dst_proc.node.node_id,
-            env.nbytes,
-            rc,
-            self.t0,
-        )
-        dst_proc.mailbox.put(env)
-        self.succeed()
+        fabric.messages_transferred += 1
+        if rc is not None:  # an intra-node copy holds and counts no link
+            nbytes = env.nbytes
+            if held:
+                # a claimed route holds one slot on each of its links:
+                # a link nobody queues on just takes its slot back
+                for r in rc.resources:
+                    if r._waiting:
+                        r.release_slot()
+                    else:
+                        r._in_use -= 1
+            for link in rc.links:
+                link.bytes_carried += nbytes
+                link.messages_carried += 1
+            if fabric.tracer is not None:
+                fabric.trace_transfer(
+                    self.src_proc.node.node_id, self.dst_proc.node.node_id,
+                    rc, self.t0,
+                )
+            fabric.bytes_transferred += nbytes
+        self.dst_proc.mailbox.put(env)
+        self._sent()
+
+
+class _RoundHalves:
+    """The join of an exchange round (see :meth:`MPIRuntime.exchange`):
+    the event succeeds with the received envelope once the send half
+    (:meth:`_sent`) and the receive half (:meth:`_deliver`, called by
+    the mailbox) are both done, and fails with the send's error
+    (:meth:`_error`) as soon as the send fails.
+
+    A mixin: the two round classes declare its ``received`` (the
+    matched envelope, ``None`` until then) and ``sent`` slots.
+    """
+
+    __slots__ = ()
+
+    def _deliver(self, env: Envelope) -> None:
+        """The receive matched ``env``."""
+        if self.sent:
+            self.succeed(env)
+        else:
+            self.received = env
+
+    def _sent(self) -> None:
+        """The send completed: its envelope is in the peer's mailbox."""
+        env = self.received
+        if env is None:
+            self.sent = True
+        else:
+            self.succeed(env)
+
+    def _error(self, exc: BaseException) -> None:
+        """The send failed: fail the round and withdraw its receive."""
+        self.abandoned = True  # the mailbox drops the posted receive
+        self.fail(exc)
+
+
+class _Round(_RoundHalves, Event):
+    """An exchange round whose send runs as a process
+    (:meth:`MPIRuntime._send_round`)."""
+
+    __slots__ = ("received", "sent")
+
+    def __init__(self, sim: Simulator):
+        Event.__init__(self, sim)
+        self.received = None
+        self.sent = False
+
+
+class _SendRound(_RoundHalves, _Send):
+    """An exchange round on the callback path: the send itself, whose
+    completion and failure are the round's halves."""
+
+    __slots__ = ("received", "sent")
+
+    def __init__(self, *args):
+        self.received = None
+        self.sent = False
+        _Send.__init__(self, *args)

@@ -457,14 +457,21 @@ class Fabric:
             link.bytes_carried += nbytes
             link.messages_carried += 1
         if self.tracer is not None:
-            for link in rc.links:
-                self.tracer.record(
-                    f"{link.key[0]}<->{link.key[1]}",
-                    f"{src}->{dst}",
-                    t0,
-                    self.sim.now,
-                )
+            self.trace_transfer(src, dst, rc, t0)
         self.bytes_transferred += nbytes
+
+    def trace_transfer(
+        self, src: str, dst: str, rc: _RouteCost, t0: float
+    ) -> None:
+        """Record a transfer that ends now on every link's tracer actor
+        (the tracer must be set)."""
+        for link in rc.links:
+            self.tracer.record(
+                f"{link.key[0]}<->{link.key[1]}",
+                f"{src}->{dst}",
+                t0,
+                self.sim.now,
+            )
 
     # -- convenience --------------------------------------------------------
     def latency(self, src: str, dst: str) -> float:

@@ -247,11 +247,8 @@ class FaultInjector:
         if self.mtbf_s is not None and self.mtbf_s <= 0:
             raise ValueError("MTBF must be positive")
         self.targets = list(targets) if targets is not None else None
-        import numpy as np
-
-        self.rng = np.random.default_rng(
-            seed if plan is None or plan.seed is None else plan.seed
-        )
+        self.seed = seed if plan is None or plan.seed is None else plan.seed
+        self._rng = None
         #: (sim time, FaultEvent) log of successfully applied faults
         self.faults: List[tuple] = []
         self.stats = {kind: 0 for kind in FAULT_KINDS}
@@ -262,6 +259,17 @@ class FaultInjector:
         self._plan_pos = 0
         self._restore_heap: List[tuple] = []
         self._seq = itertools.count()
+
+    @property
+    def rng(self):
+        """The Poisson stream (exponential times, target picks), seeded
+        on its first draw: a plan of explicit events draws nothing and
+        so never loads numpy."""
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     # -- callbacks ---------------------------------------------------------
     def on_fault(self, callback: Callable[[FaultEvent], None]) -> None:

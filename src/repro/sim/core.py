@@ -120,7 +120,14 @@ class Simulator:
         take and is dispatched in the same (time, FIFO) order.  The
         callback receives the spent entry, which it may ignore.
         """
-        self._schedule(_Call(callback), delay)
+        # _schedule, inlined (one call per message on the send path)
+        if not delay >= 0:  # NaN fails every compare: reject it too
+            raise ValueError(f"negative delay {delay}")
+        q = self._queue
+        q.push(self._now + delay, _Call(callback))
+        depth = q.count + self._draining
+        if depth > self.peak_queue_depth:
+            self.peak_queue_depth = depth
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Schedule a *triggered* event at absolute time ``when``."""

@@ -123,11 +123,14 @@ class Process(Event):
                         event.defuse()
                         target = self.generator.throw(event._value)
                 except StopIteration as stop:
-                    self._target = None
+                    # the pooled wakeup points back at this process:
+                    # drop it, or every finished process stays in a
+                    # reference cycle until a full collection
+                    self._target = self._wakeup = None
                     self.succeed(stop.value)
                     break
                 except BaseException as exc:
-                    self._target = None
+                    self._target = self._wakeup = None
                     self.fail(exc)
                     break
 

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional
 
 from .api import Session
 from .apps.xpic import Mode
-from .bench import run_fig7, run_fig8
+from .bench import run_fig8
 
 __all__ = ["Claim", "validate_claims", "render_claims"]
 
@@ -106,7 +106,9 @@ def validate_claims(steps: int = 200, workers: int = 1) -> List[Claim]:
     )
 
     # --- Fig 7 ----------------------------------------------------------
-    f7 = run_fig7(steps=steps, session=session)
+    # Fig 8's sweep holds Fig 7's three 1-node specs: one sweep, one pool
+    f8 = run_fig8(steps=steps, session=session)
+    f7 = f8.fig7()
     claims.append(
         Claim(
             "F7-field-6x",
@@ -164,7 +166,6 @@ def validate_claims(steps: int = 200, workers: int = 1) -> List[Claim]:
     )
 
     # --- Fig 8 ----------------------------------------------------------
-    f8 = run_fig8(steps=steps, session=session)
     claims.append(
         Claim(
             "F8-gain-grows",

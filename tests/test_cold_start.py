@@ -5,7 +5,8 @@ Every CLI command, every ``ProcessShard`` start or restart (a
 its process's imports, and networkx plus numpy cost about as much as a
 short C+B run.  numpy loads only where an array or a numpy RNG stream
 is built (the real-physics layers, fault plans, job mixes); networkx
-only with the OmpSs task graph.
+only with the OmpSs task graph.  A run under an explicit fault plan
+loads neither; an MTBF run loads numpy for its Poisson stream.
 """
 
 import os
@@ -51,7 +52,14 @@ SCRIPT = textwrap.dedent(
     ))
     assert faulted.resiliency["restarts"] == 1, faulted.resiliency
     assert faulted.resiliency["post_fault"]["steps"] == 20
-    assert heavy() == ["numpy"], f"a faulted run loads {heavy()}"
+    assert heavy() == [], f"a run under an explicit fault plan loads {heavy()}"
+
+    # a Poisson crash stream draws from numpy's generator
+    streamed = Engine().run(ExperimentSpec(
+        mode="C+B", nodes_per_solver=1, steps=5, mtbf_s=5.0,
+    ))
+    assert streamed.result["total_runtime"] > 0
+    assert heavy() == ["numpy"], f"an MTBF run loads {heavy()}"
     """
 )
 

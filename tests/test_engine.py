@@ -308,3 +308,32 @@ def test_sweep_report_merged_metrics_and_json_round_trip(tmp_path):
     assert [r.result for r in loaded] == sweep.results
     with pytest.raises(ValueError):
         SweepReport.from_dict({"schema": SWEEP_SCHEMA})
+
+
+# -- run teardown -------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(mode="C+B", nodes_per_solver=8, steps=10),
+        ExperimentSpec(mode="Cluster", nodes_per_solver=4, steps=10),
+        ExperimentSpec(app="seismic", mode="Split", nodes_per_solver=4, steps=10),
+    ],
+    ids=["cb-8", "cluster-4", "seismic-split-4"],
+)
+def test_fault_free_run_leaves_no_cyclic_garbage(spec):
+    """A finished run's object graph (simulator, queue, processes,
+    mailboxes) is freed by reference counting alone: nothing is left
+    for the cyclic collector."""
+    import gc
+
+    Engine().run(ExperimentSpec(mode="C+B", nodes_per_solver=1, steps=2))
+    gc.collect()
+    gc.disable()
+    try:
+        report = Engine().run(spec)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert report.result["total_runtime"] > 0
+    assert unreachable == 0

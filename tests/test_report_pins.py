@@ -90,18 +90,18 @@ SPECS = {
 
 PINS = {
     "cb-1": "46435175f6905a345c7fd0607885d0e71d0e0ec607bc8b4dc67ff109b7663b74",
-    "cluster-2": "f586ba6d45ed66f81da9bde167534745c7dc7f4699818138423c13e6dd9de6c2",
-    "booster-4": "d15e9aadc9a58ea6c39f6286fecd728c9e16bfd38cd4fd53aab7160c95799dba",
+    "cluster-2": "fcc3fccec72823f483764e3f3ba46b70b225cb2b4f58e681b8f6e974afd10fd1",
+    "booster-4": "7530e2b7d2df841e21c0617cb518ba9a0d8edd14c3f12422cc2321de9094fa3f",
     "booster-1-no-cluster": "6981c110182d4267dfc4d312e62eac61fd2f942dcf878d077374ae8eb471118d",
-    "cb-4-no-overlap": "96a3f32fab182f7658a4ccb902d5ebb27b3a95c56bcb64528f59235e21f656dc",
-    "cb-2-traced": "0f09bd224880fd30e05c1522f3d4ac130272ca9fc35cf4ae5f9f788cafe673e2",
-    "seismic-split-4": "ea281c0938d4a1a6d4d6dcc0d34b375f563709f0e70b4ca0b9c16ba7424662db",
-    "nested-8": "6bbb178f275a7dd2a534705951c88a1be870b5c23e6adfba9ba3e83bcfd6aa85",
-    "cb-4-link-degrade": "5dd417533bc2e580700d3fdc8c7ccef5136f742d88779babeec39d00a159d8e5",
-    "cb-2-link-down": "d72280a7b87614dcc0f0b4a96a45512e0afb5726f241393b6a044b09d7d5290d",
-    "cb-2-crash": "8a9c90f06294f1e2fa86b8968038bc20e4080be52fd4c84feee206b17ddf1463",
+    "cb-4-no-overlap": "b8a98940b4d9ecb4f786c53afc939d7adb575edff99e52c3d1ffaa4a79983525",
+    "cb-2-traced": "abd1fc28772cee38fdffc188981300a744af03446c1b1c9f1f4f5d23d2f1d285",
+    "seismic-split-4": "eb343ca61e86a0f21fed29d7e92b45b47dc38f1939e89dab890851c568dd8612",
+    "nested-8": "d00e66fc1bcefe5d6d6a61e21a24164a47573a0080bd1433cd1754ce14c320ce",
+    "cb-4-link-degrade": "660198bc0a7955b1d7bd58b7cfb8018ec9976ed8623a9a6a41032341ab994bec",
+    "cb-2-link-down": "ed60318b99749b79e543b096d7827eab5d6b7ab8bb8599c1663c44a53b8b6ad1",
+    "cb-2-crash": "cc56c6ce71266c7388b326264b1de72702186f5dd1db8a909f856de198fd1d97",
     "cb-1-mtbf": "43663c147d8a190fbe2466f19c6d36682c3e9f7a105c89856fe9ea6b37317943",
-    "cb-8-malleable": "0bbe8918c1cb487420649740d8df24a44a6c9d48fc381233c8e15fe0a054d105",
+    "cb-8-malleable": "3b178a83a10a8a59ad6b94ccf5f24e205ada51acb5eddbbcdcb067ff4a4bf920",
 }
 
 

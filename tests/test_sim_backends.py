@@ -238,6 +238,7 @@ def test_wakeup_pool_reuse_under_interrupt_churn():
     ``fast_wakeups`` counter counts exactly the waits that completed."""
     sim = Simulator()
     completed = []
+    last = []
 
     def sleeper(sim):
         n = 0
@@ -249,6 +250,7 @@ def test_wakeup_pool_reuse_under_interrupt_churn():
             n += 1
             completed.append(n)
             if n >= 5:
+                last.append(sim.active_process._wakeup)
                 return n
 
     def churner(sim, victim):
@@ -268,7 +270,9 @@ def test_wakeup_pool_reuse_under_interrupt_churn():
     assert sim.fast_wakeups == 5 + 20  # victim waits + churner waits
     # nothing left pending once the simulation drained
     assert len(sim) == 0
-    assert victim._wakeup is not None and not victim._wakeup.pending
+    assert last[0] is not None and not last[0].pending
+    # the finished process dropped its pooled wakeup
+    assert victim._wakeup is None
 
 
 def _churn(make_sim) -> int:

@@ -430,15 +430,21 @@ def test_nan_sleep_cannot_run_the_clock_backwards():
 def test_fast_wakeup_reused_not_reallocated():
     sim = Simulator()
 
+    seen = []
+
     def proc(sim):
         for _ in range(5):
             yield 0.1
+            seen.append(sim.active_process._wakeup)
 
     p = sim.process(proc(sim))
     sim.run()
-    # one pooled wakeup object served every wait
-    assert p._wakeup is not None
-    assert not p._wakeup.pending
+    # one pooled wakeup object served every wait ...
+    assert len(seen) == 5 and all(w is seen[0] for w in seen)
+    assert not seen[0].pending
+    # ... and the finished process let it go (no process <-> wakeup
+    # reference cycle outlives the run)
+    assert p._wakeup is None
     assert sim.fast_wakeups == 5
 
 
