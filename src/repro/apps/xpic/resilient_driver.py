@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ...hardware.machine import Machine
 from ...io.beegfs import BeeGFS
-from ...mpi import FaultTolerancePolicy, MPIRuntime
+from ...mpi import FAULT_RUN_POLICY, MPIRuntime
 from ...mpi.datatypes import payload_nbytes
 from ...mpi.errors import TransportError
 from ...nam.device import NAMDevice
@@ -404,7 +404,6 @@ def run_resilient_experiment(
     load_balanced: bool = False,
     imbalance_alpha: Optional[float] = None,
     runtime: Optional[MPIRuntime] = None,
-    transport_policy: Optional[FaultTolerancePolicy] = None,
     allow_reboot: bool = True,
     max_epochs: int = 200,
     partition=None,
@@ -446,12 +445,7 @@ def run_resilient_experiment(
     )
     sim = machine.sim
     rt = runtime if runtime is not None else MPIRuntime(
-        machine,
-        fault_tolerance=(
-            transport_policy
-            if transport_policy is not None
-            else FaultTolerancePolicy(max_retries=2, backoff_base_s=1e-4)
-        ),
+        machine, fault_tolerance=FAULT_RUN_POLICY
     )
     if rt.machine is not machine:
         raise ValueError("runtime belongs to a different machine")

@@ -61,8 +61,8 @@ class ExponentialBackoff:
         Seed for the private RNG stream: an int or a sequence of ints
         (anything :func:`numpy.random.default_rng` takes).  Two
         instances with the same parameters and seed produce identical
-        delay sequences — the determinism contract the simulated
-        transport relies on.  The stream is built on the first draw
+        delay sequences — the determinism contract seeded tests
+        rely on.  The stream is built on the first draw
         that needs one, so a zero-jitter schedule never builds it.
     """
 

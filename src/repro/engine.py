@@ -41,7 +41,7 @@ from .hardware.machine import (
     build_jureca_like,
 )
 from .instrument import MetricsHub
-from .mpi import FaultTolerancePolicy, MPIRuntime
+from .mpi import FAULT_RUN_POLICY, MPIRuntime
 from .resiliency import FaultPlan
 from .sim import Simulator, Tracer
 
@@ -738,16 +738,11 @@ class Engine:
         """The simulate-and-measure path of :meth:`run` (no lookup)."""
         t0 = time.perf_counter()  # wall-clock-ok: host-side telemetry only
         machine = spec.build_machine()
-        if spec.wants_resiliency:
-            # transport-level fault tolerance rides along with injection
-            runtime = MPIRuntime(
-                machine,
-                fault_tolerance=FaultTolerancePolicy(
-                    max_retries=2, backoff_base_s=1e-4
-                ),
-            )
-        else:
-            runtime = MPIRuntime(machine)
+        # transport-level fault tolerance rides along with injection
+        runtime = MPIRuntime(
+            machine,
+            fault_tolerance=FAULT_RUN_POLICY if spec.wants_resiliency else None,
+        )
         tracer = Tracer() if spec.trace else None
         if tracer is not None:
             machine.fabric.tracer = tracer

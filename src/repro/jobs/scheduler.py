@@ -153,8 +153,9 @@ class BatchScheduler:
 
     def _estimate_head_start(self) -> Optional[float]:
         """Earliest time the queue head could start, from running jobs'
-        declared durations (conservative: when enough nodes free up)."""
-        head = self.queue[0]
+        declared durations (conservative: when enough nodes free up for
+        the nodes the allocator would give it, its footprint)."""
+        needs = self.allocator.footprint(self.queue[0])
         running = sorted(
             (j for j in self.jobs if j.state is JobState.RUNNING),
             key=lambda j: j.start_time + j.duration_s,
@@ -163,7 +164,7 @@ class BatchScheduler:
         for j in running:
             for mod, nodes in j.allocation.items():
                 free[mod] += len(nodes)
-            if all(free[mod] >= n for mod, n in head.requests.items()):
+            if all(free[mod] >= n for mod, n in needs.items()):
                 return j.start_time + j.duration_s
         return None
 

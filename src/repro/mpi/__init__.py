@@ -16,7 +16,6 @@ from .errors import (
     RankError,
     RouteDownError,
     TransportError,
-    TransportTimeoutError,
     TruncationError,
 )
 from .message import Envelope
@@ -24,6 +23,7 @@ from .mpiio import MODE_CREATE, MODE_RDONLY, MODE_RDWR, MODE_WRONLY, File
 from .request import Request, waitall, waitany
 from .rma import Window
 from .runtime import (
+    FAULT_RUN_POLICY,
     FaultTolerancePolicy,
     GroupState,
     MPIProcess,
@@ -68,6 +68,6 @@ __all__ = [
     "TransportError",
     "PeerFailedError",
     "RouteDownError",
-    "TransportTimeoutError",
     "FaultTolerancePolicy",
+    "FAULT_RUN_POLICY",
 ]

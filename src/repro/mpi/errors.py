@@ -10,7 +10,6 @@ __all__ = [
     "TransportError",
     "PeerFailedError",
     "RouteDownError",
-    "TransportTimeoutError",
 ]
 
 
@@ -33,10 +32,6 @@ class PeerFailedError(TransportError):
 
 class RouteDownError(TransportError):
     """No surviving fabric route connects the two endpoints."""
-
-
-class TransportTimeoutError(TransportError):
-    """A transfer exceeded the configured transport timeout."""
 
 
 class RankError(MPIError):

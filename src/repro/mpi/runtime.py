@@ -31,18 +31,18 @@ from ..hardware.machine import Machine
 from ..hardware.node import Node
 from ..network.fabric import NodeFailedError, NoRouteError
 from ..sim import Event, Process, Simulator
-from ..sim.events import PENDING, AnyOf
+from ..sim.events import PENDING
 from .datatypes import ANY_SOURCE, payload_nbytes
-from .errors import (
-    CommError,
-    PeerFailedError,
-    RankError,
-    RouteDownError,
-    TransportTimeoutError,
-)
+from .errors import CommError, PeerFailedError, RankError, RouteDownError
 from .message import Envelope, Mailbox
 
-__all__ = ["MPIProcess", "GroupState", "MPIRuntime", "FaultTolerancePolicy"]
+__all__ = [
+    "MPIProcess",
+    "GroupState",
+    "MPIRuntime",
+    "FaultTolerancePolicy",
+    "FAULT_RUN_POLICY",
+]
 
 #: kernel prices one rank remembers (see :meth:`RankContext.execute`);
 #: a caller that builds a new kernel every step empties a full table
@@ -54,57 +54,36 @@ class FaultTolerancePolicy:
     """How the runtime reacts to transport failures.
 
     With no policy attached (the default), a transfer that hits a dead
-    node or severed route raises immediately and transfers never time
-    out — byte-for-byte the pre-fault-tolerance behaviour.
+    node or severed route raises immediately — byte-for-byte the
+    pre-fault-tolerance behaviour.
 
     ``max_retries`` bounds re-attempts per message; between attempts the
-    sender backs off ``backoff_base_s * backoff_factor**attempt``
-    seconds of simulated time, which doubles as the window in which a
-    restored link lets the retry reroute and succeed.  ``timeout_s``
-    (optional) aborts any single transfer attempt that takes longer —
-    e.g. one crawling over a degraded link.  Without a timeout, sends
-    and their retries run on simulator callbacks; a timeout needs a
-    process per send to race each attempt against (see
-    :meth:`MPIRuntime.isend`).
-
-    ``jitter`` spreads retrying senders apart: each delay is scaled by
-    a uniform factor from ``[1 - jitter, 1 + jitter]`` drawn from the
-    message's own RNG stream, seeded with ``(jitter_seed, n)`` for the
-    runtime's ``n``-th message.  Two messages draw different factors,
-    and a given seed still replays bit-identically.  ``jitter=0``
-    (default) draws nothing and reproduces the historical fixed
-    schedule exactly.  The delay sequence itself comes from the
-    shared :class:`repro.backoff.ExponentialBackoff` helper — the same
+    sender backs off ``backoff_base_s * 2**attempt`` seconds of
+    simulated time, which doubles as the window in which a restored
+    link lets the retry reroute and succeed.  Sends and their retries
+    run on simulator callbacks (see :meth:`MPIRuntime.isend`).  The
+    delay sequence comes from the shared
+    :class:`repro.backoff.ExponentialBackoff` helper — the same
     implementation the experiment-service clients use.
     """
 
     max_retries: int = 0
     backoff_base_s: float = 1e-3
-    backoff_factor: float = 2.0
-    timeout_s: Optional[float] = None
-    jitter: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1:
+        if self.backoff_base_s < 0:
             raise ValueError("invalid backoff parameters")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
-    def backoff(self, message: int = 0) -> ExponentialBackoff:
-        """A fresh delay generator for a runtime's ``message``-th send
-        (numbered from 0), its jitter seeded with
-        ``(jitter_seed, message)``."""
-        return ExponentialBackoff(
-            base_s=self.backoff_base_s,
-            factor=self.backoff_factor,
-            jitter=self.jitter,
-            seed=(self.jitter_seed, message),
-        )
+    def backoff(self) -> ExponentialBackoff:
+        """A fresh delay generator for one message."""
+        return ExponentialBackoff(base_s=self.backoff_base_s)
+
+
+#: the transport policy of every fault-injected run (the engine's and
+#: the epoch supervisor's): two retries, 0.1 ms then 0.2 ms apart
+FAULT_RUN_POLICY = FaultTolerancePolicy(max_retries=2, backoff_base_s=1e-4)
 
 
 class MPIProcess:
@@ -269,13 +248,9 @@ class MPIRuntime:
         #: every rank sim-process ever launched (spawned children too) —
         #: lets a supervisor abort a whole job on a fatal fault
         self.launched_processes: List[Process] = []
-        #: messages sized and counted so far: the next message's send
-        #: number, which seeds its retry jitter
-        self.send_count = 0
         # transport fault-tolerance accounting
         self.transport_failures = 0
         self.transport_retries = 0
-        self.transport_timeouts = 0
         self.backoff_time_s = 0.0
 
     def live_processes(self) -> List[Process]:
@@ -287,7 +262,6 @@ class MPIRuntime:
         return {
             "failures": self.transport_failures,
             "retries": self.transport_retries,
-            "timeouts": self.transport_timeouts,
             "backoff_time_s": self.backoff_time_s,
         }
 
@@ -335,24 +309,28 @@ class MPIRuntime:
     ) -> Generator:
         """Move one message from ``src_proc`` to ``dst_proc`` (a process).
 
-        The blocking send, and the body of a generator-path
-        :meth:`isend`.  Without a :class:`FaultTolerancePolicy` this is
-        exactly one fabric transfer (failures propagate raw).  With one,
-        transport faults surface as typed
+        The blocking send, and the body of an oracle-path :meth:`isend`.
+        Without a :class:`FaultTolerancePolicy` this is exactly one
+        fabric transfer (failures propagate raw).  With one, transport
+        faults surface as typed
         :class:`~repro.mpi.errors.TransportError` subclasses and each
         message is retried with exponential backoff — a restored link or
         rebooted peer lets the retry reroute.  The retry policy is
         :meth:`_retry_delay`, the same one the callback path follows.
         """
-        n, seq = self._account(context_id, payload, nbytes)
-        if self.fault_tolerance is None:
-            yield from self.fabric.transfer(
-                src_proc.node.node_id, dst_proc.node.node_id, n
-            )
-        else:
-            yield from self._transfer_with_retries(
-                src_proc.node.node_id, dst_proc.node.node_id, n, seq
-            )
+        n = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        stats = self.traffic.setdefault(context_id, [0, 0])
+        stats[0] += 1
+        stats[1] += n
+        src_id, dst_id = src_proc.node.node_id, dst_proc.node.node_id
+        backoff = None
+        while True:
+            try:
+                yield from self.fabric.transfer(src_id, dst_id, n)
+                break
+            except Exception as exc:
+                delay, backoff = self._retry_delay(exc, backoff)
+            yield delay
         dst_proc.mailbox.put(
             Envelope(context_id, source_rank, tag, n, payload)
         )
@@ -382,14 +360,12 @@ class MPIRuntime:
         the instant it is posted, and posting order decides a race for
         a link between sends posted at the same instant.  Sends run on
         callbacks (:class:`_Send`) with no sim process, retries under a
-        :class:`FaultTolerancePolicy` included.  A policy with
-        ``timeout_s`` (each attempt races a timeout in a process) and a
-        fabric with ``fast_path_enabled = False`` (the verification
-        oracle) run each send as a process over :meth:`transmit`
-        instead, started in place (:meth:`Process.start_now`) so it
-        too begins when posted.
+        :class:`FaultTolerancePolicy` included.  A fabric with
+        ``fast_path_enabled = False`` (the verification oracle) runs
+        each send as a process over :meth:`transmit` instead, started in
+        place (:meth:`Process.start_now`) so it too begins when posted.
         """
-        if self._process_sends():
+        if not self.fabric.fast_path_enabled:
             return Process.start_now(
                 self.sim,
                 self._send(
@@ -436,15 +412,15 @@ class MPIRuntime:
         mailbox's delivery complete the round directly, so a round
         message costs two queue entries, the send's completion callback
         and the round event.  The oracle (``fast_path_enabled =
-        False``) and a ``timeout_s`` policy run the send as a process
-        over :meth:`transmit` that completes the round when it ends.
+        False``) runs the send as a process over :meth:`transmit` that
+        completes the round when it ends.
         """
         procs = group.procs
         if not 0 <= dest < len(procs):
             raise _rank_error(group, dest)
         if source != ANY_SOURCE and not 0 <= source < len(procs):
             raise _rank_error(group, source)
-        if self._process_sends():
+        if not self.fabric.fast_path_enabled:
             rnd = _Round(self.sim)
             Process.start_now(
                 self.sim,
@@ -462,19 +438,11 @@ class MPIRuntime:
             src_proc.mailbox.post(rnd, context_id, source, recvtag)
         return rnd
 
-    def _process_sends(self) -> bool:
-        """Whether a send runs as a process over :meth:`transmit` (a
-        ``timeout_s`` policy, or the oracle) instead of on callbacks."""
-        policy = self.fault_tolerance
-        return (
-            policy is not None and policy.timeout_s is not None
-        ) or not self.fabric.fast_path_enabled
-
     def _send(
         self, src_proc, group, dest, context_id, source_rank, tag, payload,
         nbytes,
     ) -> Generator:
-        """Process body of a generator-path :meth:`isend`."""
+        """Process body of an oracle-path :meth:`isend`."""
         yield from self.transmit(
             src_proc, group.proc(dest), context_id, source_rank, tag,
             payload, nbytes=nbytes,
@@ -484,7 +452,7 @@ class MPIRuntime:
         self, rnd, src_proc, dst_proc, context_id, source_rank, tag,
         payload, nbytes,
     ) -> Generator:
-        """Process body of a generator-path :meth:`exchange`: the send,
+        """Process body of an oracle-path :meth:`exchange`: the send,
         then its half of the round."""
         try:
             yield from self.transmit(
@@ -496,69 +464,19 @@ class MPIRuntime:
         else:
             rnd._sent()
 
-    def _account(
-        self, context_id: int, payload: Any, nbytes
-    ) -> Tuple[int, int]:
-        """Size one message, add it to its context's traffic and number
-        it; returns ``(nbytes, send number)``.  :class:`_Send` does the
-        same inline."""
-        n = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        stats = self.traffic.setdefault(context_id, [0, 0])
-        stats[0] += 1
-        stats[1] += n
-        seq = self.send_count
-        self.send_count = seq + 1
-        return n, seq
-
-    def _transfer_once(self, src_id: str, dst_id: str, nbytes: int) -> Generator:
-        """One transfer attempt, optionally bounded by the policy timeout."""
-        timeout_s = self.fault_tolerance.timeout_s
-        if timeout_s is None:
-            yield from self.fabric.transfer(src_id, dst_id, nbytes)
-            return
-        xfer = self.sim.process(self.fabric.transfer(src_id, dst_id, nbytes))
-        xfer.defuse()  # outcome is collected here, not by the simulator
-        race = AnyOf(self.sim, [xfer, self.sim.timeout(timeout_s)])
-        yield race  # a failed child re-raises its exception right here
-        if xfer.triggered:
-            return
-        xfer.interrupt(cause="transport timeout")
-        self.transport_timeouts += 1
-        raise TransportTimeoutError(
-            f"transfer {src_id} -> {dst_id} ({nbytes} B) exceeded "
-            f"{timeout_s} s"
-        )
-
-    def _transfer_with_retries(
-        self, src_id: str, dst_id: str, nbytes: int, seq: int
-    ) -> Generator:
-        """The generator driver of :meth:`_retry_delay`: attempt, back
-        off, attempt again."""
-        backoff = None
-        while True:
-            try:
-                yield from self._transfer_once(src_id, dst_id, nbytes)
-                return
-            except Exception as exc:
-                delay, backoff = self._retry_delay(exc, seq, backoff)
-            yield delay
-
     def _retry_delay(
-        self,
-        exc: Exception,
-        seq: int,
-        backoff: Optional[ExponentialBackoff],
+        self, exc: Exception, backoff: Optional[ExponentialBackoff]
     ) -> Tuple[float, ExponentialBackoff]:
         """The retry policy both send drivers follow: account one failed
-        transfer attempt of message ``seq`` and return ``(delay,
-        backoff)`` for the next attempt.
+        transfer attempt of a message and return ``(delay, backoff)``
+        for the next attempt.
 
         ``backoff`` is the message's delay generator, ``None`` until its
         first failure builds one.  Raises ``exc`` unchanged when the
         runtime has no policy or ``exc`` is no transport fault, and the
         typed error (``NodeFailedError`` -> :class:`PeerFailedError`, no
-        route -> :class:`RouteDownError`, a timeout as itself) once
-        ``max_retries`` retries are spent.
+        route -> :class:`RouteDownError`) once ``max_retries`` retries
+        are spent.
         """
         policy = self.fault_tolerance
         if policy is None:
@@ -567,13 +485,11 @@ class MPIRuntime:
             error = PeerFailedError(str(exc))
         elif isinstance(exc, NoRouteError):
             error = RouteDownError(str(exc))
-        elif isinstance(exc, TransportTimeoutError):
-            error = exc
         else:
             raise exc
         self.transport_failures += 1
         if backoff is None:
-            backoff = policy.backoff(seq)
+            backoff = policy.backoff()
         if backoff.attempt == policy.max_retries:
             raise error
         self.transport_retries += 1
@@ -687,8 +603,7 @@ class _Send(Event):
     """
 
     __slots__ = (
-        "runtime", "src_proc", "dst_proc", "env", "rc", "t0", "seq",
-        "backoff",
+        "runtime", "src_proc", "dst_proc", "env", "rc", "t0", "backoff",
     )
 
     #: how the send completes and fails: as this event (a round
@@ -711,7 +626,7 @@ class _Send(Event):
         self.runtime = runtime
         self.src_proc = src_proc
         self.backoff = None
-        # GroupState.proc and MPIRuntime._account, inlined
+        # GroupState.proc and the traffic count, inlined
         procs = group.procs
         try:
             if not 0 <= dest < len(procs):
@@ -727,8 +642,6 @@ class _Send(Event):
             stats = traffic[context_id] = [0, 0]
         stats[0] += 1
         stats[1] += nbytes
-        self.seq = runtime.send_count
-        runtime.send_count += 1
         self.env = Envelope(context_id, source_rank, tag, nbytes, payload)
         self._attempt(None)
 
@@ -747,9 +660,7 @@ class _Send(Event):
             # back off and retry as a send process would, or fail the
             # request with the error its exit would have carried
             try:
-                delay, self.backoff = runtime._retry_delay(
-                    exc, self.seq, self.backoff
-                )
+                delay, self.backoff = runtime._retry_delay(exc, self.backoff)
             except Exception as error:
                 self._error(error)
                 return

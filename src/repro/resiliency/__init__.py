@@ -5,13 +5,12 @@ SCR-like multi-level checkpoint/restart manager over NVMe, buddy nodes,
 NAM and the global file system.
 """
 
-from .failure import FailureModel, expected_runtime, optimal_interval
+from .failure import expected_runtime, optimal_interval
 from .inject import FAULT_KINDS, FaultEvent, FaultInjector, FaultPlan
 from .malleable import MalleabilityPolicy, allocation_shrink_plan
 from .scr import SCR, CheckpointLevel, CheckpointRecord
 
 __all__ = [
-    "FailureModel",
     "optimal_interval",
     "expected_runtime",
     "SCR",

@@ -105,8 +105,8 @@ class FaultPlan:
     """A deterministic, time-ordered schedule of fault events.
 
     Construct explicitly from events, generate with :meth:`poisson`
-    (seeded exponential inter-arrivals — the :class:`FailureModel`
-    statistics, materialized so they replay exactly), or load from JSON.
+    (seeded exponential inter-arrivals at the system MTBF, materialized
+    so they replay exactly), or load from JSON.
     """
 
     def __init__(

@@ -222,11 +222,6 @@ class ExperimentService:
         return self._workers
 
     @property
-    def queue_depth(self) -> int:
-        """Jobs currently pending in the bounded queue."""
-        return self._queue.depth
-
-    @property
     def in_flight(self) -> int:
         """Jobs admitted but not yet resolved (queued + running)."""
         with self._lock:

@@ -9,10 +9,13 @@ import pytest
 
 import repro
 from repro.api import Session
+from repro.apps.xpic import Mode, XpicConfig
+from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.bench import run_fig7
 from repro.engine import Engine, ExperimentSpec
 from repro.hardware import build_deep_er_prototype
 from repro.jobs import AcceleratedNodeAllocator, Job
+from repro.mpi import FAULT_RUN_POLICY, FaultTolerancePolicy, MPIRuntime
 from repro.partition import Partition
 from repro.store import ResultCache
 
@@ -142,6 +145,13 @@ def _coupled_with_ratio():
     return AcceleratedNodeAllocator(pools, boosters_per_host=0.5)
 
 
+def _resilient_with_transport_policy():
+    return run_resilient_experiment(
+        build_deep_er_prototype(), Mode.CB, XpicConfig(),
+        transport_policy=FAULT_RUN_POLICY,
+    )
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -164,6 +174,17 @@ def _coupled_with_ratio():
          ModuleNotFoundError),
         (_coupled_with_ratio, TypeError),
         (lambda: Job("j", 4, 2, 100.0), TypeError),
+        (lambda: FaultTolerancePolicy(timeout_s=1.0), TypeError),
+        (lambda: FaultTolerancePolicy(jitter=0.1), TypeError),
+        (lambda: FaultTolerancePolicy(jitter_seed=1), TypeError),
+        (lambda: FaultTolerancePolicy(backoff_factor=3.0), TypeError),
+        (_attr("repro.mpi", "TransportTimeoutError"), AttributeError),
+        (_attr("repro.mpi.errors", "TransportTimeoutError"), AttributeError),
+        (_attr("repro.resiliency", "FailureModel"), AttributeError),
+        (_attr("repro.resiliency.failure", "FailureModel"), AttributeError),
+        (lambda: MPIRuntime(build_deep_er_prototype()).send_count,
+         AttributeError),
+        (_resilient_with_transport_policy, TypeError),
     ],
     ids=[
         "positional-spec",
@@ -183,6 +204,16 @@ def _coupled_with_ratio():
         "modular-scheduler-module",
         "boosters-per-host",
         "positional-job",
+        "transport-timeout",
+        "transport-jitter",
+        "transport-jitter-seed",
+        "transport-backoff-factor",
+        "transport-timeout-error",
+        "transport-timeout-error-module",
+        "failure-model",
+        "failure-model-module",
+        "runtime-send-count",
+        "resilient-transport-policy",
     ],
 )
 def test_removed_spellings_stay_removed(call, error):
@@ -190,8 +221,11 @@ def test_removed_spellings_stay_removed(call, error):
     instead of running (a positional spec, a bare tuple, the
     ``repro.cache`` path, the runners' engine/workers/cache keywords,
     ``Session.tune(nested=)``, the second machine builder and job
-    scheduler with their names, the host-coupling ratio option and the
-    positional ``Job(name, n_cluster, n_booster, duration)``)."""
+    scheduler with their names, the host-coupling ratio option, the
+    positional ``Job(name, n_cluster, n_booster, duration)``, and the
+    fault stack's spares: the transport timeout race with its error,
+    retry jitter and its send numbering, the custom backoff factor, the
+    second Poisson injector and the supervisor's own transport policy)."""
     with pytest.raises(error):
         call()
 

@@ -5,10 +5,12 @@ Every CLI command, every ``ProcessShard`` start or restart (a
 its process's imports, and networkx plus numpy cost about as much as a
 short C+B run.  numpy loads only where an array or a numpy RNG stream
 is built (the real-physics layers, fault plans, job mixes); networkx
-only with the OmpSs task graph.  A run under an explicit fault plan
-loads neither; an MTBF run loads numpy for its Poisson stream.
+never: it is a test-only dependency, an oracle.  A run under
+an explicit fault plan loads neither; an MTBF run loads numpy for its
+Poisson stream.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +76,21 @@ def test_fault_free_run_imports_neither_networkx_nor_numpy():
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_of_the_package_imports_networkx():
+    """networkx is installed only with the ``test`` extra, so no module
+    under ``src/repro`` may import it, at module level or in a
+    function."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "networkx" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []

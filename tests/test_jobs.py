@@ -226,15 +226,17 @@ def test_modular_throughput_advantage():
 #: of mixed-centre streams under host coupling with backfill.  The
 #: head's start is estimated once per pass: re-estimating after each
 #: backfill moves it earlier under host coupling and changes these
-#: schedules (seed 125 would end at 51,296.1 s).
+#: schedules (seed 125 would end at 51,296.1 s).  The estimate counts
+#: the head's footprint, the hosts and accelerators coupling pins; its
+#: bare request would end seed 102 at 92,100.4 s.
 HOST_COUPLED_SCHEDULES = {
     (40, 125): (
         50926.92472435057,
         "392f77f1deb5c6d1871dce8e64b9e28d2ef11e129a215210ebf2f67e34f070bd",
     ),
     (60, 102): (
-        92100.42974494283,
-        "a3c053b33543bfab12d07c28dd8b13e106d210fe438c1a0c88f461b7f0b48bbb",
+        90571.05078223233,
+        "91a3c1ad3205d3ad9e76d99a53a7c05fb7844a80ff9f384b6b23fc7615beeeca",
     ),
 }
 
@@ -247,6 +249,31 @@ def test_host_coupled_schedule_is_pinned(n_jobs, seed):
     makespan, digest = HOST_COUPLED_SCHEDULES[n_jobs, seed]
     assert rep.makespan == makespan
     assert hashlib.sha256(repr(timeline).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("accelerated", [False, True], ids=["modular", "coupled"])
+def test_head_reservation_is_never_before_the_head_can_start(
+    monkeypatch, accelerated
+):
+    """EASY reserves the head's start for the nodes the allocator would
+    give it (its footprint), so over 40 mixed-centre streams no
+    estimate of the head's start is earlier than that head really
+    starts."""
+    estimates = []
+    estimate = BatchScheduler._estimate_head_start
+
+    def recording(self):
+        start = estimate(self)
+        if start is not None:
+            estimates.append((self.queue[0], start))
+        return start
+
+    monkeypatch.setattr(BatchScheduler, "_estimate_head_start", recording)
+    for seed in range(100, 140):
+        run_schedule(mixed_center_workload(40, seed=seed), accelerated=accelerated)
+    assert len(estimates) > 1000
+    early = [(j.name, t, j.start_time) for j, t in estimates if t < j.start_time]
+    assert early == []
 
 
 def test_report_metrics_sane():

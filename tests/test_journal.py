@@ -4,9 +4,13 @@ journal, the shared backoff helper, and the liveness heartbeat."""
 import json
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backoff import ExponentialBackoff
 from repro.engine import Engine, ExperimentSpec
@@ -138,6 +142,68 @@ def test_journal_unknown_ops_counted_not_fatal(tmp_path):
     assert stats["by_state"] == {"accepted": 1}
 
 
+#: job transitions (op, job seq); a job's first transition is preceded
+#: by its admission, as the service journals them
+_transitions = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("attached", "dispatched", "completed", "failed", "quarantined")
+        ),
+        st.integers(1, 5),
+    ),
+    min_size=1,
+    max_size=15,
+)
+
+
+def _write_journal(path, transitions):
+    j = JobJournal(path)
+    admitted = set()
+    for op, seq in transitions:
+        if seq not in admitted:
+            admitted.add(seq)
+            j.record_accepted(seq, f"k{seq}", {"steps": seq}, meta={"n": seq})
+        if op == "attached":
+            j.record_attached(seq, {"n": seq})
+        elif op == "dispatched":
+            j.record_dispatched(seq)
+        elif op == "completed":
+            j.record_completed(seq)
+        elif op == "failed":
+            j.record_failed(seq, "boom")
+        else:
+            j.record_quarantined(seq, f"k{seq}", "poison", "tb")
+    return j
+
+
+@given(_transitions, st.data())
+@settings(max_examples=150, deadline=None)
+def test_journal_cut_at_any_byte_replays_a_clean_prefix(transitions, data):
+    """A writer killed mid-append leaves the journal cut at any byte.
+    Replaying it never raises, recovers only records the whole journal
+    has, and drops at most the one torn line; the recovery replay
+    (``trim=True``) leaves the file empty or ending in a newline."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "journal.jsonl"
+        full = _write_journal(path, transitions).replay()
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw)), label="cut")
+        path.write_bytes(raw[:cut])
+        state = JobJournal(path).replay()
+        assert full.dropped_lines == 0
+        assert state.dropped_lines <= 1
+        assert set(state.records) <= set(full.records)
+        for seq, rec in state.records.items():
+            assert (rec.key, rec.spec) == (
+                full.records[seq].key, full.records[seq].spec
+            )
+        assert set(state.quarantined) <= set(full.quarantined)
+        JobJournal(path).replay(trim=True)
+        trimmed = path.read_bytes()
+        assert trimmed == b"" or trimmed.endswith(b"\n")
+        assert raw.startswith(trimmed)
+
+
 # -- shared backoff helper ---------------------------------------------------
 
 
@@ -205,7 +271,7 @@ def test_zero_jitter_backoff_builds_no_generator(monkeypatch):
     bo.delays(5)
     bo.reset()
     bo.delays(5)
-    FaultTolerancePolicy(max_retries=3).backoff(7).delays(3)
+    FaultTolerancePolicy(max_retries=3).backoff().delays(3)
     assert callers == []
 
 
@@ -269,27 +335,13 @@ def test_backoff_validation():
 
 
 def test_fault_tolerance_policy_shares_the_backoff_helper():
-    # jitter=0 (default) reproduces the historical fixed schedule
-    plain = FaultTolerancePolicy(
-        max_retries=3, backoff_base_s=1e-3, backoff_factor=2.0
-    )
+    # the fixed schedule: the base delay, doubling per attempt
+    plain = FaultTolerancePolicy(max_retries=3, backoff_base_s=1e-3)
     assert plain.backoff().delays(3) == [1e-3, 2e-3, 4e-3]
-    # seeded jitter is deterministic: same policy, same delays
-    jit = FaultTolerancePolicy(
-        max_retries=3,
-        backoff_base_s=1e-3,
-        backoff_factor=2.0,
-        jitter=0.25,
-        jitter_seed=42,
-    )
-    d1 = jit.backoff().delays(4)
-    d2 = jit.backoff().delays(4)
-    assert d1 == d2
-    assert d1 != plain.backoff().delays(4)
-    # each message of a runtime draws its own stream
-    assert jit.backoff(1).delays(4) == jit.backoff(1).delays(4) != d1
     with pytest.raises(ValueError):
-        FaultTolerancePolicy(jitter=1.5)
+        FaultTolerancePolicy(max_retries=-1)
+    with pytest.raises(ValueError):
+        FaultTolerancePolicy(backoff_base_s=-1e-3)
 
 
 # -- heartbeat ---------------------------------------------------------------

@@ -5,12 +5,10 @@
 ``allgather``, ``alltoall`` and ``merge`` rounds).  On the
 callback path a round message costs two queue entries, the send's
 completion callback and the round event; the process oracle
-(``fast_path_enabled = False``) and a ``timeout_s`` policy run the
-send in a process that completes the same round.  All three paths
-must deliver the same payloads at the same simulated times.
+(``fast_path_enabled = False``) runs the send in a process that
+completes the same round.  Both paths must deliver the same payloads
+at the same simulated times.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -24,22 +22,19 @@ from repro.mpi import (
 )
 from repro.sim import Interrupt
 
-PATHS = ("callback", "oracle", "timeout")
+PATHS = ("callback", "oracle")
 
 _RETRY = FaultTolerancePolicy(max_retries=2, backoff_base_s=1e-4)
 
 
 def _runtime(path="callback", policy=None, nodes=8):
-    """A runtime on an idle DEEP-ER prototype, its sends on ``path``
-    (the timeout path adds a 1 s ``timeout_s`` to ``policy``)."""
+    """A runtime on an idle DEEP-ER prototype, its sends on ``path``."""
     machine = build_deep_er_prototype(cluster_nodes=nodes, booster_nodes=nodes)
     machine.fabric.fast_path_enabled = path != "oracle"
-    if path == "timeout":
-        policy = replace(policy or FaultTolerancePolicy(), timeout_s=1.0)
     return MPIRuntime(machine, fault_tolerance=policy)
 
 
-# -- differential: callback path == process oracle == timeout path ----------
+# -- differential: callback path == process oracle ---------------------------
 
 def _ring(source_any):
     """Three sendrecv rounds around the ring, each rank skewed by its
@@ -108,29 +103,27 @@ def _outcome(path, case):
     app, ranks = CASES[case]
     rt = _runtime(path)
     results = rt.run_app(app, rt.machine.booster[:ranks])
-    return results, rt.send_count, rt.comm_traffic()
+    return results, rt.comm_traffic()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_send_path_completes_rounds_identically(case):
-    callback = _outcome("callback", case)
-    assert _outcome("oracle", case) == callback
-    assert _outcome("timeout", case) == callback
+    assert _outcome("oracle", case) == _outcome("callback", case)
 
 
 def test_round_results_are_what_the_operations_promise():
-    ring, messages, _ = _outcome("callback", "ring")
-    assert messages == 8 * 3
+    ring, traffic = _outcome("callback", "ring")
+    assert traffic["world"]["p2p_messages"] == 8 * 3
     for rank, rounds in enumerate(ring):
         assert [payload for payload, _ in rounds] == [
             ((rank - 1) % 8, i) for i in range(3)
         ]
-    reduced, _, _ = _outcome("callback", "allreduce-8")
+    reduced, _ = _outcome("callback", "allreduce-8")
     assert {(total, tuple(sorted(items))) for total, items, _ in reduced} == {
         (36, tuple(range(8)))
     }
     # no rank leaves a barrier before the last one entered it
-    barrier, _, _ = _outcome("callback", "barrier-5")
+    barrier, _ = _outcome("callback", "barrier-5")
     for i in range(2):
         entered = max(times[i][0] for times in barrier)
         assert entered > 0
@@ -182,10 +175,10 @@ def test_an_out_of_range_rank_raises_at_the_call(path, dest, source):
         try:
             yield from comm.sendrecv("x", dest=dest, source=source)
         except RankError:
-            return "raised", ctx.sim.now, rt.send_count
+            return "raised", ctx.sim.now, rt.traffic
         return "completed"
 
-    assert rt.run_app(app, rt.machine.cluster[:2])[0] == ("raised", 0.0, 0)
+    assert rt.run_app(app, rt.machine.cluster[:2])[0] == ("raised", 0.0, {})
 
 
 @pytest.mark.parametrize("path", PATHS)

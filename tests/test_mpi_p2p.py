@@ -385,13 +385,12 @@ def _isend_races_a_later_send(path):
     """Rank 0 (cn00) posts a 1 MiB isend to rank 2 (cn02); rank 1
     (cn01), run next at the same instant, sends rank 2 1 MiB with the
     blocking send.  Both need the link into cn02.  ``path`` is
-    ``"callback"``, ``"oracle"`` (``fast_path_enabled = False``) or
-    ``"timeout"`` (a policy with ``timeout_s``: sends in processes).
-    Returns when each message arrived at rank 2, by source rank."""
+    ``"callback"`` or ``"oracle"`` (``fast_path_enabled = False``: sends
+    in processes).  Returns when each message arrived at rank 2, by
+    source rank."""
     machine = build_deep_er_prototype(cluster_nodes=4, booster_nodes=4)
     machine.fabric.fast_path_enabled = path != "oracle"
-    policy = FaultTolerancePolicy(timeout_s=1.0) if path == "timeout" else None
-    rt = MPIRuntime(machine, fault_tolerance=policy)
+    rt = MPIRuntime(machine)
     arrived = {}
 
     def app(ctx):
@@ -410,7 +409,7 @@ def _isend_races_a_later_send(path):
     return arrived
 
 
-@pytest.mark.parametrize("path", ["callback", "oracle", "timeout"])
+@pytest.mark.parametrize("path", ["callback", "oracle"])
 def test_posting_order_decides_a_same_instant_link_race(path):
     """An isend claims its route when it is posted, as ``MPI_Isend``
     starts at the call, on every send path: rank 0's isend takes the
@@ -465,13 +464,11 @@ def test_isend_to_a_failed_node_fails_its_request(fast_path):
     [
         (None, 0),
         (FaultTolerancePolicy(max_retries=1), 0),
-        # the send process, and the transfer it races against the timeout
-        (FaultTolerancePolicy(timeout_s=1.0), 2),
     ],
 )
 def test_uncontended_isend_constructs_no_process(monkeypatch, policy, processes):
-    """Only a send that needs one (a transport timeout, or per-link
-    queueing) runs in a sim process; retries run on callbacks."""
+    """Only a send that needs per-link queueing (or the oracle) runs in
+    a sim process; retries run on callbacks."""
     created = []
     bind = Process._bind
 
@@ -546,7 +543,7 @@ def _route_severed(machine):
     machine.fabric.fail_link("cn01", "sw.cluster")
 
 
-_NO_FAULTS = {"failures": 0, "retries": 0, "timeouts": 0, "backoff_time_s": 0.0}
+_NO_FAULTS = {"failures": 0, "retries": 0, "backoff_time_s": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -554,15 +551,15 @@ _NO_FAULTS = {"failures": 0, "retries": 0, "timeouts": 0, "backoff_time_s": 0.0}
     [
         (
             _peer_back_after_first_retry, 1024, "delivered", 1,
-            {"failures": 2, "retries": 2, "timeouts": 0, "backoff_time_s": 3e-4},
+            {"failures": 2, "retries": 2, "backoff_time_s": 3e-4},
         ),
         (
             _peer_down, 1024, "PeerFailedError", 0,
-            {"failures": 3, "retries": 2, "timeouts": 0, "backoff_time_s": 3e-4},
+            {"failures": 3, "retries": 2, "backoff_time_s": 3e-4},
         ),
         (
             _route_severed, 1024, "RouteDownError", 0,
-            {"failures": 3, "retries": 2, "timeouts": 0, "backoff_time_s": 3e-4},
+            {"failures": 3, "retries": 2, "backoff_time_s": 3e-4},
         ),
         # not a transport fault: raised raw at once, never retried
         (lambda machine: None, -1, "ValueError", 0, _NO_FAULTS),
@@ -693,24 +690,12 @@ def _give_up_times(policy, fast_path):
     return rt.run_app(app, machine.cluster[:3])[:2], rt.transport_metrics()
 
 
-def test_transport_jitter_spreads_senders_apart():
-    """Each message draws its own jitter stream, seeded by the policy
-    seed and the message's send number: two senders retrying the same
-    dead peer give up at different times, bit-identically on replay
-    and on the oracle path."""
-    policy = FaultTolerancePolicy(
-        max_retries=3, backoff_base_s=1e-4, jitter=0.3, jitter_seed=0
-    )
+def test_retrying_senders_follow_the_fixed_schedule():
+    """Two senders retrying the same dead peer back off on the same
+    fixed schedule (0.1, 0.2, then 0.4 ms) and give up together, on
+    callbacks and on the oracle path alike."""
+    policy = FaultTolerancePolicy(max_retries=3, backoff_base_s=1e-4)
     times, metrics = _give_up_times(policy, fast_path=True)
-    assert times[0] != times[1]
-    nominal = 1e-4 + 2e-4 + 4e-4
-    for t in times:
-        assert 0.7 * nominal <= t <= 1.3 * nominal
+    assert times == [pytest.approx(1e-4 + 2e-4 + 4e-4)] * 2
     assert metrics["failures"] == 8 and metrics["retries"] == 6
-    assert _give_up_times(policy, fast_path=True) == (times, metrics)
     assert _give_up_times(policy, fast_path=False) == (times, metrics)
-    # without jitter both follow the fixed schedule
-    plain, _ = _give_up_times(
-        FaultTolerancePolicy(max_retries=3, backoff_base_s=1e-4), True
-    )
-    assert plain == [pytest.approx(nominal)] * 2

@@ -97,11 +97,11 @@ PINS = {
     "cb-2-traced": "abd1fc28772cee38fdffc188981300a744af03446c1b1c9f1f4f5d23d2f1d285",
     "seismic-split-4": "eb343ca61e86a0f21fed29d7e92b45b47dc38f1939e89dab890851c568dd8612",
     "nested-8": "d00e66fc1bcefe5d6d6a61e21a24164a47573a0080bd1433cd1754ce14c320ce",
-    "cb-4-link-degrade": "660198bc0a7955b1d7bd58b7cfb8018ec9976ed8623a9a6a41032341ab994bec",
-    "cb-2-link-down": "ed60318b99749b79e543b096d7827eab5d6b7ab8bb8599c1663c44a53b8b6ad1",
-    "cb-2-crash": "cc56c6ce71266c7388b326264b1de72702186f5dd1db8a909f856de198fd1d97",
-    "cb-1-mtbf": "43663c147d8a190fbe2466f19c6d36682c3e9f7a105c89856fe9ea6b37317943",
-    "cb-8-malleable": "3b178a83a10a8a59ad6b94ccf5f24e205ada51acb5eddbbcdcb067ff4a4bf920",
+    "cb-4-link-degrade": "f05e10e8764f0df23ba91174074b3632d075c724752b5ba72c380e38e56f4ced",
+    "cb-2-link-down": "09d0a0d6bc109432dda7c492645b037b4a0b9ce43c8b69a3e2ed0df5658c8cef",
+    "cb-2-crash": "b3fd199f6731e03368fbc7b23511bedb1fefdab16c467cdbe5731fd75051eace",
+    "cb-1-mtbf": "5a7d2c82297c1ee8f6b0d88df5196c98902c653069e7c0ca1f44b768e6e17f8c",
+    "cb-8-malleable": "4b52db243d983fc8a0168c582326f4e5e38f02625da62487ab035fccf3b1378f",
 }
 
 
@@ -114,11 +114,11 @@ PHYSICS_PINS = {
     "cb-2-traced": "a3c50c5a575549f897255ee16ce99a9ea1ad0bceee9ffae0a085be1d2cbebc19",
     "seismic-split-4": "218c2a67ddd1a17a30f9000c8688277295677384e4fb760711173a5bbbbea462",
     "nested-8": "9ba8f8ad0fce78ac3967c9808ba17dbff1c3506f575ebb406c17e24ccc57ae87",
-    "cb-4-link-degrade": "00704d55b25bde11ce0af1c7fb4a7cef33bdb74a2eb0ade15ff3ae9fc3d59315",
-    "cb-2-link-down": "01345cc96ba43a8b70aeb4c7228ed1ee32db7ca875f78ea80e826d69214297dd",
-    "cb-2-crash": "19fde70609fdc8caeef408d0f36ce14acb705f38ee938e9bfa7670a09d056098",
-    "cb-1-mtbf": "4076d486b14ae5159549bde2f3d7401c853cac2074a0ab8d87884f5f0e493b0a",
-    "cb-8-malleable": "69bfb698073284d146448cbf43192df9e23c7b02681e39a237e35a8724b2b930",
+    "cb-4-link-degrade": "5a16aecfabc445a088595d5f3e776b73f35e3810b9c48862561b3cbf091ec8c3",
+    "cb-2-link-down": "6a927f008586768311f15560a25e54461cc3132dc224342b5e58a4c743741b46",
+    "cb-2-crash": "1c8f57dda48ac1a081bbe8ced43cc5a1811581be7ce5ff92dfad2bf2c09cda3b",
+    "cb-1-mtbf": "e2c3d7d52076b2f14c5893eb833a5ec1b2aaba5bfaac2762523895cf78ed26f5",
+    "cb-8-malleable": "7e7fda0dcf8cb78f91ae858a3e2410f007cf6a4eec943d3e0fc83046a46d2a53",
 }
 
 

@@ -10,7 +10,6 @@ from repro.nam import NAMDevice
 from repro.resiliency import (
     SCR,
     CheckpointLevel,
-    FailureModel,
     expected_runtime,
     optimal_interval,
 )
@@ -61,39 +60,6 @@ def test_optimal_interval_is_near_minimum(c, mtbf):
     t_opt = expected_runtime(interval_s=opt, **kw)
     for factor in (0.5, 2.0):
         assert t_opt <= expected_runtime(interval_s=opt * factor, **kw) * 1.05
-
-
-def test_failure_model_validation():
-    machine = build_deep_er_prototype()
-    with pytest.raises(ValueError):
-        FailureModel(machine.sim, machine.cluster, node_mtbf_s=-1)
-    with pytest.raises(ValueError):
-        FailureModel(machine.sim, [], node_mtbf_s=100)
-
-
-def test_system_mtbf_scales_with_nodes():
-    machine = build_deep_er_prototype()
-    fm = FailureModel(machine.sim, machine.cluster, node_mtbf_s=1000.0)
-    assert fm.system_mtbf_s == pytest.approx(1000.0 / 16)
-
-
-def test_failure_injection_marks_nodes():
-    machine = build_deep_er_prototype()
-    fm = FailureModel(machine.sim, machine.booster, node_mtbf_s=100.0, seed=1)
-    seen = []
-    fm.on_failure(lambda n: seen.append(n.node_id))
-    fm.start(horizon_s=500.0)
-    machine.sim.run()
-    assert len(fm.failures) >= 1
-    assert seen == [n.node_id for _, n in fm.failures]
-    assert all(n.failed for _, n in fm.failures)
-
-
-def test_draw_failure_times_within_horizon():
-    machine = build_deep_er_prototype()
-    fm = FailureModel(machine.sim, machine.booster, node_mtbf_s=50.0, seed=2)
-    times = fm.draw_failure_times(100.0)
-    assert all(0 < t <= 100.0 for t, _ in times)
 
 
 # ----------------------------------------------------------------------- SCR

@@ -5,6 +5,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, ExperimentSpec
 from repro.serve import (
@@ -339,6 +341,52 @@ def test_latency_histogram_percentiles():
     assert snap["max_s"] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         h.percentile(0.0)
+
+
+#: latencies spanning below the first bucket (and negative, which
+#: clamp to zero) up past the last one, into the overflow bucket
+_latencies = st.lists(
+    st.one_of(
+        st.floats(-1e-3, 1e-5),
+        st.floats(0.0, 10.0),
+        st.floats(1e5, 1e8),
+    ),
+    max_size=25,
+)
+
+
+def _histogram(samples):
+    h = LatencyHistogram()
+    for s in samples:
+        h.record(s)
+    return h
+
+
+def _shipped(samples):
+    """A histogram as a shard ships it: through its snapshot."""
+    return LatencyHistogram.from_snapshot(_histogram(samples).snapshot())
+
+
+def _exact(h):
+    """Everything of a snapshot that must merge exactly: all but the
+    float sums (the total and the mean)."""
+    snap = h.snapshot()
+    del snap["total_s"], snap["mean_s"]
+    return snap
+
+
+@given(_latencies, _latencies, _latencies)
+@settings(max_examples=200, deadline=None)
+def test_histogram_merge_is_associative_and_equals_one_histogram(a, b, c):
+    """Merging shipped histograms in either grouping gives what one
+    histogram of all the samples gives: count, min, max, p50/p90/p99
+    and every bucket count exactly, the total to rounding."""
+    left = _shipped(a).merge(_shipped(b)).merge(_shipped(c))
+    right = _shipped(a).merge(_shipped(b).merge(_shipped(c)))
+    whole = _histogram(a + b + c)
+    assert _exact(left) == _exact(right) == _exact(whole)
+    assert left.total_s == pytest.approx(whole.total_s)
+    assert right.total_s == pytest.approx(whole.total_s)
 
 
 # -- file-based job directory ------------------------------------------------
