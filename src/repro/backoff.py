@@ -4,25 +4,20 @@ Retry-with-backoff shows up at two very different layers of the stack:
 the simulated MPI transport re-attempting a transfer over a failed
 route (:class:`~repro.mpi.FaultTolerancePolicy`), and a real client
 re-submitting to the experiment service after a typed
-:class:`~repro.serve.queue.QueueFull` rejection.  Both need the same
-three properties — geometric growth, an optional cap, and *optional
-jitter that is deterministic under a seed* so tests and simulations
-replay bit-identically — so both share this one helper instead of
-growing drifting copies.
+:class:`~repro.serve.queue.QueueFull` rejection.  Both need geometric
+growth and an optional cap, so both share this one helper instead of
+growing drifting copies.  It has two shapes:
 
-Two jitter shapes are supported:
-
-* **proportional** (``jitter=f``): each exponential delay is scaled by
-  a factor drawn uniformly from ``[1 - f, 1 + f]``.  With ``jitter=0``
-  (the default) the sequence is exactly
-  ``base_s * factor**attempt`` — byte-identical to the historical
-  fixed backoff, which is what keeps zero-jitter simulations
+* **exponential** (the default): attempt ``n`` waits exactly
+  ``base_s * factor**n`` seconds, with no RNG draws at all — the
+  transport's fixed doubling schedule, which keeps simulations
   event-identical.
-* **decorrelated** (``decorrelated=True``): the AWS-style scheme where
+* **decorrelated** (``decorrelated=True``): the AWS-style jitter where
   each delay is drawn uniformly from ``[base_s, prev * factor]``,
   which spreads many colliding clients apart much faster than
   synchronized exponentials.  This is what the service clients use on
-  :class:`~repro.serve.queue.QueueFull`.
+  :class:`~repro.serve.queue.QueueFull`; a ``seed`` makes the draws
+  deterministic, so tests replay bit-identically.
 
 ``next_delay(floor_s=...)`` lets a caller honor a server-provided
 retry-after hint: the computed delay never undercuts the floor (the
@@ -48,11 +43,6 @@ class ExponentialBackoff:
     base_s, factor, cap_s
         Geometric schedule: attempt ``n`` waits ``base_s * factor**n``
         seconds, clamped to ``cap_s`` when given.
-    jitter
-        Proportional jitter fraction in ``[0, 1)``; each delay is
-        multiplied by a uniform draw from ``[1 - jitter, 1 + jitter]``.
-        ``0.0`` (default) disables jitter and makes the sequence exactly
-        reproducible with no RNG draws at all.
     decorrelated
         Use decorrelated jitter instead: each delay is drawn uniformly
         from ``[base_s, prev_delay * factor]``.  Implies randomness, so
@@ -62,8 +52,8 @@ class ExponentialBackoff:
         (anything :func:`numpy.random.default_rng` takes).  Two
         instances with the same parameters and seed produce identical
         delay sequences — the determinism contract seeded tests
-        rely on.  The stream is built on the first draw
-        that needs one, so a zero-jitter schedule never builds it.
+        rely on.  The stream is built on the first draw, so an
+        exponential schedule never builds it.
     """
 
     def __init__(
@@ -71,7 +61,6 @@ class ExponentialBackoff:
         base_s: float = 1e-3,
         factor: float = 2.0,
         cap_s: Optional[float] = None,
-        jitter: float = 0.0,
         decorrelated: bool = False,
         seed: Union[int, Sequence[int], None] = None,
     ):
@@ -79,14 +68,11 @@ class ExponentialBackoff:
             raise ValueError(f"base_s cannot be negative (got {base_s})")
         if factor < 1:
             raise ValueError(f"factor must be >= 1 (got {factor})")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1) (got {jitter})")
         if cap_s is not None and cap_s <= 0:
             raise ValueError(f"cap_s must be positive (got {cap_s})")
         self.base_s = base_s
         self.factor = factor
         self.cap_s = cap_s
-        self.jitter = jitter
         self.decorrelated = decorrelated
         self.seed = seed
         self._rng: Optional[np.random.Generator] = None
@@ -94,18 +80,10 @@ class ExponentialBackoff:
         self._prev: Optional[float] = None
 
     def reset(self) -> None:
-        """Rewind to attempt zero (and restart the jitter stream)."""
+        """Rewind to attempt zero (and restart the seeded stream)."""
         self._rng = None
         self.attempt = 0
         self._prev = None
-
-    def _generator(self) -> np.random.Generator:
-        """The private jitter stream, seeded on its first use."""
-        if self._rng is None:
-            import numpy as np
-
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
 
     def next_delay(self, floor_s: float = 0.0) -> float:
         """The next delay in seconds; advances the attempt counter.
@@ -115,15 +93,15 @@ class ExponentialBackoff:
         cap (when set) is applied last and wins over the floor.
         """
         if self.decorrelated:
+            if self._rng is None:  # seeded on the first draw
+                import numpy as np
+
+                self._rng = np.random.default_rng(self.seed)
             prev = self.base_s if self._prev is None else self._prev
             hi = max(self.base_s, prev * self.factor)
-            delay = self._generator().uniform(self.base_s, hi)
+            delay = self._rng.uniform(self.base_s, hi)
         else:
             delay = self.base_s * self.factor ** self.attempt
-            if self.jitter:
-                delay *= 1.0 + self.jitter * (
-                    2.0 * self._generator().random() - 1.0
-                )
         self.attempt += 1
         delay = max(delay, max(0.0, floor_s))
         if self.cap_s is not None:
@@ -139,5 +117,5 @@ class ExponentialBackoff:
         kind = "decorrelated" if self.decorrelated else "exponential"
         return (
             f"<ExponentialBackoff {kind} base={self.base_s} "
-            f"factor={self.factor} jitter={self.jitter} seed={self.seed}>"
+            f"factor={self.factor} seed={self.seed}>"
         )

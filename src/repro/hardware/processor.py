@@ -71,11 +71,6 @@ class Processor:
         """Relative single-thread performance (frequency x scalar IPC)."""
         return self.frequency_hz * self.scalar_ipc
 
-    @property
-    def cores_total(self) -> int:
-        """Physical cores per node (alias of ``cores``)."""
-        return self.cores
-
 
 #: Cluster node processor (2 sockets, Table I): 24 cores @ 2.5 GHz, AVX2+FMA
 #: -> 16 DP flops/cycle/core -> 0.96 TFlop/s per node, 16 nodes ~ 16 TFlop/s.

@@ -260,19 +260,10 @@ class AdaptiveScheduler:
         want = max(job.min_nodes, min(want or job.min_nodes, job.max_nodes))
         available = len(self.pool) + job.n_nodes
         want = min(want, available)
-        if want != job.n_nodes and want >= job.min_nodes:
-            # adjust allocation in place (no interrupt needed: the
-            # caller is the job's own process loop)
-            job._credit_progress(self.sim.now)
-            if want < job.n_nodes:
-                for _ in range(job.n_nodes - want):
-                    self.pool.append(job.nodes.pop())
-            else:
-                job.nodes.extend(
-                    self.pool.pop() for _ in range(want - job.n_nodes)
-                )
-            job.resize_count += 1
-            job._since = self.sim.now + self.reconfig_cost_s
+        if want >= job.min_nodes:
+            # the caller is the job's own process loop, so _resize
+            # does not interrupt it
+            self._resize(job, want)
         # freed (or newly demanded) nodes may admit queued jobs; the
         # evolving job itself already sits at its target share, so the
         # global pass will not try to self-interrupt it

@@ -240,11 +240,6 @@ class Fabric:
         return len(self.route(src, dst))
 
     # -- analytic cost model ----------------------------------------------
-    def wire_time(self, src: str, dst: str, nbytes: int) -> float:
-        """Latency + serialization along the route, without CPU overheads."""
-        rc = self.route_cost(src, dst)
-        return rc.hop_latency_s + nbytes / rc.bw_eff
-
     def transfer_time(
         self, src: str, dst: str, nbytes: int, rdma: bool = False
     ) -> float:

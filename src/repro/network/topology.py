@@ -176,11 +176,6 @@ class Topology:
         """Ids of the currently down vertices."""
         return set(self._failed_nodes)
 
-    def links_on_path(self, path: Iterable[str]):
-        """The link objects along a vertex path."""
-        path = list(path)
-        return [self.link(a, b) for a, b in zip(path, path[1:])]
-
     def directed_links_on_path(self, path: Iterable[str]):
         """(link, forward) pairs along a vertex path; ``forward`` means
         the traversal runs link.u -> link.v."""

@@ -35,12 +35,12 @@ are skipped while fresh and rejected once stably malformed.
 from __future__ import annotations
 
 import json
-import os
 import time
 import uuid
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
+from ..durable import atomic_write
 from ..engine import ExperimentSpec
 from .queue import Job, QueueFull
 from .service import ExperimentService
@@ -76,12 +76,6 @@ def _results_dir(jobdir: Path) -> Path:
     return jobdir / "results"
 
 
-def _atomic_write(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2))
-    os.replace(tmp, path)
-
-
 def submit_job(
     jobdir,
     spec: ExperimentSpec,
@@ -112,9 +106,9 @@ def submit_job(
     }
     if deadline_s is not None:
         payload["deadline_s"] = float(deadline_s)
-    _atomic_write(
+    atomic_write(
         _queue_dir(jobdir) / f"{job_id}.json",
-        payload,
+        json.dumps(payload, sort_keys=True, indent=2),
     )
     return job_id
 
@@ -310,17 +304,18 @@ def serve_jobdir(
                     say(f"skipping partial request {path.name} (mid-write)")
                     continue
                 say(f"rejecting malformed request {path.name}: {exc}")
-                _atomic_write(
+                rejected = {
+                    "schema": JOB_RESULT_SCHEMA,
+                    "id": path.stem,
+                    "status": "failed",
+                    "error": f"malformed request: {exc}",
+                    "cache_hit": False,
+                    "coalesced": False,
+                    "report": None,
+                }
+                atomic_write(
                     _results_dir(jobdir) / f"{path.stem}.json",
-                    {
-                        "schema": JOB_RESULT_SCHEMA,
-                        "id": path.stem,
-                        "status": "failed",
-                        "error": f"malformed request: {exc}",
-                        "cache_hit": False,
-                        "coalesced": False,
-                        "report": None,
-                    },
+                    json.dumps(rejected, sort_keys=True, indent=2),
                 )
                 path.unlink(missing_ok=True)
                 continue
@@ -346,18 +341,19 @@ def serve_jobdir(
         written = 0
         for request_id in [r for r, (j, _) in pending.items() if j.done()]:
             job, coalesced = pending.pop(request_id)
-            _atomic_write(
+            result = _result_payload(job, request_id, coalesced)
+            atomic_write(
                 _results_dir(jobdir) / f"{request_id}.json",
-                _result_payload(job, request_id, coalesced),
+                json.dumps(result, sort_keys=True, indent=2),
             )
             written += 1
         return written
 
     def write_metrics() -> dict:
         snap = service.metrics_snapshot()
-        _atomic_write(
-            jobdir / "metrics.json",
-            {"schema": SERVICE_METRICS_SCHEMA, **snap},
+        doc = {"schema": SERVICE_METRICS_SCHEMA, **snap}
+        atomic_write(
+            jobdir / "metrics.json", json.dumps(doc, sort_keys=True, indent=2)
         )
         return snap
 
@@ -365,7 +361,7 @@ def serve_jobdir(
         # fold in store entries other processes appended (a fleet
         # router bundle-syncing a stolen result, an operator's `repro
         # cache import`) so the next admission sees them as cache
-        # hits; one stat() per scan when nothing changed
+        # hits; one empty read per scan when nothing changed
         if service.cache is not None:
             service.cache.refresh()
 

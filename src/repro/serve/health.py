@@ -17,6 +17,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from ..durable import atomic_write
+
 __all__ = ["HEARTBEAT_SCHEMA", "write_heartbeat", "read_heartbeat"]
 
 #: schema tag of the heartbeat document
@@ -40,9 +42,7 @@ def write_heartbeat(path, status: str, snapshot: Optional[dict] = None) -> None:
     }
     if snapshot:
         doc.update(snapshot)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _pid_alive(pid: int) -> bool:

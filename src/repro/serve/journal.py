@@ -2,12 +2,11 @@
 
 The service's in-memory queue dies with the process; the journal is
 what survives.  Every job transition is appended as one JSON line to
-``journal.jsonl`` *before* the transition takes effect, using the same
-single-``write(2)``-on-``O_APPEND`` idiom as the result store's
-columnar index (:mod:`repro.store.index`): concurrent appends
-interleave whole lines, never torn ones, and a half-written final line
-(SIGKILL mid-append) is dropped on replay instead of poisoning the
-load.
+``journal.jsonl`` *before* the transition takes effect, through the
+JSON-lines log of :mod:`repro.durable` that the result store's
+columnar index uses too: concurrent appends interleave whole lines,
+never torn ones, and a half-written final line (SIGKILL mid-append) is
+dropped on replay instead of poisoning the load.
 
 Record lifecycle per job (``seq`` is the journal-wide job sequence
 number, unique across service restarts)::
@@ -25,19 +24,20 @@ process had promised but not delivered — in original sequence order,
 and skips any whose key was quarantined (poison specs must not
 crash-loop the replacement process).
 
-Compaction rewrites the file with only the quarantine set (everything
-else is either resolved or about to be re-accepted under a fresh
-line), and only runs from management paths — recovery with nothing
-unresolved, or a clean shutdown — never concurrently with appends.
+Compaction durably rewrites the file with only the quarantine set
+(everything else is either resolved or about to be re-accepted under a
+fresh line), and only runs from management paths — recovery with
+nothing unresolved, or a clean shutdown — never concurrently with
+appends.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from ..durable import JsonLinesLog
 
 __all__ = [
     "JOB_JOURNAL_SCHEMA",
@@ -123,12 +123,6 @@ class JournalState:
         }
 
 
-def _encode(rec: dict) -> bytes:
-    return (
-        json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
 class JobJournal:
     """Append-only write-ahead log of job transitions.
 
@@ -142,22 +136,9 @@ class JobJournal:
     def __init__(self, path):
         self.path = Path(path).expanduser()
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = JsonLinesLog(self.path, JOB_JOURNAL_SCHEMA)
 
     # -- append side ---------------------------------------------------------
-    def _append(self, rec: dict) -> None:
-        line = _encode(rec)
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            if os.fstat(fd).st_size == 0:
-                os.write(
-                    fd, _encode({"op": "header", "schema": JOB_JOURNAL_SCHEMA})
-                )
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-
     def record_accepted(
         self,
         seq: int,
@@ -181,23 +162,23 @@ class JobJournal:
             rec["deadline_s"] = float(deadline_s)
         if meta is not None:
             rec["meta"] = meta
-        self._append(rec)
+        self._log.append(rec)
 
     def record_attached(self, seq: int, meta: dict) -> None:
         """Journal a coalesced duplicate riding on an accepted job."""
-        self._append({"op": "attached", "seq": int(seq), "meta": meta})
+        self._log.append({"op": "attached", "seq": int(seq), "meta": meta})
 
     def record_dispatched(self, seq: int) -> None:
         """Journal a job leaving the queue for the worker pool."""
-        self._append({"op": "dispatched", "seq": int(seq)})
+        self._log.append({"op": "dispatched", "seq": int(seq)})
 
     def record_completed(self, seq: int) -> None:
         """Journal a delivered result (write *after* the store put)."""
-        self._append({"op": "completed", "seq": int(seq)})
+        self._log.append({"op": "completed", "seq": int(seq)})
 
     def record_failed(self, seq: int, error: str) -> None:
         """Journal a typed per-job failure (app error, deadline, ...)."""
-        self._append({"op": "failed", "seq": int(seq), "error": str(error)})
+        self._log.append({"op": "failed", "seq": int(seq), "error": str(error)})
 
     def record_quarantined(
         self,
@@ -215,7 +196,7 @@ class JobJournal:
         }
         if traceback:
             rec["traceback"] = str(traceback)
-        self._append(rec)
+        self._log.append(rec)
 
     # -- replay side ---------------------------------------------------------
     def replay(self, trim: bool = False) -> JournalState:
@@ -233,33 +214,13 @@ class JobJournal:
         like ``repro serve --status`` must not, or they would race a
         live writer."""
         state = JournalState()
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
+        got = self._log.read(trim=trim)
+        if got.foreign:
+            state.stale = True
             return state
-        if trim and raw and not raw.endswith(b"\n"):
-            keep = raw.rfind(b"\n") + 1  # 0 when no complete line at all
-            fd = os.open(self.path, os.O_WRONLY)
-            try:
-                os.ftruncate(fd, keep)
-            finally:
-                os.close(fd)
-        for i, line in enumerate(raw.split(b"\n")):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                op = rec["op"]
-            except (ValueError, KeyError, TypeError):
-                state.dropped_lines += 1
-                continue
-            if op == "header":
-                if i == 0 and rec.get("schema") != JOB_JOURNAL_SCHEMA:
-                    state.stale = True
-                    state.records = {}
-                    state.quarantined = {}
-                    return state
-                continue
+        state.dropped_lines = got.dropped
+        for rec in got.records:
+            op = rec["op"]
             try:
                 seq = int(rec["seq"])
             except (KeyError, ValueError, TypeError):
@@ -283,21 +244,14 @@ class JobJournal:
                     state.dropped_lines += 1
                 elif rec.get("meta") is not None:
                     record.metas.append(rec["meta"])
-            elif op in ("dispatched", "completed"):
+            elif op in ("dispatched", "completed", "failed"):
                 record = state.records.get(seq)
                 if record is None:
                     state.dropped_lines += 1
                 else:
-                    record.state = (
-                        "dispatched" if op == "dispatched" else "completed"
-                    )
-            elif op == "failed":
-                record = state.records.get(seq)
-                if record is None:
-                    state.dropped_lines += 1
-                else:
-                    record.state = "failed"
-                    record.error = rec.get("error")
+                    record.state = op
+                    if op == "failed":
+                        record.error = rec.get("error")
             elif op == "quarantined":
                 record = state.records.get(seq)
                 if record is None:
@@ -319,7 +273,7 @@ class JobJournal:
 
     # -- maintenance ---------------------------------------------------------
     def compact(self, state: Optional[JournalState] = None) -> None:
-        """Atomically rewrite the journal keeping only the quarantine set.
+        """Durably rewrite the journal keeping only the quarantine set.
 
         Management-path only (recovery with nothing unresolved, clean
         shutdown): must never race a concurrent appender.  Resolved
@@ -327,21 +281,19 @@ class JobJournal:
         breaker survives restarts."""
         if state is None:
             state = self.replay()
-        tmp = self.path.with_suffix(f".{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(_encode({"op": "header", "schema": JOB_JOURNAL_SCHEMA}))
-            for key in sorted(state.quarantined):
-                rec = state.quarantined[key]
-                out = {
-                    "op": "quarantined",
-                    "seq": rec.seq,
-                    "key": rec.key,
-                    "error": rec.error or "",
-                }
-                if rec.traceback:
-                    out["traceback"] = rec.traceback
-                fh.write(_encode(out))
-        os.replace(tmp, self.path)
+        lines = []
+        for key in sorted(state.quarantined):
+            rec = state.quarantined[key]
+            line = {
+                "op": "quarantined",
+                "seq": rec.seq,
+                "key": rec.key,
+                "error": rec.error or "",
+            }
+            if rec.traceback:
+                line["traceback"] = rec.traceback
+            lines.append(line)
+        self._log.rewrite(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<JobJournal {str(self.path)!r}>"

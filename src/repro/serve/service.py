@@ -508,15 +508,6 @@ class ExperimentService:
                 sleep(delay)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def submit_many(
-        self, specs, priority: int = 0, client: str = "default"
-    ) -> List[Job]:
-        """Submit a batch of specs; one job handle per spec, in order."""
-        return [
-            self.submit(spec, priority=priority, client=client)
-            for spec in specs
-        ]
-
     @staticmethod
     def _spec_dict(spec) -> dict:
         """JSON-safe spec form for the journal (best effort)."""

@@ -12,55 +12,35 @@ query`` never touch the blob tree.
 
 Crash and concurrency discipline:
 
-* appends are a single ``write(2)`` on an ``O_APPEND`` descriptor, so
-  two processes putting concurrently interleave whole lines, never
-  torn ones; a half-written final line (power loss mid-append) is
-  dropped on replay instead of poisoning the load;
+* the file is a :class:`~repro.durable.JsonLinesLog`, the job journal's
+  format: appends are a single ``write(2)`` on an ``O_APPEND``
+  descriptor, so two processes putting concurrently interleave whole
+  lines, never torn ones; a half-written final line (power loss
+  mid-append) is dropped on replay instead of poisoning the load;
 * replay is last-write-wins per key, so two processes racing the same
   key converge on one row (the blobs are content-addressed — both
   wrote the same payload);
 * the index is *derived* state: it can always be rebuilt from the
   blobs (``ResultCache.verify(repair=True)``, ``repro cache verify
   --repair``), which is also how a pre-index store is adopted;
-* compaction (rewriting dead lines away) happens only inside
+* compaction (durably rewriting dead lines away) happens only inside
   management operations — prune, rebuild, repair — never on the read
   or put path, so it cannot race a concurrent writer's appends.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator
+
+from ..durable import JsonLinesLog, LogRead
 
 __all__ = [
     "INDEX_SCHEMA",
     "INDEX_COLUMNS",
     "ColumnarIndex",
     "entry_columns",
-    "fsync_dir",
 ]
-
-
-def fsync_dir(path) -> None:
-    """fsync a directory so a just-renamed entry survives power loss.
-
-    ``os.replace`` makes the rename atomic but not durable: the new
-    directory entry lives in the page cache until the *directory*
-    inode is flushed.  Best-effort — platforms without directory fds
-    (or odd filesystems) are skipped silently.
-    """
-    try:
-        fd = os.open(str(path), os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
 
 #: schema tag of the index file (bump on breaking layout change)
 INDEX_SCHEMA = "repro.cache_index/1"
@@ -131,6 +111,7 @@ class ColumnarIndex:
     def __init__(self, root):
         self.root = Path(root)
         self.path = self.root / "index.jsonl"
+        self._log = JsonLinesLog(self.path, INDEX_SCHEMA)
         self.rows: Dict[str, dict] = {}
         self.stored_bytes = 0
         self.stale = False
@@ -152,55 +133,32 @@ class ColumnarIndex:
         """Replay the whole index file into memory (last write wins)."""
         self.rows = {}
         self.stored_bytes = 0
-        self.stale = False
         self.dead_lines = 0
         self.dropped_lines = 0
-        self._offset = 0
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return  # no index yet: an empty (or unadopted) store
-        self._offset = len(raw)
-        self._replay(raw, first=True)
+        got = self._log.read()
+        self._offset = got.end
+        # an index written under another layout: unusable as-is,
+        # rebuildable from the blobs
+        self.stale = got.foreign
+        self._fold(got)
 
     def refresh(self) -> int:
         """Replay lines appended since the last load; returns how many
         new live rows appeared.  A shrunken file (compacted by another
         process) triggers a full reload."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return 0
-        if size < self._offset:
-            before = len(self.rows)
-            self.load()
-            return max(0, len(self.rows) - before)
-        if size == self._offset:
-            return 0
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            raw = fh.read()
-        self._offset += len(raw)
+        got = self._log.read(self._offset)
         before = len(self.rows)
-        self._replay(raw, first=False)
+        if got.end < self._offset:
+            self.load()
+        else:
+            self._offset = got.end
+            self._fold(got)
         return max(0, len(self.rows) - before)
 
-    def _replay(self, raw: bytes, first: bool) -> None:
-        for i, line in enumerate(raw.split(b"\n")):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                op = rec["op"]
-            except (ValueError, KeyError, TypeError):
-                self.dropped_lines += 1
-                continue
-            if op == "header":
-                if first and i == 0 and rec.get("schema") != INDEX_SCHEMA:
-                    # index written under another layout: unusable
-                    # as-is, rebuildable from the blobs
-                    self.stale = True
-                continue
+    def _fold(self, got: LogRead) -> None:
+        self.dropped_lines += got.dropped
+        for rec in got.records:
+            op = rec["op"]
             key = rec.get("key")
             if not key:
                 self.dropped_lines += 1
@@ -222,30 +180,6 @@ class ColumnarIndex:
                 self.dropped_lines += 1
 
     # -- mutation ------------------------------------------------------------
-    def _append(self, rec: dict) -> None:
-        line = (
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            if os.fstat(fd).st_size == 0:
-                header = (
-                    json.dumps(
-                        {"op": "header", "schema": INDEX_SCHEMA},
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                ).encode("utf-8")
-                os.write(fd, header)
-                self._offset += len(header)
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-        self._offset += len(line)
-
     def record_put(self, key: str, columns: dict) -> None:
         """Append one put line and fold it into the live table."""
         old = self.rows.get(key)
@@ -254,7 +188,7 @@ class ColumnarIndex:
             self.dead_lines += 1
         self.rows[key] = dict(columns)
         self.stored_bytes += columns.get("size", 0)
-        self._append({"op": "put", "key": key, **columns})
+        self._offset += self._log.append({"op": "put", "key": key, **columns})
 
     def record_del(self, key: str) -> None:
         """Append one del line and drop the live row."""
@@ -262,7 +196,7 @@ class ColumnarIndex:
         if old is not None:
             self.stored_bytes -= old.get("size", 0)
         self.dead_lines += 1
-        self._append({"op": "del", "key": key})
+        self._offset += self._log.append({"op": "del", "key": key})
 
     # -- maintenance ---------------------------------------------------------
     def rebuild(self, rows: Dict[str, dict]) -> None:
@@ -272,9 +206,7 @@ class ColumnarIndex:
         self.rows = {k: dict(v) for k, v in rows.items()}
         self.stored_bytes = sum(r.get("size", 0) for r in self.rows.values())
         self.stale = False
-        self.dead_lines = 0
-        self.dropped_lines = 0
-        self._rewrite()
+        self.compact()
 
     def compact(self) -> None:
         """Rewrite the file with only the live rows (drops dead lines).
@@ -282,36 +214,12 @@ class ColumnarIndex:
         Management-path only: must not race concurrent appenders (a
         writer appending to the replaced file would lose its line).
         """
-        self._rewrite()
+        self._offset = self._log.rewrite(
+            {"op": "put", "key": key, **self.rows[key]}
+            for key in sorted(self.rows)
+        )
         self.dead_lines = 0
         self.dropped_lines = 0
-
-    def _rewrite(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"op": "header", "schema": INDEX_SCHEMA},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            for key in sorted(self.rows):
-                fh.write(
-                    json.dumps(
-                        {"op": "put", "key": key, **self.rows[key]},
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.root)
-        self._offset = self.path.stat().st_size
 
     # -- queries over rows ---------------------------------------------------
     def iter_rows(self) -> Iterator[tuple]:

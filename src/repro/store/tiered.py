@@ -29,15 +29,14 @@ and index-only ``query``/``aggregate`` used by ``repro query``.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import time
 from pathlib import Path
 from typing import Iterator, Optional
 
+from ..durable import atomic_write
 from ..engine import ExperimentSpec, RunReport
-from .index import ColumnarIndex, entry_columns, fsync_dir
+from .index import ColumnarIndex, entry_columns
 from .keys import cache_key, code_salt
 from .lru import ReportLRU
 
@@ -57,17 +56,13 @@ BUNDLE_SCHEMA = "repro.cache_bundle/1"
 #: prune victim orderings (first victim evicted first)
 PRUNE_POLICIES = ("age", "size", "hit-rate")
 
-#: process-unique suffix counter for atomic temp files (two concurrent
-#: writers of the same key must never share a temp path)
-_tmp_counter = itertools.count()
-
 
 class ResultCache:
     """Content-addressed store of run reports under one directory.
 
     Entries live at ``root/<key[:2]>/<key>.json`` (sharded by the
     leading key byte so huge stores do not pile one directory high);
-    blob writes are atomic (process-unique temp file + rename) and
+    blob writes are atomic (:func:`repro.durable.atomic_write`) and
     index appends are single whole-line ``O_APPEND`` writes, so
     concurrent writers and crashed runs never leave a torn entry or a
     corrupt index line behind.  Session counters — ``hits``,
@@ -200,7 +195,7 @@ class ResultCache:
             "report": report.to_dict(),
         }
         raw = json.dumps(entry, sort_keys=True).encode("utf-8")
-        self._write_blob(path, raw)
+        atomic_write(path, raw)
         self.bytes_written += len(raw)
         mtime = time.time()  # wall-clock-ok: store mtime metadata only
         self._index.record_put(
@@ -210,12 +205,6 @@ class ResultCache:
         # carries the exact JSON normalization a disk hit would
         self._lru.put(key, json.loads(raw)["report"])
         return key
-
-    @staticmethod
-    def _write_blob(path: Path, raw: bytes) -> None:
-        tmp = path.with_suffix(f".{os.getpid()}.{next(_tmp_counter)}.tmp")
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
 
     def refresh(self) -> int:
         """Fold in index rows appended by other processes since this
@@ -444,9 +433,9 @@ class ResultCache:
         :func:`repro.store.query.parse_predicates`); None exports the
         whole store.  The bundle carries the full entry payloads, so
         an import round trip is bit-identical.  The file appears
-        atomically (tmp write + rename) and both it and its directory
-        entry are fsynced — a reader never sees a half bundle and a
-        crash right after return cannot lose it.  Returns
+        atomically and durably (``atomic_write(durable=True)``) — a
+        reader never sees a half bundle and a crash right after return
+        cannot lose it.  Returns
         ``{"exported": n, "bytes": b, "path": p}``.
         """
         from .query import matches, parse_predicates
@@ -469,13 +458,7 @@ class ResultCache:
         raw = json.dumps(bundle, sort_keys=True).encode("utf-8")
         out = Path(path).expanduser()
         out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_suffix(out.suffix + f".{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(raw)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, out)
-        fsync_dir(out.parent)
+        atomic_write(out, raw, durable=True)
         return {"exported": len(entries), "bytes": len(raw), "path": str(out)}
 
     def import_bundle(self, path) -> dict:
@@ -506,7 +489,7 @@ class ResultCache:
             raw = json.dumps(entry, sort_keys=True).encode("utf-8")
             blob = self.path_for(key)
             blob.parent.mkdir(parents=True, exist_ok=True)
-            self._write_blob(blob, raw)
+            atomic_write(blob, raw)
             self.bytes_written += len(raw)
             mtime = time.time()  # wall-clock-ok: store mtime metadata only
             self._index.record_put(

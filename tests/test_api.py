@@ -11,12 +11,15 @@ import repro
 from repro.api import Session
 from repro.apps.xpic import Mode, XpicConfig
 from repro.apps.xpic.resilient_driver import run_resilient_experiment
+from repro.backoff import ExponentialBackoff
 from repro.bench import run_fig7
 from repro.engine import Engine, ExperimentSpec
-from repro.hardware import build_deep_er_prototype
+from repro.hardware import Processor, build_deep_er_prototype
 from repro.jobs import AcceleratedNodeAllocator, Job
 from repro.mpi import FAULT_RUN_POLICY, FaultTolerancePolicy, MPIRuntime
+from repro.network import Fabric, Topology
 from repro.partition import Partition
+from repro.serve import ExperimentService
 from repro.store import ResultCache
 
 
@@ -185,6 +188,12 @@ def _resilient_with_transport_policy():
         (lambda: MPIRuntime(build_deep_er_prototype()).send_count,
          AttributeError),
         (_resilient_with_transport_policy, TypeError),
+        (lambda: ExponentialBackoff(jitter=0.1), TypeError),
+        (lambda: ExperimentService.submit_many, AttributeError),
+        (lambda: Fabric.wire_time, AttributeError),
+        (lambda: Topology.links_on_path, AttributeError),
+        (lambda: Processor.cores_total, AttributeError),
+        (_attr("repro.store.index", "fsync_dir"), AttributeError),
     ],
     ids=[
         "positional-spec",
@@ -214,6 +223,12 @@ def _resilient_with_transport_policy():
         "failure-model-module",
         "runtime-send-count",
         "resilient-transport-policy",
+        "backoff-jitter",
+        "service-submit-many",
+        "fabric-wire-time",
+        "topology-links-on-path",
+        "processor-cores-total",
+        "index-fsync-dir",
     ],
 )
 def test_removed_spellings_stay_removed(call, error):
@@ -225,7 +240,9 @@ def test_removed_spellings_stay_removed(call, error):
     positional ``Job(name, n_cluster, n_booster, duration)``, and the
     fault stack's spares: the transport timeout race with its error,
     retry jitter and its send numbering, the custom backoff factor, the
-    second Poisson injector and the supervisor's own transport policy)."""
+    second Poisson injector and the supervisor's own transport policy),
+    the backoff's proportional jitter, four methods nothing called, and
+    ``fsync_dir``'s old home (it lives in :mod:`repro.durable`)."""
     with pytest.raises(error):
         call()
 

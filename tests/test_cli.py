@@ -99,11 +99,19 @@ def test_steps_flag_parsing():
     assert args.steps == 123
 
 
-def test_report_command(capsys):
+def test_report_command(tmp_path, monkeypatch, capsys):
+    results = tmp_path / "benchmarks" / "_results"
+    results.mkdir(parents=True)
+    for name in ("fig7", "ablation_energy", "table1"):
+        (results / f"{name}.txt").write_text(f"{name} table\n")
+    monkeypatch.chdir(tmp_path)
     assert main(["report"]) == 0
     out = capsys.readouterr().out
     assert "# Benchmark results" in out
     assert "table1" in out and "fig7" in out
+    # paper order first, the rest after
+    assert out.index("## table1") < out.index("## fig7")
+    assert out.index("## fig7") < out.index("## ablation_energy")
 
 
 def test_run_command(capsys):
