@@ -108,8 +108,8 @@ class Session:
     def serve(self, **kwargs):
         """A new :class:`~repro.serve.ExperimentService` on this
         session's engine, cache, and worker width (each overridable by
-        keyword; see the service for queue/batch/retry/durability
-        knobs)."""
+        keyword; see the service for its queue, retry and durability
+        settings)."""
         from .serve import ExperimentService
 
         kwargs.setdefault("engine", self.engine)

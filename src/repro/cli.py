@@ -29,10 +29,11 @@ through the resilient driver; the report gains a resiliency section).
 a repeated spec loads its stored report instead of simulating again.
 
 ``serve`` runs the long-running experiment service over a file-based
-job directory; ``submit`` drops requests into it (duplicate in-flight
+job directory through :func:`repro.serve.serve_jobdir`, which builds
+the service; ``submit`` drops requests into it (duplicate in-flight
 specs coalesce onto one execution, cached specs are answered without
-simulating).  Every experiment-running command routes through the
-:class:`repro.api.Session` facade.
+simulating).  Every other experiment-running command routes through
+the :class:`repro.api.Session` facade.
 """
 
 from __future__ import annotations
@@ -687,15 +688,15 @@ def render_serve_status(jobdir, stale_after_s: float = 30.0):
     directory that never served, or whose service stopped cleanly, is
     not stale (code 0).
     """
-    import json
     from pathlib import Path
 
-    from .serve import read_heartbeat
+    from .serve import JobJournal, read_heartbeat
+    from .serve.filejob import heartbeat_path, journal_path, read_metrics
 
     jobdir = Path(jobdir).expanduser()
     lines = [f"service status for {jobdir}:"]
     stale = False
-    hb = read_heartbeat(jobdir / "heartbeat.json")
+    hb = read_heartbeat(heartbeat_path(jobdir))
     if hb is None:
         lines.append(
             "  heartbeat: none found (service never ran here, or "
@@ -720,10 +721,8 @@ def render_serve_status(jobdir, stale_after_s: float = 30.0):
             f"{hb.get('failed', 0)} failed, "
             f"{hb.get('quarantined', 0)} quarantined"
         )
-    journal = jobdir / "journal.jsonl"
+    journal = journal_path(jobdir)
     if journal.exists():
-        from .serve import JobJournal
-
         stats = JobJournal(journal).replay().stats()
         lines.append(
             f"  journal: {stats['records']} record(s), "
@@ -731,10 +730,7 @@ def render_serve_status(jobdir, stale_after_s: float = 30.0):
             f"{stats['quarantined']} quarantined key(s), "
             f"{stats['dropped_lines']} torn line(s)"
         )
-    try:
-        metrics = json.loads((jobdir / "metrics.json").read_text())
-    except (OSError, ValueError):
-        metrics = None
+    metrics = read_metrics(jobdir)
     if metrics is not None:
         lines.append("")
         lines.append(
@@ -747,36 +743,25 @@ def render_serve_status(jobdir, stale_after_s: float = 30.0):
 
 def cmd_serve(args) -> str:
     """Run the experiment service over a file-based job directory."""
-    from pathlib import Path
-
     from .serve import serve_jobdir
 
     if args.status:
         return render_serve_status(
             args.jobdir, stale_after_s=args.stale_after_s
         )
-    session = Session(cache=args.cache, workers=args.workers)
-    jobdir = Path(args.jobdir).expanduser()
-    durable = not args.no_journal
-    service = session.serve(
+    stats = serve_jobdir(
+        args.jobdir,
+        cache=args.cache,
+        workers=args.workers,
         max_queue=args.max_queue,
-        autostart=not args.once,
-        journal=(jobdir / "journal.jsonl") if durable else None,
-        heartbeat=(jobdir / "heartbeat.json") if durable else None,
+        poll_s=args.poll,
+        max_seconds=args.max_seconds,
+        once=args.once,
+        log=None if args.quiet else (lambda msg: print(msg, flush=True)),
+        durable=not args.no_journal,
         deadline_s=args.deadline,
         batch_timeout_s=args.batch_timeout,
     )
-    try:
-        stats = serve_jobdir(
-            args.jobdir,
-            service=service,
-            poll_s=args.poll,
-            max_seconds=args.max_seconds,
-            once=args.once,
-            log=None if args.quiet else (lambda msg: print(msg, flush=True)),
-        )
-    finally:
-        service.shutdown(drain=True)
     return render_service_metrics(
         stats, title=f"Experiment service ({args.jobdir})"
     )

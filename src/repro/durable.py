@@ -16,7 +16,8 @@ Everything the serving stack persists reaches the disk through here:
   (:mod:`repro.store.index`) are kept in.  An append is one ``write(2)``
   on an ``O_APPEND`` descriptor, so concurrent appenders interleave
   whole lines, and a line torn by a crash mid-append is counted and
-  dropped on read instead of poisoning the load.
+  dropped on read instead of poisoning the load; the next append starts
+  a fresh line after it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 __all__ = ["JsonLinesLog", "LogRead", "atomic_write", "fsync_dir"]
 
@@ -101,18 +102,27 @@ class JsonLinesLog:
         self.schema = schema
         self._header = _encode({"op": "header", "schema": schema})
 
-    def append(self, rec: dict) -> int:
+    def append(self, rec: dict) -> Tuple[int, int]:
         """Append one record (the header first on an empty file) in a
-        single ``write(2)``; returns the bytes written."""
+        single ``write(2)``; returns the ``(start, end)`` offsets of the
+        bytes written, wherever other appenders put the file's end.
+
+        A log left ending in a torn line gets a newline before the
+        record, so the record starts a line of its own instead of
+        merging into the torn one."""
         line = _encode(rec)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            if os.fstat(fd).st_size == 0:
+            size = os.fstat(fd).st_size
+            if size == 0:
                 line = self._header + line
+            elif os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line
             os.write(fd, line)
+            end = os.lseek(fd, 0, os.SEEK_CUR)
         finally:
             os.close(fd)
-        return len(line)
+        return end - len(line), end
 
     def read(self, offset: int = 0, trim: bool = False) -> LogRead:
         """The records from byte ``offset`` on (none for a missing

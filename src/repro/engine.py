@@ -601,8 +601,7 @@ class Engine:
         return spec.build_machine()
 
     def run_many(
-        self, specs, workers: int = 1, chunksize: int = 1, cache=None,
-        pool=None,
+        self, specs, workers: int = 1, cache=None, pool=None
     ) -> SweepReport:
         """Run a sweep of independent specs, optionally in parallel.
 
@@ -666,9 +665,7 @@ class Engine:
         if use_pool and pool is not None:
             # external executor: the caller owns lifecycle and crash
             # recovery, so BrokenProcessPool propagates
-            dicts = list(
-                pool.map(_run_spec_payload, payloads, chunksize=chunksize)
-            )
+            dicts = list(pool.map(_run_spec_payload, payloads))
             for i, d in zip(submitted, dicts):
                 reports[i] = RunReport.from_dict(d)
         elif use_pool:
@@ -679,11 +676,7 @@ class Engine:
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(misses))
                 ) as owned_pool:
-                    dicts = list(
-                        owned_pool.map(
-                            _run_spec_payload, payloads, chunksize=chunksize
-                        )
-                    )
+                    dicts = list(owned_pool.map(_run_spec_payload, payloads))
             except BrokenProcessPool:
                 # a worker died abruptly (OOM kill, segfault, interpreter
                 # crash) — not an app exception, which would re-raise

@@ -131,7 +131,6 @@ class FleetRouter:
     def __init__(
         self,
         shards,
-        replicas: int = 64,
         steal_threshold: Optional[int] = 8,
         steal_margin: int = 4,
         restart_limit: int = 1,
@@ -146,7 +145,7 @@ class FleetRouter:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names in {names}")
         self._shards: Dict[str, object] = {s.name: s for s in shards}
-        self._ring = HashRing(names, replicas=replicas)
+        self._ring = HashRing(names)
         self.steal_threshold = steal_threshold
         self.steal_margin = max(1, int(steal_margin))
         self.restart_limit = restart_limit
@@ -240,10 +239,7 @@ class FleetRouter:
         for name, shard in self._shards.items():
             if name in self._lost:
                 continue
-            try:
-                shard.stop(drain=False)
-            except TypeError:
-                shard.stop()
+            shard.stop(drain=False)
 
     def __enter__(self) -> "FleetRouter":
         return self.start()

@@ -33,10 +33,18 @@ from typing import Optional, Tuple
 
 from ..engine import RunReport
 from ..serve import ExperimentService, read_heartbeat
-from ..serve.filejob import submit_job
+from ..serve.filejob import (
+    heartbeat_path, journal_path, read_metrics, read_result, submit_job,
+)
 from ..store import ResultCache
 
 __all__ = ["ShardHandle", "LocalShard", "ProcessShard"]
+
+#: how often a local shard's service rewrites its heartbeat [s]
+HEARTBEAT_INTERVAL_S = 0.25
+
+#: how long a process shard counts as alive before its first heartbeat [s]
+STARTUP_GRACE_S = 30.0
 
 
 class ShardHandle:
@@ -61,12 +69,12 @@ class ShardHandle:
     @property
     def heartbeat_path(self) -> Path:
         """The shard service's liveness heartbeat file."""
-        return self.root / "heartbeat.json"
+        return heartbeat_path(self.root)
 
     @property
     def journal_path(self) -> Path:
         """The shard service's write-ahead job journal."""
-        return self.root / "journal.jsonl"
+        return journal_path(self.root)
 
     # -- store sync (bounded work stealing) ----------------------------------
     def cache_view(self) -> Optional[ResultCache]:  # pragma: no cover
@@ -105,7 +113,6 @@ class LocalShard(ShardHandle):
         engine=None,
         workers: int = 1,
         max_queue: int = 256,
-        heartbeat_interval_s: float = 0.25,
         **service_kwargs,
     ):
         super().__init__(name, root)
@@ -113,7 +120,6 @@ class LocalShard(ShardHandle):
         self._kwargs = dict(service_kwargs)
         self._kwargs.setdefault("workers", workers)
         self._kwargs.setdefault("max_queue", max_queue)
-        self._hb_interval_s = heartbeat_interval_s
         self.service: Optional[ExperimentService] = None
         self._failed = False
 
@@ -126,7 +132,7 @@ class LocalShard(ShardHandle):
             cache=ResultCache(self.store_root),
             journal=self.journal_path,
             heartbeat=self.heartbeat_path,
-            heartbeat_interval_s=self._hb_interval_s,
+            heartbeat_interval_s=HEARTBEAT_INTERVAL_S,
             **self._kwargs,
         )
         return self
@@ -204,24 +210,18 @@ class ProcessShard(ShardHandle):
         workers: int = 1,
         max_queue: int = 256,
         poll_s: float = 0.05,
-        startup_grace_s: float = 30.0,
-        extra_args=(),
-        env: Optional[dict] = None,
     ):
         super().__init__(name, root)
         self.workers = workers
         self.max_queue = max_queue
         self.poll_s = poll_s
-        self.startup_grace_s = startup_grace_s
-        self.extra_args = list(extra_args)
-        self._env = env
         self.proc: Optional[subprocess.Popen] = None
         self._started_at: Optional[float] = None
         self._outstanding = 0
         self._cache: Optional[ResultCache] = None
 
     def _spawn_env(self) -> dict:
-        env = dict(self._env if self._env is not None else os.environ)
+        env = dict(os.environ)
         # make the running repro package importable in the child even
         # from a source checkout (no install step required)
         pkg_root = Path(__file__).resolve().parents[2]
@@ -250,7 +250,6 @@ class ProcessShard(ShardHandle):
             "--poll",
             str(self.poll_s),
             "--quiet",
-            *self.extra_args,
         ]
         self.proc = subprocess.Popen(
             cmd,
@@ -276,13 +275,9 @@ class ProcessShard(ShardHandle):
 
     def poll(self, handle) -> Optional[Tuple[str, object]]:
         """Check for the request's result file (handle = request id)."""
-        path = self.root / "results" / f"{handle}.json"
-        try:
-            import json
-
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None  # absent or mid-write
+        payload = read_result(self.root, handle)
+        if payload is None:
+            return None
         self._outstanding = max(0, self._outstanding - 1)
         if payload.get("status") == "done" and payload.get("report"):
             return (
@@ -310,19 +305,14 @@ class ProcessShard(ShardHandle):
             # no heartbeat from *this* incarnation yet: alive during
             # the startup grace window, dead (hung) after it
             started = self._started_at or 0.0
-            return (time.monotonic() - started) < self.startup_grace_s  # wall-clock-ok: host-side liveness bookkeeping
+            return (time.monotonic() - started) < STARTUP_GRACE_S  # wall-clock-ok: host-side liveness bookkeeping
         if beat.get("status") == "stopped":
             return False
         return beat["age_s"] <= stale_after_s
 
     def metrics(self) -> Optional[dict]:
         """The server's last flushed metrics.json; None if unreadable."""
-        try:
-            import json
-
-            return json.loads((self.root / "metrics.json").read_text())
-        except (OSError, ValueError):
-            return None
+        return read_metrics(self.root)
 
     def cache_view(self) -> Optional[ResultCache]:
         """A read/write handle on the shard's store directory."""

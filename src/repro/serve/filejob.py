@@ -7,12 +7,17 @@ inspectable, and dependency-free::
       queue/<id>.json     one request per file (atomic rename writes)
       results/<id>.json   the resolved report (or failure) per request
       metrics.json        the service's live metrics snapshot
+      journal.jsonl       the service's write-ahead job journal
+      heartbeat.json      the service's liveness heartbeat
+
+Other modules reach these files through :func:`journal_path`,
+:func:`heartbeat_path`, :func:`read_result` and :func:`read_metrics`.
 
 A client drops a request with :func:`submit_job` (or ``repro submit``)
 and polls :func:`wait_result`; the server side (:func:`serve_jobdir`,
-``repro serve``) ingests pending requests into an in-process
-:class:`~repro.serve.ExperimentService`, writes results as jobs
-resolve, and keeps ``metrics.json`` fresh.  Requests that hit the
+``repro serve``) ingests pending requests into the
+:class:`~repro.serve.ExperimentService` it builds, writes results as
+jobs resolve, and keeps ``metrics.json`` fresh.  Requests that hit the
 service's admission bound stay in ``queue/`` untouched and are retried
 on a later scan — the directory itself becomes the overflow buffer, so
 backpressure never loses a request.
@@ -21,7 +26,7 @@ Duplicate requests (same spec, hence same content-addressed key)
 coalesce inside the service: each request still gets its own result
 file, all fanned out from the one execution.
 
-A served job directory is **durable** by default: the owned service
+A served job directory is **durable** by default: the service
 journals every transition to ``jobdir/journal.jsonl`` (schema
 ``repro.job_journal/1``) and beats ``jobdir/heartbeat.json``.  A
 server killed mid-batch picks up exactly where it died on restart —
@@ -49,6 +54,10 @@ __all__ = [
     "JOB_REQUEST_SCHEMA",
     "JOB_RESULT_SCHEMA",
     "SERVICE_METRICS_SCHEMA",
+    "heartbeat_path",
+    "journal_path",
+    "read_metrics",
+    "read_result",
     "submit_job",
     "wait_result",
     "serve_jobdir",
@@ -74,6 +83,41 @@ def _queue_dir(jobdir: Path) -> Path:
 
 def _results_dir(jobdir: Path) -> Path:
     return jobdir / "results"
+
+
+def _result_path(jobdir, job_id: str) -> Path:
+    return _results_dir(Path(jobdir).expanduser()) / f"{job_id}.json"
+
+
+def _metrics_path(jobdir) -> Path:
+    return Path(jobdir).expanduser() / "metrics.json"
+
+
+def journal_path(jobdir) -> Path:
+    """The write-ahead job journal of a served job directory."""
+    return Path(jobdir).expanduser() / "journal.jsonl"
+
+
+def heartbeat_path(jobdir) -> Path:
+    """The liveness heartbeat file of a served job directory."""
+    return Path(jobdir).expanduser() / "heartbeat.json"
+
+
+def _read_json(path: Path) -> Optional[dict]:
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None  # absent or mid-write
+
+
+def read_result(jobdir, job_id: str) -> Optional[dict]:
+    """One request's parsed result file; None until it is written."""
+    return _read_json(_result_path(jobdir, job_id))
+
+
+def read_metrics(jobdir) -> Optional[dict]:
+    """The server's last ``metrics.json``; None until one is written."""
+    return _read_json(_metrics_path(jobdir))
 
 
 def submit_job(
@@ -119,17 +163,14 @@ def wait_result(
     timeout: float = 60.0,
     poll_s: float = 0.05,
 ) -> dict:
-    """Poll for one request's result file; returns its parsed JSON.
-
-    Raises :class:`TimeoutError` when no result appears in time.
+    """Poll :func:`read_result` for one request; returns its parsed
+    result.  Raises :class:`TimeoutError` when none appears in time.
     """
-    path = _results_dir(Path(jobdir).expanduser()) / f"{job_id}.json"
     deadline = time.monotonic() + timeout  # wall-clock-ok: host-side polling only
     while True:
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            pass  # absent or mid-write: retry
+        result = read_result(jobdir, job_id)
+        if result is not None:
+            return result
         if time.monotonic() >= deadline:  # wall-clock-ok: host-side polling only
             raise TimeoutError(
                 f"no result for job {job_id!r} within {timeout}s"
@@ -169,8 +210,6 @@ def _result_payload(job: Job, request_id: str, coalesced: bool) -> dict:
 
 def serve_jobdir(
     jobdir,
-    service: Optional[ExperimentService] = None,
-    engine=None,
     cache=None,
     workers: int = 1,
     max_queue: int = 64,
@@ -193,29 +232,27 @@ def serve_jobdir(
     drains gracefully.  ``metrics.json`` is refreshed after every scan
     and on exit.
 
-    When the server owns its service (``service=None``) and
-    ``durable=True``, the service journals to ``jobdir/journal.jsonl``
-    and heartbeats ``jobdir/heartbeat.json``; on startup the journal
-    is replayed and every request the previous server accepted but
-    never answered is resubmitted and its result file eventually
-    written — the kill-and-recover contract of ``repro serve``.
+    The server builds its own service (``cache``, ``workers`` through
+    ``batch_timeout_s`` are its settings) and drains it on return.
+    With ``durable=True`` the service journals to ``journal.jsonl`` and
+    heartbeats ``heartbeat.json``; on startup the journal is replayed
+    and every request the previous server accepted but never answered
+    is resubmitted and its result file eventually written — the
+    kill-and-recover contract of ``repro serve``.
     """
     jobdir = Path(jobdir).expanduser()
+    service = ExperimentService(
+        cache=cache,
+        workers=workers,
+        max_queue=max_queue,
+        autostart=not once,
+        journal=journal_path(jobdir) if durable else None,
+        heartbeat=heartbeat_path(jobdir) if durable else None,
+        deadline_s=deadline_s,
+        batch_timeout_s=batch_timeout_s,
+    )
     _queue_dir(jobdir).mkdir(parents=True, exist_ok=True)
     _results_dir(jobdir).mkdir(parents=True, exist_ok=True)
-    owns_service = service is None
-    if owns_service:
-        service = ExperimentService(
-            engine=engine,
-            cache=cache,
-            workers=workers,
-            max_queue=max_queue,
-            autostart=not once,
-            journal=(jobdir / "journal.jsonl") if durable else None,
-            heartbeat=(jobdir / "heartbeat.json") if durable else None,
-            deadline_s=deadline_s,
-            batch_timeout_s=batch_timeout_s,
-        )
     say = log or (lambda message: None)
     # request id -> (job, coalesced-onto-earlier-request)
     pending: Dict[str, Tuple[Job, bool]] = {}
@@ -252,9 +289,7 @@ def serve_jobdir(
                 if isinstance(meta, dict)
                 and meta.get("request_id")
                 and meta["request_id"] not in pending
-                and not (
-                    _results_dir(jobdir) / f"{meta['request_id']}.json"
-                ).exists()
+                and not _result_path(jobdir, meta["request_id"]).exists()
             ]
             if not missing:
                 continue
@@ -314,7 +349,7 @@ def serve_jobdir(
                     "report": None,
                 }
                 atomic_write(
-                    _results_dir(jobdir) / f"{path.stem}.json",
+                    _result_path(jobdir, path.stem),
                     json.dumps(rejected, sort_keys=True, indent=2),
                 )
                 path.unlink(missing_ok=True)
@@ -343,7 +378,7 @@ def serve_jobdir(
             job, coalesced = pending.pop(request_id)
             result = _result_payload(job, request_id, coalesced)
             atomic_write(
-                _results_dir(jobdir) / f"{request_id}.json",
+                _result_path(jobdir, request_id),
                 json.dumps(result, sort_keys=True, indent=2),
             )
             written += 1
@@ -353,7 +388,7 @@ def serve_jobdir(
         snap = service.metrics_snapshot()
         doc = {"schema": SERVICE_METRICS_SCHEMA, **snap}
         atomic_write(
-            jobdir / "metrics.json", json.dumps(doc, sort_keys=True, indent=2)
+            _metrics_path(jobdir), json.dumps(doc, sort_keys=True, indent=2)
         )
         return snap
 
@@ -393,5 +428,4 @@ def serve_jobdir(
         flush()
         return write_metrics()
     finally:
-        if owns_service:
-            service.shutdown(drain=True)
+        service.shutdown(drain=True)

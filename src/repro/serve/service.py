@@ -95,6 +95,11 @@ _EWMA_ALPHA = 0.5
 #: run-latency guess (seconds) before the first batch is measured
 _DEFAULT_RUN_S = 0.05
 
+#: adaptive batching: a batch holds at most MAX_BATCH specs and aims
+#: for TARGET_BATCH_S seconds of wall-time at the observed latency
+MAX_BATCH = 8
+TARGET_BATCH_S = 2.0
+
 
 class ExperimentService:
     """Shared experiment server: queue, coalesce, batch, execute, report.
@@ -108,10 +113,6 @@ class ExperimentService:
     max_queue
         Bound on pending jobs; submissions beyond it are rejected with
         :class:`~repro.serve.queue.QueueFull` (backpressure).
-    max_batch, target_batch_s
-        Adaptive batching knobs: batches never exceed ``max_batch``
-        specs and aim for ``target_batch_s`` seconds of wall-time at
-        the observed per-spec latency.
     max_retries
         How many times a job survives a worker-pool crash before it is
         quarantined as a poison job.
@@ -119,12 +120,12 @@ class ExperimentService:
         Start the scheduler thread immediately; ``False`` lets tests
         (and the file-based server's ingest phase) queue submissions
         deterministically before dispatch begins.
-    journal, autorecover
+    journal
         Path (or :class:`~repro.serve.journal.JobJournal`) of the
-        write-ahead job journal.  With ``autorecover=True`` (default)
-        construction replays it and resubmits every unresolved job;
-        recovered jobs keep their original journal sequence numbers.
-        ``None`` (default) disables durability entirely.
+        write-ahead job journal.  Construction replays it and
+        resubmits every unresolved job; recovered jobs keep their
+        original journal sequence numbers.  ``None`` (default)
+        disables durability entirely.
     deadline_s
         Default queue-time budget applied to every submission that
         does not carry its own; ``None`` = no deadline.
@@ -145,12 +146,9 @@ class ExperimentService:
         cache=None,
         workers: int = 1,
         max_queue: int = 64,
-        max_batch: int = 8,
-        target_batch_s: float = 2.0,
         max_retries: int = 2,
         autostart: bool = True,
         journal=None,
-        autorecover: bool = True,
         deadline_s: Optional[float] = None,
         batch_timeout_s: Optional[float] = None,
         heartbeat=None,
@@ -158,10 +156,6 @@ class ExperimentService:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if target_batch_s <= 0:
-            raise ValueError("target_batch_s must be positive")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         if deadline_s is not None and deadline_s < 0:
@@ -173,8 +167,6 @@ class ExperimentService:
         self._engine = engine or Engine()
         self._cache = _coerce_cache(cache)
         self._workers = workers
-        self._max_batch = max_batch
-        self._target_batch_s = target_batch_s
         self._max_retries = max_retries
         self._default_deadline_s = deadline_s
         self._batch_timeout_s = batch_timeout_s
@@ -205,7 +197,7 @@ class ExperimentService:
         self.recovered_jobs: List[Tuple[JournalRecord, Job]] = []
         #: the replayed journal state of the last recovery (or None)
         self.journal_state = None
-        if self._journal is not None and autorecover:
+        if self._journal is not None:
             self.recover()
         if autostart:
             self.start()
@@ -520,7 +512,7 @@ class ExperimentService:
     def recover(self) -> int:
         """Replay the journal; resubmit unresolved work; return the count.
 
-        Called automatically at construction (``autorecover=True``).
+        Called at construction when a journal is given.
         Recovered jobs keep their original journal sequence numbers
         and are requeued in original order (bypassing the admission
         bound — they were already accepted once); a record whose
@@ -619,7 +611,7 @@ class ExperimentService:
             )
             snap["workers"] = self._workers
             snap["max_queue"] = self._queue.max_depth
-            snap["max_batch"] = self._max_batch
+            snap["max_batch"] = MAX_BATCH
             snap["ewma_run_s"] = self._ewma_run_s or 0.0
             if self._last_heartbeat_s is None:
                 snap["heartbeat_age_s"] = 0.0
@@ -654,8 +646,8 @@ class ExperimentService:
         if per is None or per <= 0:
             size = self._workers
         else:
-            size = int(self._target_batch_s / per)
-        return max(1, min(self._max_batch, size))
+            size = int(TARGET_BATCH_S / per)
+        return max(1, min(MAX_BATCH, size))
 
     def _observe_run_latency(self, per_spec_s: float) -> None:
         if self._ewma_run_s is None:

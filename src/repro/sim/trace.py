@@ -140,41 +140,3 @@ class Tracer:
                 + "  .=idle"
             )
         return "\n".join(out)
-
-    def to_chrome_trace(self) -> list:
-        """Export as Chrome trace-event JSON objects (load the result
-        of ``json.dump`` into chrome://tracing or Perfetto).
-
-        Times are microseconds; one 'process' per actor.
-        """
-        actors = self.actors()
-        pid = {a: i for i, a in enumerate(actors)}
-        events = [
-            {
-                "name": a,
-                "ph": "M",
-                "pid": pid[a],
-                "args": {"name": a},
-            }
-            for a in actors
-        ]
-        for iv in self.intervals:
-            events.append(
-                {
-                    "name": iv.label,
-                    "cat": "phase",
-                    "ph": "X",
-                    "pid": pid[iv.actor],
-                    "tid": 0,
-                    "ts": iv.start * 1e6,
-                    "dur": iv.duration * 1e6,
-                }
-            )
-        return events
-
-    def save_chrome_trace(self, path) -> None:
-        """Write the Chrome trace to a JSON file."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_chrome_trace()))

@@ -188,7 +188,7 @@ class ColumnarIndex:
             self.dead_lines += 1
         self.rows[key] = dict(columns)
         self.stored_bytes += columns.get("size", 0)
-        self._offset += self._log.append({"op": "put", "key": key, **columns})
+        self._append({"op": "put", "key": key, **columns})
 
     def record_del(self, key: str) -> None:
         """Append one del line and drop the live row."""
@@ -196,7 +196,18 @@ class ColumnarIndex:
         if old is not None:
             self.stored_bytes -= old.get("size", 0)
         self.dead_lines += 1
-        self._offset += self._log.append({"op": "del", "key": key})
+        self._append({"op": "del", "key": key})
+
+    def _append(self, rec: dict) -> None:
+        """Append one line; move the read offset past it only when it
+        landed right at the offset.  Otherwise lines other processes
+        appended since the last :meth:`refresh` sit before it, and the
+        next refresh folds theirs and this one again, in file order
+        (rows and ``stored_bytes`` stay exact; the own line re-folded
+        counts as one more dead line)."""
+        start, end = self._log.append(rec)
+        if start == self._offset:
+            self._offset = end
 
     # -- maintenance ---------------------------------------------------------
     def rebuild(self, rows: Dict[str, dict]) -> None:

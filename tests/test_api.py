@@ -3,6 +3,7 @@ hardening that shipped with it."""
 
 import importlib
 import json
+import tempfile
 import warnings
 
 import pytest
@@ -14,12 +15,14 @@ from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.backoff import ExponentialBackoff
 from repro.bench import run_fig7
 from repro.engine import Engine, ExperimentSpec
+from repro.fleet import FleetRouter, LocalShard, ProcessShard
 from repro.hardware import Processor, build_deep_er_prototype
 from repro.jobs import AcceleratedNodeAllocator, Job
 from repro.mpi import FAULT_RUN_POLICY, FaultTolerancePolicy, MPIRuntime
 from repro.network import Fabric, Topology
 from repro.partition import Partition
-from repro.serve import ExperimentService
+from repro.serve import ExperimentService, serve_jobdir
+from repro.sim.trace import Tracer
 from repro.store import ResultCache
 
 
@@ -155,6 +158,13 @@ def _resilient_with_transport_policy():
     )
 
 
+def _local_shard_heartbeat_interval():
+    # LocalShard forwards unknown keywords to its service, which gets
+    # the interval from the shard already: the clash fails at start
+    with tempfile.TemporaryDirectory() as root:
+        LocalShard("s", root, heartbeat_interval_s=0.25).start()
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -194,6 +204,18 @@ def _resilient_with_transport_policy():
         (lambda: Topology.links_on_path, AttributeError),
         (lambda: Processor.cores_total, AttributeError),
         (_attr("repro.store.index", "fsync_dir"), AttributeError),
+        (lambda: Engine().run_many([], chunksize=1), TypeError),
+        (lambda: ExperimentService(max_batch=8), TypeError),
+        (lambda: ExperimentService(target_batch_s=2.0), TypeError),
+        (lambda: ExperimentService(autorecover=False), TypeError),
+        (lambda: serve_jobdir("jobs", service=None), TypeError),
+        (lambda: serve_jobdir("jobs", engine=None), TypeError),
+        (_local_shard_heartbeat_interval, TypeError),
+        (lambda: ProcessShard("p", "p", startup_grace_s=1.0), TypeError),
+        (lambda: ProcessShard("p", "p", extra_args=()), TypeError),
+        (lambda: ProcessShard("p", "p", env={}), TypeError),
+        (lambda: FleetRouter([], replicas=64), TypeError),
+        (lambda: Tracer.to_chrome_trace, AttributeError),
     ],
     ids=[
         "positional-spec",
@@ -229,6 +251,18 @@ def _resilient_with_transport_policy():
         "topology-links-on-path",
         "processor-cores-total",
         "index-fsync-dir",
+        "run_many-chunksize",
+        "service-max-batch",
+        "service-target-batch",
+        "service-autorecover",
+        "serve_jobdir-service",
+        "serve_jobdir-engine",
+        "local-shard-heartbeat-interval",
+        "process-shard-startup-grace",
+        "process-shard-extra-args",
+        "process-shard-env",
+        "router-replicas",
+        "tracer-chrome-trace",
     ],
 )
 def test_removed_spellings_stay_removed(call, error):
@@ -241,8 +275,10 @@ def test_removed_spellings_stay_removed(call, error):
     fault stack's spares: the transport timeout race with its error,
     retry jitter and its send numbering, the custom backoff factor, the
     second Poisson injector and the supervisor's own transport policy),
-    the backoff's proportional jitter, four methods nothing called, and
-    ``fsync_dir``'s old home (it lives in :mod:`repro.durable`)."""
+    the backoff's proportional jitter, four methods nothing called,
+    ``fsync_dir``'s old home (it lives in :mod:`repro.durable`), the
+    serving settings nothing set (now constants, or built in by
+    ``serve_jobdir``) and the tracer's second Chrome-trace exporter."""
     with pytest.raises(error):
         call()
 

@@ -145,6 +145,25 @@ def test_run_command_writes_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_serve_once_without_journal(tmp_path, capsys):
+    """``serve --no-journal`` answers every request and writes the
+    metrics, but neither the journal nor the heartbeat."""
+    jobdir = tmp_path / "jobs"
+    for steps in ("3", "4"):
+        assert main(["submit", "--jobdir", str(jobdir), "--steps", steps]) == 0
+    assert main(
+        ["serve", "--jobdir", str(jobdir), "--once", "--no-journal"]
+    ) == 0
+    assert "Experiment service" in capsys.readouterr().out
+    metrics = json.loads((jobdir / "metrics.json").read_text())
+    assert metrics["completed"] == 2 and metrics["in_flight"] == 0
+    results = list((jobdir / "results").glob("*.json"))
+    assert len(results) == 2
+    assert all(json.loads(p.read_text())["status"] == "done" for p in results)
+    assert not (jobdir / "journal.jsonl").exists()
+    assert not (jobdir / "heartbeat.json").exists()
+
+
 def test_run_command_seismic(capsys):
     assert main(["run", "--app", "seismic", "--mode", "split", "--steps", "3"]) == 0
     out = capsys.readouterr().out

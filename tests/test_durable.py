@@ -217,6 +217,37 @@ def test_index_refresh_reloads_after_a_rewrite(tmp_path):
     assert reader.dead_lines == 0 and reader.dropped_lines == 0
 
 
+def test_index_put_does_not_skip_other_writers_rows(tmp_path):
+    """A writer's own append leaves its read offset before the lines
+    another index appended since its last refresh, so the next refresh
+    folds them in."""
+    a = ColumnarIndex(tmp_path)
+    b = ColumnarIndex(tmp_path)
+    a.record_put("ka", _row(1))
+    b.refresh()
+    b.record_put("kb", _row(2))
+    a.record_put("kc", _row(3))
+    a.refresh()
+    assert sorted(a.rows) == ["ka", "kb", "kc"]
+    assert len(a) == 3
+    assert a.stored_bytes == sum(_row(n)["size"] for n in (1, 2, 3))
+    assert ColumnarIndex(tmp_path).rows == a.rows
+
+
+def test_index_append_after_a_torn_tail_starts_a_fresh_line(tmp_path):
+    """The next put after a writer died mid-append lands on a line of
+    its own: only the torn row is lost."""
+    idx = ColumnarIndex(tmp_path)
+    idx.record_put("key1", _row(1))
+    idx.record_put("key2", _row(2))
+    raw = idx.path.read_bytes()
+    idx.path.write_bytes(raw[:-5])
+    ColumnarIndex(tmp_path).record_put("key3", _row(3))
+    reopened = ColumnarIndex(tmp_path)
+    assert sorted(reopened.rows) == ["key1", "key3"]
+    assert reopened.dropped_lines == 1
+
+
 # -- durability ----------------------------------------------------------------
 
 

@@ -135,6 +135,15 @@ def test_chrome_trace_export(tmp_path, cb_report):
     for e in events:
         if e["ph"] == "X":
             assert e["dur"] >= 0 and e["ts"] >= 0
+    # one process per actor, named by a process_name metadata event
+    names = {e["pid"]: e["args"]["name"] for e in events
+             if e["ph"] == "M" and e["name"] == "process_name"}
+    pid_of = {}
+    for iv, e in zip(cb_report.intervals,
+                     (e for e in events if e["ph"] == "X")):
+        assert pid_of.setdefault(iv["actor"], e["pid"]) == e["pid"]
+        assert names[e["pid"]] == iv["actor"]
+    assert len(set(pid_of.values())) == len(pid_of) > 1
     path = tmp_path / "run.trace.json"
     cb_report.save_chrome_trace(path)
     assert json.loads(path.read_text()) == events

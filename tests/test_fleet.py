@@ -54,7 +54,7 @@ class _SleepEngine(Engine):
         self.delay_s = delay_s
         self.executed = []
 
-    def run_many(self, specs, workers=1, chunksize=1, cache=None, pool=None):
+    def run_many(self, specs, workers=1, cache=None, pool=None):
         time.sleep(self.delay_s * len(specs))
         self.executed.extend(specs)
         return super().run_many(specs, workers=1, cache=cache)

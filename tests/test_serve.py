@@ -202,15 +202,13 @@ class _FlakyEngine(Engine):
         super().__init__()
         self.crashes = crashes
 
-    def run_many(self, specs, workers=1, chunksize=1, cache=None, pool=None):
+    def run_many(self, specs, workers=1, cache=None, pool=None):
         if self.crashes > 0:
             self.crashes -= 1
             from concurrent.futures.process import BrokenProcessPool
 
             raise BrokenProcessPool("worker died")
-        return super().run_many(
-            specs, workers=1, chunksize=chunksize, cache=cache
-        )
+        return super().run_many(specs, workers=1, cache=cache)
 
 
 def test_broken_pool_requeues_with_bounded_retries():

@@ -168,15 +168,13 @@ class _FlakyEngine(Engine):
         super().__init__()
         self.crashes = crashes
 
-    def run_many(self, specs, workers=1, chunksize=1, cache=None, pool=None):
+    def run_many(self, specs, workers=1, cache=None, pool=None):
         if self.crashes > 0:
             self.crashes -= 1
             from concurrent.futures.process import BrokenProcessPool
 
             raise BrokenProcessPool("worker died")
-        return super().run_many(
-            specs, workers=1, chunksize=chunksize, cache=cache
-        )
+        return super().run_many(specs, workers=1, cache=cache)
 
 
 def test_poison_spec_quarantined_without_taking_the_service_down(tmp_path):
@@ -283,13 +281,11 @@ class _HangingEngine(Engine):
         self.hangs = hangs
         self.release = threading.Event()
 
-    def run_many(self, specs, workers=1, chunksize=1, cache=None, pool=None):
+    def run_many(self, specs, workers=1, cache=None, pool=None):
         if self.hangs > 0:
             self.hangs -= 1
             self.release.wait(20)  # a stuck pool, from the outside
-        return super().run_many(
-            specs, workers=1, chunksize=chunksize, cache=cache
-        )
+        return super().run_many(specs, workers=1, cache=cache)
 
 
 def test_batch_timeout_watchdog_requeues_and_completes():

@@ -120,36 +120,19 @@ def test_driver_tracing_produces_pipeline():
     assert tracer.busy_time("CN0", "fields") > 0
 
 
-def test_chrome_trace_export(tmp_path):
-    import json
-
-    tr = Tracer()
-    tr.record("CN0", "fields", 0.001, 0.002)
-    tr.record("BN0", "particles", 0.0, 0.004)
-    events = tr.to_chrome_trace()
-    spans = [e for e in events if e["ph"] == "X"]
-    metas = [e for e in events if e["ph"] == "M"]
-    assert len(spans) == 2 and len(metas) == 2
-    span = next(e for e in spans if e["name"] == "fields")
-    assert span["ts"] == pytest.approx(1000.0)  # microseconds
-    assert span["dur"] == pytest.approx(1000.0)
-    # distinct pids per actor
-    assert len({e["pid"] for e in spans}) == 2
-    path = tmp_path / "trace.json"
-    tr.save_chrome_trace(path)
-    assert json.loads(path.read_text()) == events
-
-
-def test_chrome_trace_empty_tracer():
-    assert Tracer().to_chrome_trace() == []
-
-
 def test_chrome_trace_pid_stable_per_actor():
-    tr = Tracer()
-    tr.record("CN0", "fields", 0.0, 1.0)
-    tr.record("BN0", "particles", 0.0, 1.0)
-    tr.record("CN0", "io", 1.0, 2.0)
-    events = tr.to_chrome_trace()
+    from repro.engine import RunReport
+
+    report = RunReport(
+        spec={}, result={}, sim={}, network={}, mpi={}, phases={},
+        intervals=[
+            {"actor": "CN0", "label": "fields", "start": 0.0, "end": 1.0},
+            {"actor": "BN0", "label": "particles", "start": 0.0, "end": 1.0},
+            {"actor": "CN0", "label": "io", "start": 1.0, "end": 2.0},
+        ],
+    )
+    events = report.to_chrome_trace()
     spans = [e for e in events if e["ph"] == "X"]
     cn_pids = {e["pid"] for e in spans if e["name"] in ("fields", "io")}
     assert len(cn_pids) == 1
+    assert len({e["pid"] for e in spans}) == 2
