@@ -1,23 +1,29 @@
 """Microbenchmark — fleet router round-trip throughput.
 
 The fleet front end only pays for itself if routing a submission —
-cache-key hash, ring lookup, shard dispatch, collector resolution —
-stays cheap next to the work it schedules.  Two figures on a 4-shard
-local fleet:
+cache-key hash, ring lookup, shard dispatch, resolution — stays cheap
+next to the work it schedules.  Three figures on a 4-shard local
+fleet:
 
 * ``frame_round_trips_per_sec``  — protocol serialization cost: one
   submit-sized document encoded to a length-prefixed frame and decoded
   back, the per-message floor every remote client pays twice
 * ``router_round_trips_per_sec`` — submit -> resolved result through
-  the full router machinery (sticky map, hash ring, shard service,
-  collector thread) on warm keys, pipelined the way a busy front end
-  drives it
+  the full router machinery (sticky map, hash ring, shard service) on
+  warm keys, pipelined the way a busy front end drives it
+* ``router_closed_loop_per_sec`` — warm requests with 32 kept open, a
+  new one sent as the oldest resolves: the shape of the end-to-end
+  benchmark's warm fleet pass, where a request that waits for a timer
+  (a poll every 4 ms caps it at 8,000/s) shows at once.  A 2-CPU VM
+  measures 18k-37k/s; the floor sits about half under that, and 30%
+  under the floor still clears the 8,000/s cap
 
 Archives a table and machine-readable JSON under
-``benchmarks/_results``; the ``check_regression`` gate holds both
-figures to the ``baseline.json`` floors.
+``benchmarks/_results``; the ``check_regression`` gate holds each
+figure to its ``baseline.json`` floor.
 """
 
+import collections
 import json
 import pathlib
 import time
@@ -33,6 +39,9 @@ N_FRAMES = 2000
 N_TRIPS = 400
 N_KEYS = 8
 ROUNDS = 3
+#: requests of one closed-loop round, and how many it keeps open
+N_LOOP = 1000
+WINDOW = 32
 
 
 def _archive_json(name: str, payload: dict) -> None:
@@ -65,9 +74,7 @@ def _bench_router(tmp_root) -> dict:
         LocalShard(f"b{i}", root / f"b{i}", workers=1, max_queue=2 * N_TRIPS)
         for i in range(4)
     ]
-    router = FleetRouter(
-        shards, steal_threshold=None, collect_interval_s=0.001
-    )
+    router = FleetRouter(shards, steal_threshold=None)
     router.start()
     try:
         specs = [ExperimentSpec(mode="cb", steps=3 + i)
@@ -85,11 +92,29 @@ def _bench_router(tmp_root) -> dict:
             for job in jobs:
                 job.result(timeout=120)
             best = max(best, N_TRIPS / (time.perf_counter() - t0))
+        loop_best = max(_closed_loop(router, specs) for _ in range(ROUNDS))
         snap = router.metrics_snapshot()
         assert snap["fleet"]["executed"] == N_KEYS, "trips must be warm"
-        return {"router_round_trips_per_sec": best}
+        return {
+            "router_round_trips_per_sec": best,
+            "router_closed_loop_per_sec": loop_best,
+        }
     finally:
         router.shutdown(drain=False)
+
+
+def _closed_loop(router, specs) -> float:
+    """Requests per second through :data:`N_LOOP` warm requests with
+    :data:`WINDOW` open: each time the oldest resolves, one more goes."""
+    open_jobs: collections.deque = collections.deque()
+    sent = 0
+    t0 = time.perf_counter()
+    while sent < N_LOOP or open_jobs:
+        while sent < N_LOOP and len(open_jobs) < WINDOW:
+            open_jobs.append(router.submit(specs[sent % N_KEYS]))
+            sent += 1
+        open_jobs.popleft().result(timeout=120)
+    return N_LOOP / (time.perf_counter() - t0)
 
 
 def run_bench(tmp_root) -> dict:
@@ -113,6 +138,10 @@ def test_fleet_router_round_trips_per_sec(benchmark, report, tmp_path):
             "router submit -> result (warm, 4 shards)",
             f"{r['router_round_trips_per_sec']:,.0f}",
         ),
+        (
+            f"router closed loop ({WINDOW} open, warm, 4 shards)",
+            f"{r['router_closed_loop_per_sec']:,.0f}",
+        ),
     ]
     text = render_table(
         ["Fleet path", "Ops/sec"],
@@ -123,3 +152,4 @@ def test_fleet_router_round_trips_per_sec(benchmark, report, tmp_path):
     _archive_json("fleet_router_round_trips_per_sec", r)
     # a warm round trip must never cost an engine run
     assert r["router_round_trips_per_sec"] > 0
+    assert r["router_closed_loop_per_sec"] > 0

@@ -6,8 +6,9 @@ socket speaking the length-prefixed JSON protocol
 connection each, any number of requests per connection.  The event
 loop runs in a dedicated thread, so the front end layers cleanly over
 the router's thread-based core, and waiting on a job resolution is a
-polling coroutine — thousands of in-flight submissions cost
-coroutines, not blocked threads.
+coroutine the job's done-callback wakes (through
+``loop.call_soon_threadsafe``) — thousands of in-flight submissions
+cost coroutines, not blocked threads.
 
 Operations (request ``op`` -> reply)::
 
@@ -42,9 +43,6 @@ from .router import FleetJob, FleetRouter
 
 __all__ = ["FleetFrontEnd"]
 
-#: how often a waiting coroutine re-checks its job's resolution
-_WAIT_POLL_S = 0.005
-
 
 def _job_doc(job: FleetJob) -> dict:
     return {
@@ -70,6 +68,11 @@ def _result_doc(job: FleetJob) -> dict:
         "report": None if report is None else report.to_dict(),
         **_job_doc(job),
     }
+
+
+def _set_done(resolved: asyncio.Future) -> None:
+    if not resolved.done():  # a timed-out wait cancelled it
+        resolved.set_result(None)
 
 
 def _error_doc(error: str, **extra) -> dict:
@@ -202,15 +205,24 @@ class FleetFrontEnd:
 
     async def _wait_for(self, job: FleetJob,
                         timeout: Optional[float]) -> dict:
-        waited = 0.0
-        while not job.done():
-            if timeout is not None and waited >= timeout:
+        if not job.done():
+            loop = asyncio.get_running_loop()
+            resolved = loop.create_future()
+
+            def wake(_job: FleetJob) -> None:
+                try:
+                    loop.call_soon_threadsafe(_set_done, resolved)
+                except RuntimeError:  # the front end stopped first
+                    pass
+
+            job.add_done_callback(wake)
+            try:
+                await asyncio.wait_for(resolved, timeout)
+            except asyncio.TimeoutError:
                 return _error_doc(
                     "timeout", id=job.id,
                     detail=f"job {job.id} unresolved after {timeout}s",
                 )
-            await asyncio.sleep(_WAIT_POLL_S)
-            waited += _WAIT_POLL_S
         self._jobs.pop(job.id, None)
         return _result_doc(job)
 

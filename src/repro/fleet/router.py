@@ -29,16 +29,24 @@ semantics fleet-wide:
 The router itself holds every accepted spec in memory as a
 :class:`FleetJob` until resolution, which is what makes rerouting
 possible without any cross-shard replication.
+
+Resolution is pushed, not polled.  A job whose shard job is done when
+``submit`` hands it over (a store or quarantine hit) resolves on the
+submitting thread.  Any other shard job tells the router when it
+resolves (a local shard's job callback, a process shard's result-file
+scan), and a collector thread, blocked on that one completion queue,
+syncs stolen results home and resolves the fleet job.
 """
 
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
 import time
 from typing import Dict, List, Optional
 
-from ..serve.queue import QueueFull
+from ..serve.queue import QueueFull, Waitable
 from ..store.keys import cache_key
 from .metrics import FLEET_METRICS_SCHEMA, merge_service_snapshots
 from .ring import HashRing
@@ -48,7 +56,7 @@ __all__ = ["FleetJob", "FleetRouter"]
 _JOB_IDS = itertools.count(1)
 
 
-class FleetJob:
+class FleetJob(Waitable):
     """Router-level future for one accepted submission.
 
     Unlike a shard job, a FleetJob can outlive its shard: on shard
@@ -57,8 +65,11 @@ class FleetJob:
     infrastructure failure — only the job's real outcome.
     """
 
+    _noun = "fleet job"
+
     def __init__(self, spec, key, priority=0, client="fleet",
                  deadline_s=None):
+        super().__init__()
         self.id = next(_JOB_IDS)
         self.spec = spec
         self.key = key
@@ -76,39 +87,6 @@ class FleetJob:
         self.coalesced = False
         self.cache_hit = False
         self.reroutes = 0
-        self._event = threading.Event()
-        self._report = None
-        self._error: Optional[BaseException] = None
-
-    def done(self) -> bool:
-        """True once the job has a report or a failure."""
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None):
-        """Block until resolved; the RunReport, or raises the failure."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"fleet job {self.id} not resolved within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._report
-
-    def exception(self, timeout: Optional[float] = None):
-        """Block until resolved; the failure exception, or None."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"fleet job {self.id} not resolved within {timeout}s"
-            )
-        return self._error
-
-    def _resolve(self, report) -> None:
-        self._report = report
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done() else "pending"
@@ -136,7 +114,6 @@ class FleetRouter:
         restart_limit: int = 1,
         stale_after_s: float = 5.0,
         monitor_interval_s: float = 0.25,
-        collect_interval_s: float = 0.004,
     ):
         shards = list(shards)
         if not shards:
@@ -151,8 +128,12 @@ class FleetRouter:
         self.restart_limit = restart_limit
         self.stale_after_s = stale_after_s
         self._monitor_interval_s = monitor_interval_s
-        self._collect_interval_s = collect_interval_s
         self._lock = threading.Lock()
+        #: notified when the last outstanding job resolves
+        self._drained = threading.Condition(self._lock)
+        #: (FleetJob, shard, shard-job handle) for each resolved shard
+        #: job; None stops the collector
+        self._completions: queue.SimpleQueue = queue.SimpleQueue()
         #: key -> owning shard name while any submission is in flight
         self._inflight: Dict[str, str] = {}
         self._inflight_count: Dict[str, int] = {}
@@ -205,16 +186,10 @@ class FleetRouter:
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until every accepted job is resolved (and stolen
         results synced home); False on timeout."""
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout  # wall-clock-ok: host-side draining only
-        )
-        while True:
-            with self._lock:
-                if not self._outstanding:
-                    return True
-            if deadline is not None and time.monotonic() >= deadline:  # wall-clock-ok: host-side draining only
-                return False
-            time.sleep(0.005)
+        with self._lock:
+            return self._drained.wait_for(
+                lambda: not self._outstanding, timeout
+            )
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
@@ -228,17 +203,17 @@ class FleetRouter:
             self._outstanding.clear()
             self._inflight.clear()
             self._inflight_count.clear()
+            self._drained.notify_all()
         self._stop.set()
+        self._completions.put(None)
         for thread in (self._collector, self._monitor):
             if thread is not None:
                 thread.join(timeout=5.0)
         for job in pending:
-            job._fail(
-                RuntimeError("fleet router shut down before the job ran")
+            job._settle(
+                None, RuntimeError("fleet router shut down before the job ran")
             )
-        for name, shard in self._shards.items():
-            if name in self._lost:
-                continue
+        for shard in self._shards.values():
             shard.stop(drain=False)
 
     def __enter__(self) -> "FleetRouter":
@@ -254,8 +229,9 @@ class FleetRouter:
 
         Raises :class:`~repro.serve.queue.QueueFull` when the target
         shard rejects (clients retry with backoff, exactly as against
-        a single service), and propagates the shard's typed
-        ``PoisonJobError`` for quarantined specs on local shards.
+        a single service).  A store hit on a local shard returns done,
+        as does a quarantined spec, failed with the shard's typed
+        ``PoisonJobError``.
         """
         key = cache_key(spec)
         job = FleetJob(
@@ -266,6 +242,8 @@ class FleetRouter:
             if self._stopping:
                 raise RuntimeError("fleet router has been shut down")
             self._dispatch_locked(job)
+            shard, inner = self._shards[job.shard], job.inner
+        self._watch(job, shard, inner)
         return job
 
     def _live_names(self) -> List[str]:
@@ -288,7 +266,12 @@ class FleetRouter:
             if self.steal_threshold is not None and len(self._shards) > 1:
                 home_shard = self._shards[target]
                 home_depth = home_shard.depth()
-                if home_depth >= self.steal_threshold:
+                # a key the home has stored costs no run there, and a
+                # thief without it would run it a second time
+                if (
+                    home_depth >= self.steal_threshold
+                    and not home_shard.has_result(job.key)
+                ):
                     lightest = min(
                         (
                             self._shards[n]
@@ -336,44 +319,65 @@ class FleetRouter:
         else:
             self._inflight_count[key] = count
 
-    # -- collector (resolution + stolen-result sync) -------------------------
+    def _retire_locked(self, job: FleetJob) -> bool:
+        """Take ``job`` off the outstanding set; False when it was not
+        on it (shutdown or another path settles it)."""
+        if self._outstanding.pop(job.id, None) is None:
+            return False
+        if not self._outstanding:
+            self._drained.notify_all()
+        return True
+
+    # -- resolution (push) and the collector ---------------------------------
+    def _watch(self, job: FleetJob, shard, inner) -> None:
+        """Resolve ``job`` when its shard job ``inner`` resolves: here
+        when it has already, else through the completion queue."""
+        if shard.watch(
+            inner, lambda: self._completions.put((job, shard, inner))
+        ):
+            self._finish(job, shard, inner)
+
     def _collector_loop(self) -> None:
-        while not self._stop.wait(self._collect_interval_s):
+        while True:
+            item = self._completions.get()
+            if item is None:
+                return
             try:
-                self._collect_once()
+                self._finish(*item)
             except Exception:  # pragma: no cover - defensive
                 pass
-        self._collect_once()
 
-    def _collect_once(self) -> None:
-        with self._lock:
-            pending = [
-                (job, job.inner, job.shard)
-                for job in self._outstanding.values()
-                if job.inner is not None
-            ]
-        for job, inner, shard_name in pending:
-            shard = self._shards.get(shard_name)
-            if shard is None:
-                continue
+    def _finish(self, job: FleetJob, shard, inner) -> None:
+        """Resolve ``job`` from its resolved shard job ``inner``, unless
+        the monitor detached that handle (the reroute resolves it)."""
+        if job.inner is not inner:
+            return  # checked again under the lock before resolving
+        try:
             outcome = shard.poll(inner)
-            if outcome is None:
-                continue
-            status, payload, info = outcome
-            if status == "failed" and not shard.alive(self.stale_after_s):
-                # a dying shard's teardown error is not the job's
-                # fate: leave it for the monitor to detach and reroute
-                continue
-            if status == "done" and job.stolen:
-                self._sync_stolen(job)
-            with self._lock:
-                self._outstanding.pop(job.id, None)
-                self._dec_inflight_locked(job.key)
-            job.cache_hit = bool(info.get("cache_hit", False))
-            if status == "done":
-                job._resolve(payload)
-            else:
-                job._fail(payload)
+        except Exception as exc:  # noqa: BLE001 - the job carries it
+            # nothing polls it again: an unreadable result fails the job
+            outcome = ("failed", exc, {})
+        if outcome is None or (
+            outcome[0] == "failed" and not shard.alive(self.stale_after_s)
+        ):
+            # a dying shard's teardown error is not the job's fate: the
+            # monitor detaches and reroutes the job, or restarts a
+            # process shard, whose replacement rewrites the result
+            if shard.persistent_handles:
+                self._watch(job, shard, inner)
+            return
+        status, payload, info = outcome
+        if status == "done" and job.stolen:
+            self._sync_stolen(job)
+        with self._lock:
+            if job.inner is not inner or not self._retire_locked(job):
+                return
+            self._dec_inflight_locked(job.key)
+        job.cache_hit = bool(info.get("cache_hit", False))
+        if status == "done":
+            job._settle(payload, None)
+        else:
+            job._settle(None, payload)
 
     def _sync_stolen(self, job: FleetJob) -> None:
         """Copy a stolen key's stored result back to its home shard,
@@ -449,39 +453,41 @@ class FleetRouter:
             self._reroute(detached)
 
     def _reroute(self, jobs: List[FleetJob]) -> None:
-        """Redispatch detached jobs through normal routing, absorbing
-        transient QueueFull with short sleeps (monitor-thread side)."""
+        """Redispatch detached jobs through normal routing; fail the
+        ones no shard takes."""
         for job in jobs:
             if job.done():
                 continue
-            for _attempt in range(50):
-                try:
-                    with self._lock:
-                        if self._stopping:
-                            job._fail(RuntimeError(
-                                "fleet router shut down during reroute"
-                            ))
-                            break
-                        self._dispatch_locked(job)
-                    with self._lock:
-                        self._counters["rerouted_jobs"] += 1
-                    break
-                except QueueFull as exc:
-                    time.sleep(
-                        min(max(exc.retry_after_s, 0.01), 0.25)
-                    )
-                except LookupError:
-                    job._fail(RuntimeError(
-                        "no live shards left to run the job"
-                    ))
-                    break
-                except Exception as exc:
-                    job._fail(exc)
-                    break
-            else:
-                job._fail(RuntimeError(
-                    "could not reroute the job (shards at capacity)"
-                ))
+            error = self._redispatch(job)
+            if error is None:
+                continue
+            with self._lock:
+                retired = self._retire_locked(job)
+            if retired:
+                job._settle(None, error)
+
+    def _redispatch(self, job: FleetJob) -> Optional[BaseException]:
+        """Dispatch one detached job again, absorbing transient
+        QueueFull with short sleeps (monitor-thread side); the error
+        to fail it with, or None."""
+        for _attempt in range(50):
+            try:
+                with self._lock:
+                    if self._stopping:
+                        return None  # shutdown fails every outstanding job
+                    self._dispatch_locked(job)
+                    self._counters["rerouted_jobs"] += 1
+                    shard, inner = self._shards[job.shard], job.inner
+            except QueueFull as exc:
+                time.sleep(min(max(exc.retry_after_s, 0.01), 0.25))
+                continue
+            except LookupError:
+                return RuntimeError("no live shards left to run the job")
+            except Exception as exc:
+                return exc
+            self._watch(job, shard, inner)
+            return None
+        return RuntimeError("could not reroute the job (shards at capacity)")
 
     # -- introspection -------------------------------------------------------
     @property

@@ -3,18 +3,20 @@
 A shard is one :class:`~repro.serve.ExperimentService` with its own
 store root, write-ahead journal, and heartbeat file under a private
 directory.  The router talks to shards through a small handle
-interface — submit / poll / depth / alive / restart — with two
+interface — submit / watch / poll / depth / alive / restart — with two
 implementations:
 
 * :class:`LocalShard` embeds the service in-process (threads): no
   spawn cost, exact depth reads, the mode the throughput demo and
-  most tests use.
+  most tests use.  A submitted job tells the router it resolved
+  through its done-callback, on the thread that resolves it.
 * :class:`ProcessShard` spawns ``repro serve --jobdir <dir>`` and
   speaks the filejob directory protocol to it: real process isolation,
-  liveness judged from the PR 8 heartbeat file, and SIGKILL-able for
+  liveness judged from the heartbeat file, and SIGKILL-able for
   chaos tests.  Its submission handles are request ids, which survive
   a shard restart — the replacement server's journal recovery rewrites
-  the result files, so the router just keeps polling.
+  the result files — and a scan thread looks for the watched ones'
+  result files every ``poll_s``.
 
 Either way the shard directory layout is the ``repro serve`` one
 (``queue/``, ``results/``, ``journal.jsonl``, ``heartbeat.json``,
@@ -24,12 +26,14 @@ unchanged.
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..engine import RunReport
 from ..serve import ExperimentService, read_heartbeat
@@ -45,6 +49,9 @@ HEARTBEAT_INTERVAL_S = 0.25
 
 #: how long a process shard counts as alive before its first heartbeat [s]
 STARTUP_GRACE_S = 30.0
+
+#: service keywords a local shard sets itself
+_SHARD_SET = ("cache", "journal", "heartbeat", "heartbeat_interval_s")
 
 
 class ShardHandle:
@@ -81,6 +88,11 @@ class ShardHandle:
         """A reader over the shard's store; None when unavailable."""
         raise NotImplementedError
 
+    def has_result(self, key: str) -> bool:
+        """Whether the shard's store holds ``key`` (counts no hit)."""
+        cache = self.cache_view()
+        return cache is not None and key in cache
+
     def export_key(self, key: str, out_path) -> bool:
         """Export one stored entry as a bundle file; False if absent."""
         cache = self.cache_view()
@@ -102,7 +114,13 @@ class ShardHandle:
 
 
 class LocalShard(ShardHandle):
-    """One in-process ExperimentService under the shard directory."""
+    """One in-process ExperimentService under the shard directory.
+
+    Keywords beyond its own go to the service.  One the service does
+    not take, or one the shard sets itself (``cache``, ``journal``,
+    ``heartbeat``, ``heartbeat_interval_s``), raises :class:`TypeError`
+    at construction.
+    """
 
     kind = "local"
 
@@ -115,6 +133,14 @@ class LocalShard(ShardHandle):
         max_queue: int = 256,
         **service_kwargs,
     ):
+        taken = inspect.signature(ExperimentService).parameters
+        for kw in service_kwargs:
+            if kw in _SHARD_SET:
+                raise TypeError(f"LocalShard sets {kw!r} itself")
+            if kw not in taken:
+                raise TypeError(
+                    f"LocalShard got an unexpected keyword argument {kw!r}"
+                )
         super().__init__(name, root)
         self._engine = engine
         self._kwargs = dict(service_kwargs)
@@ -142,6 +168,14 @@ class LocalShard(ShardHandle):
         return self.service.submit(
             spec, priority=priority, client=client, deadline_s=deadline_s
         )
+
+    def watch(self, handle, fn: Callable[[], None]) -> bool:
+        """Call ``fn()`` when the job resolves, on the thread that
+        resolves it; True instead, without a call, when it has."""
+        if handle.done():
+            return True
+        handle.add_done_callback(lambda _job: fn())
+        return False
 
     def poll(self, handle) -> Optional[Tuple[str, object]]:
         """Resolution of one submitted job, or None while pending."""
@@ -219,6 +253,10 @@ class ProcessShard(ShardHandle):
         self._started_at: Optional[float] = None
         self._outstanding = 0
         self._cache: Optional[ResultCache] = None
+        #: request id -> callback, until its result file appears
+        self._watched: Dict[str, Callable[[], None]] = {}
+        self._scan_stop = threading.Event()
+        self._scanner: Optional[threading.Thread] = None
 
     def _spawn_env(self) -> dict:
         env = dict(os.environ)
@@ -258,6 +296,14 @@ class ProcessShard(ShardHandle):
             stderr=subprocess.DEVNULL,
         )
         self._started_at = time.monotonic()  # wall-clock-ok: host-side liveness bookkeeping
+        if self._scanner is None:
+            self._scan_stop.clear()
+            self._scanner = threading.Thread(
+                target=self._scan_loop,
+                name=f"repro-fleet-scan-{self.name}",
+                daemon=True,
+            )
+            self._scanner.start()
         return self
 
     def submit(self, spec, priority=0, client="fleet", deadline_s=None):
@@ -272,6 +318,19 @@ class ProcessShard(ShardHandle):
         )
         self._outstanding += 1
         return request_id
+
+    def watch(self, handle, fn: Callable[[], None]) -> bool:
+        """Call ``fn()`` from the scan thread once the request's result
+        file appears; False (a result is never there at once)."""
+        self._watched[handle] = fn
+        return False
+
+    def _scan_loop(self) -> None:
+        while not self._scan_stop.wait(self.poll_s):
+            for handle, fn in self._watched.copy().items():
+                if read_result(self.root, handle) is not None:
+                    self._watched.pop(handle, None)
+                    fn()
 
     def poll(self, handle) -> Optional[Tuple[str, object]]:
         """Check for the request's result file (handle = request id)."""
@@ -320,6 +379,12 @@ class ProcessShard(ShardHandle):
             self._cache = ResultCache(self.store_root)
         return self._cache
 
+    def has_result(self, key: str) -> bool:
+        """Whether the server's store holds ``key`` (counts no hit)."""
+        # the server process writes the store: fold in its new rows
+        self.cache_view().refresh()
+        return super().has_result(key)
+
     def restart(self) -> None:
         """Replace the process; journal recovery in the new server
         replays unresolved requests and rewrites their result files."""
@@ -336,7 +401,12 @@ class ProcessShard(ShardHandle):
                 self.proc.wait(timeout=10)
 
     def stop(self, drain: bool = True) -> None:
-        """SIGTERM the server (it drains and stops); SIGKILL fallback."""
+        """SIGTERM the server (it drains and stops); SIGKILL fallback.
+        The result-file scan stops too."""
+        self._scan_stop.set()
+        if self._scanner is not None:
+            self._scanner.join(timeout=5.0)
+            self._scanner = None
         if self.proc is None:
             return
         if self.proc.poll() is None:

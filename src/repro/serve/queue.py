@@ -1,10 +1,12 @@
 """Jobs and the bounded fair-share priority queue of the service.
 
 A :class:`Job` is one admitted :class:`~repro.engine.ExperimentSpec`
-submission: a future-like handle clients block on (``job.result()``)
-while the service schedules and executes it.  Coalesced duplicate
-submissions share one Job, so a single execution fans its report out
-to every waiter.
+submission: a future-like handle clients block on (``job.result()``),
+or hang a done-callback on, while the service schedules and executes
+it.  Coalesced duplicate submissions share one Job, so a single
+execution fans its report out to every waiter.  :class:`Waitable` is
+the result half it shares with the fleet's
+:class:`~repro.fleet.router.FleetJob`.
 
 The :class:`JobQueue` is *bounded* — admission control is the
 backpressure mechanism of the service; when the queue is at depth the
@@ -27,6 +29,7 @@ __all__ = [
     "JobState",
     "PoisonJobError",
     "QueueFull",
+    "Waitable",
 ]
 
 
@@ -98,7 +101,81 @@ class JobState(Enum):
     FAILED = "failed"
 
 
-class Job:
+class Waitable:
+    """A result one thread settles once and any thread waits for.
+
+    :meth:`result` and :meth:`exception` block, :meth:`done` does not,
+    and :meth:`add_done_callback` has the resolution pushed to a
+    callback instead.  A subclass sets ``id`` and settles through
+    :meth:`_settle`, exactly once.
+    """
+
+    #: what a timeout message calls the handle
+    _noun = "job"
+
+    def __init__(self) -> None:
+        self._event = threading.Event()
+        self._report = None
+        self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[["Waitable"], None]] = []
+
+    def done(self) -> bool:
+        """True once the job has a report or a failure."""
+        return self._event.is_set()
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        if not (self._event.is_set() or self._event.wait(timeout)):
+            raise TimeoutError(
+                f"{self._noun} {self.id} not resolved within {timeout}s"
+            )
+
+    def result(self, timeout: Optional[float] = None):
+        """Block until resolved; the RunReport, or raises the failure.
+
+        Raises :class:`TimeoutError` when ``timeout`` seconds pass
+        without a resolution.
+        """
+        self._wait(timeout)
+        if self._error is not None:
+            raise self._error
+        return self._report
+
+    def exception(self, timeout: Optional[float] = None):
+        """Block until resolved; the failure exception, or None."""
+        self._wait(timeout)
+        return self._error
+
+    def add_done_callback(self, fn: Callable[["Waitable"], None]) -> None:
+        """Call ``fn(self)`` once, when the job resolves.
+
+        ``fn`` runs on the resolving thread (which may hold its
+        service's lock), or, once the job has resolved, on a thread
+        that registers a callback: this one at once if it has resolved
+        already.  So it must be quick, never wait on a lock, and not
+        raise.  Whichever thread pops a callback off the list runs it;
+        a pop is atomic, so each runs exactly once without a lock.
+        """
+        self._callbacks.append(fn)
+        if self._event.is_set():
+            self._run_callbacks()
+
+    def _run_callbacks(self) -> None:
+        callbacks = self._callbacks
+        while callbacks:
+            try:
+                fn = callbacks.pop(0)
+            except IndexError:  # another thread took the last one
+                return
+            fn(self)
+
+    def _settle(self, report, error: Optional[BaseException]) -> None:
+        self._report = report
+        self._error = error
+        self._event.set()
+        self._run_callbacks()
+
+
+class Job(Waitable):
     """One admitted experiment submission; a waitable result handle.
 
     Clients receive a Job from
@@ -119,6 +196,7 @@ class Job:
         submitted_s: float = 0.0,
         deadline_s: Optional[float] = None,
     ):
+        super().__init__()
         self.id = job_id
         self.spec = spec
         self.key = key
@@ -142,36 +220,6 @@ class Job:
         #: journal sequence numbers this job resolves (primary first;
         #: recovery may coalesce several journal records onto one job)
         self.journal_seqs: List[int] = []
-        self._event = threading.Event()
-        self._report = None
-        self._error: Optional[BaseException] = None
-
-    # -- client side --------------------------------------------------------
-    def done(self) -> bool:
-        """True once the job has a report or a failure."""
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None):
-        """Block until resolved; the RunReport, or raises the failure.
-
-        Raises :class:`TimeoutError` when ``timeout`` seconds pass
-        without a resolution.
-        """
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"job {self.id} not resolved within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._report
-
-    def exception(self, timeout: Optional[float] = None):
-        """Block until resolved; the failure exception, or None."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"job {self.id} not resolved within {timeout}s"
-            )
-        return self._error
 
     # -- latency accounting --------------------------------------------------
     @property
@@ -194,16 +242,14 @@ class Job:
             self.started_s = now
         self.finished_s = now
         self.state = JobState.DONE
-        self._report = report
-        self._event.set()
+        self._settle(report, None)
 
     def _fail(self, error: BaseException, now: float) -> None:
         if self.started_s is None:
             self.started_s = now
         self.finished_s = now
         self.state = JobState.FAILED
-        self._error = error
-        self._event.set()
+        self._settle(None, error)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -111,6 +111,11 @@ class ResultCache:
         """Where an entry with ``key`` is (or would be) stored."""
         return self.root / key[:2] / f"{key}.json"
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry with ``key`` is stored (as of the last load
+        or :meth:`refresh`); counts no hit or miss."""
+        return key in self._index
+
     def _entry_paths(self) -> Iterator[Path]:
         for shard in sorted(self.root.iterdir()):
             if shard.is_dir() and len(shard.name) == 2:

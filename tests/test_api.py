@@ -159,10 +159,10 @@ def _resilient_with_transport_policy():
 
 
 def _local_shard_heartbeat_interval():
-    # LocalShard forwards unknown keywords to its service, which gets
-    # the interval from the shard already: the clash fails at start
+    # the shard sets its service's interval itself and refuses the
+    # keyword at construction
     with tempfile.TemporaryDirectory() as root:
-        LocalShard("s", root, heartbeat_interval_s=0.25).start()
+        LocalShard("s", root, heartbeat_interval_s=0.25)
 
 
 @pytest.mark.parametrize(
@@ -215,6 +215,8 @@ def _local_shard_heartbeat_interval():
         (lambda: ProcessShard("p", "p", extra_args=()), TypeError),
         (lambda: ProcessShard("p", "p", env={}), TypeError),
         (lambda: FleetRouter([], replicas=64), TypeError),
+        (lambda: FleetRouter([], collect_interval_s=0.004), TypeError),
+        (_attr("repro.fleet.frontend", "_WAIT_POLL_S"), AttributeError),
         (lambda: Tracer.to_chrome_trace, AttributeError),
     ],
     ids=[
@@ -262,6 +264,8 @@ def _local_shard_heartbeat_interval():
         "process-shard-extra-args",
         "process-shard-env",
         "router-replicas",
+        "router-collect-interval",
+        "frontend-wait-poll",
         "tracer-chrome-trace",
     ],
 )
@@ -278,7 +282,9 @@ def test_removed_spellings_stay_removed(call, error):
     the backoff's proportional jitter, four methods nothing called,
     ``fsync_dir``'s old home (it lives in :mod:`repro.durable`), the
     serving settings nothing set (now constants, or built in by
-    ``serve_jobdir``) and the tracer's second Chrome-trace exporter."""
+    ``serve_jobdir``), the tracer's second Chrome-trace exporter, and
+    the fleet's two resolution timers (fleet jobs resolve when their
+    shard jobs do)."""
     with pytest.raises(error):
         call()
 

@@ -7,6 +7,7 @@ on a duplicate-heavy workload)."""
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -305,6 +306,193 @@ def test_shard_loss_reroutes_without_losing_jobs(tmp_path):
         fresh.result(timeout=30)
 
 
+def test_cached_key_resolves_when_submit_returns(tmp_path):
+    shards = [LocalShard(f"s{i}", tmp_path / f"s{i}") for i in range(2)]
+    with FleetRouter(shards, steal_threshold=None) as router:
+        first = router.submit(spec(steps=4))
+        first.result(timeout=30)
+        again = router.submit(spec(steps=4))
+        # a store hit needs no collector: submit itself resolves it
+        assert again.done() and again.cache_hit
+        assert canon(again.result(timeout=0)) == canon(first.result())
+        assert router.outstanding() == 0
+
+
+def test_local_shards_resolve_without_a_timer_scan(tmp_path, monkeypatch):
+    polls = []
+    real_poll = LocalShard.poll
+
+    def counting_poll(self, handle):
+        polls.append(handle)
+        return real_poll(self, handle)
+
+    monkeypatch.setattr(LocalShard, "poll", counting_poll)
+    engine = _SleepEngine(delay_s=0.01)
+    shards = [
+        LocalShard(f"s{i}", tmp_path / f"s{i}", engine=engine)
+        for i in range(2)
+    ]
+    with FleetRouter(shards, steal_threshold=None) as router:
+        jobs = [router.submit(spec(steps=3 + i)) for i in range(20)]
+        for job in jobs:
+            job.result(timeout=60)
+        assert router.drain(timeout=30)
+        # each shard job is polled once, when it has resolved: a timer
+        # scan would poll every pending job on every tick
+        assert len(polls) == 20
+        assert {id(h) for h in polls} == {id(j.inner) for j in jobs}
+    assert len(engine.executed) == 20
+
+
+def test_threaded_clients_new_duplicate_and_cached_specs(tmp_path):
+    engine = _SleepEngine(delay_s=0.002)
+    shards = [
+        LocalShard(f"s{i}", tmp_path / f"s{i}", engine=engine)
+        for i in range(3)
+    ]
+    cached = [spec(steps=3 + i) for i in range(10)]
+    new = [spec(steps=20 + i) for i in range(40)]
+    with FleetRouter(shards, steal_threshold=2) as router:
+        for job in [router.submit(s) for s in cached]:
+            job.result(timeout=60)
+        jobs, errors, lock = [], [], threading.Lock()
+
+        def client(c):
+            try:
+                for i in range(50):
+                    # every fifth a cached spec; the new ones overlap
+                    # across clients, so most of them are duplicates
+                    s = cached[(i + c) % 10] if i % 5 == 4 else (
+                        new[(3 * i + 7 * c) % 40]
+                    )
+                    job = router.submit(s, client=f"c{c}")
+                    with lock:
+                        jobs.append(job)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        clients = [
+            threading.Thread(target=client, args=(c,)) for c in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        # a lock-order deadlock between router and service would hang
+        assert not any(t.is_alive() for t in clients)
+        assert not errors and len(jobs) == 200
+        for job in jobs:
+            job.result(timeout=60)
+        assert router.drain(timeout=60)
+        snap = router.metrics_snapshot()
+    executed = [cache_key(s) for s in engine.executed]
+    assert sorted(executed) == sorted(cache_key(s) for s in cached + new)
+    assert invariant_holds(snap["fleet"])
+    assert all(invariant_holds(s) for s in snap["shards"].values())
+    assert snap["fleet"]["submitted"] == 210
+
+
+def test_completion_for_a_detached_handle_is_ignored(tmp_path):
+    # both services start stopped, so a job waits until its shard's
+    # scheduler is started; the monitor is too slow to interfere
+    shards = [
+        LocalShard(f"s{i}", tmp_path / f"s{i}", autostart=False)
+        for i in range(2)
+    ]
+    router = FleetRouter(
+        shards, steal_threshold=None, restart_limit=0,
+        monitor_interval_s=60.0,
+    ).start()
+    try:
+        job = router.submit(spec(steps=5))
+        settled = []
+        settle = job._settle
+        job._settle = lambda report, error: (
+            settled.append(error), settle(report, error)
+        )
+        old_name, old_inner = job.shard, job.inner
+        old = router.shard(old_name)
+        # what the monitor does when it judges the shard dead
+        router._handle_death(old_name, old)
+        assert job.shard != old_name and job.reroutes == 1
+        stale_done = threading.Event()
+        finish = router._finish
+
+        def spy(fleet_job, shard, inner):
+            finish(fleet_job, shard, inner)
+            if inner is old_inner:
+                stale_done.set()
+
+        router._finish = spy
+        # the detached handle resolves late, while the rerouted job is
+        # still queued: its completion must not resolve the fleet job
+        old.service.start()
+        old_inner.result(timeout=30)
+        assert stale_done.wait(timeout=30)
+        assert not job.done() and settled == []
+        router.shard(job.shard).service.start()
+        assert job.result(timeout=30).total_runtime > 0
+        assert settled == [None]
+        assert router.drain(timeout=30)
+        assert router.metrics_snapshot()["router"]["rerouted_jobs"] == 1
+    finally:
+        router.shutdown(drain=False)
+
+
+def test_a_job_no_shard_can_take_fails_and_the_fleet_drains(tmp_path):
+    shards = [LocalShard("s0", tmp_path / "s0", autostart=False)]
+    router = FleetRouter(
+        shards, restart_limit=0, monitor_interval_s=60.0
+    ).start()
+    try:
+        job = router.submit(spec(steps=5))
+        # the only shard dies for good: the reroute finds no shard
+        router._handle_death("s0", router.shard("s0"))
+        with pytest.raises(RuntimeError, match="no live shards"):
+            job.result(timeout=30)
+        assert router.drain(timeout=5)
+        assert router.outstanding() == 0
+    finally:
+        router.shutdown(drain=False)
+
+
+def test_an_unreadable_result_fails_its_job(tmp_path):
+    class _UnreadableShard(LocalShard):
+        def poll(self, handle):
+            raise ValueError("unreadable result")
+
+    with FleetRouter([_UnreadableShard("s0", tmp_path / "s0")]) as router:
+        job = router.submit(spec(steps=3))
+        # no later look would read it: the job fails instead of hanging
+        with pytest.raises(ValueError, match="unreadable result"):
+            job.result(timeout=30)
+        assert router.drain(timeout=5)
+
+
+def test_local_shard_refuses_a_keyword_it_sets_itself(tmp_path):
+    for kw in ("cache", "journal", "heartbeat", "heartbeat_interval_s"):
+        with pytest.raises(TypeError, match=kw):
+            LocalShard("s", tmp_path / "s", **{kw: None})
+    assert not (tmp_path / "s").exists()
+
+
+def test_local_shard_refuses_a_keyword_the_service_does_not_take(tmp_path):
+    with pytest.raises(TypeError, match="max_batch"):
+        LocalShard("s", tmp_path / "s", max_batch=8)
+    # keywords the service takes still reach it
+    shard = LocalShard("s", tmp_path / "s", max_retries=0, autostart=False)
+    shard.start()
+    try:
+        assert not shard.service.started
+    finally:
+        shard.stop(drain=False)
+
+
 def test_router_rejects_duplicate_shard_names(tmp_path):
     with pytest.raises(ValueError, match="duplicate"):
         FleetRouter(
@@ -365,6 +553,41 @@ def test_front_end_two_phase_submit_and_errors(tmp_path):
                 assert not reply["ok"] and "unknown op" in reply["error"]
                 send_frame(sock, {"op": "submit", "spec": {"steps": "bad"}})
                 assert "bad spec" in recv_frame(sock)["error"]
+            finally:
+                sock.close()
+
+
+def test_front_end_warm_submit_and_wait_timeout(tmp_path):
+    engine = _SleepEngine(delay_s=0.5)
+    shards = [LocalShard("s0", tmp_path / "s0", engine=engine)]
+    with FleetRouter(shards) as router:
+        with FleetFrontEnd(router) as front:
+            sock = socket.create_connection(("127.0.0.1", front.port), 5)
+            sock.settimeout(30)
+            try:
+                warm = {"op": "submit", "spec": spec(steps=4).to_dict()}
+                send_frame(sock, warm)
+                assert recv_frame(sock)["status"] == "done"
+                send_frame(sock, warm)
+                again = recv_frame(sock)
+                assert again["status"] == "done" and again["cache_hit"]
+                send_frame(
+                    sock,
+                    {"op": "submit", "spec": spec(steps=5).to_dict(),
+                     "wait": False},
+                )
+                ack = recv_frame(sock)
+                send_frame(
+                    sock, {"op": "wait", "id": ack["id"], "timeout_s": 0.05}
+                )
+                late = recv_frame(sock)
+                assert not late["ok"] and late["error"] == "timeout"
+                assert late["id"] == ack["id"]
+                # the job is still known: a second wait gets the result
+                send_frame(sock, {"op": "wait", "id": ack["id"]})
+                result = recv_frame(sock)
+                assert result["ok"] and result["status"] == "done"
+                assert not result["cache_hit"]
             finally:
                 sock.close()
 

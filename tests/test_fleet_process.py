@@ -60,7 +60,6 @@ def test_fleet_sigkill_one_shard_recovers_without_loss(tmp_path):
         restart_limit=1,
         stale_after_s=2.0,
         monitor_interval_s=0.1,
-        collect_interval_s=0.01,
     )
     router.start()
     try:

@@ -2,7 +2,9 @@
 batching, crash recovery, and the file-based job directory."""
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,66 @@ def test_pop_expired_ignores_priority_and_keeps_insertion_order():
     # survivors still dispatch in priority order
     assert [j.id for j in q.pop_batch(2)] == [2, 4]
     assert q.pop_expired(now=10.0) == []
+
+
+class _YieldingEvent(threading.Event):
+    """An Event whose flag reads and sets hand the interpreter to
+    another thread, so every check-then-act window around them is
+    wide open."""
+
+    def is_set(self):
+        flag = super().is_set()
+        time.sleep(0)
+        return flag
+
+    def set(self):
+        time.sleep(0)
+        super().set()
+
+
+def test_done_callbacks_run_exactly_once_when_threads_race():
+    """Two threads register callbacks while a third resolves the job:
+    over 1,000 rounds every callback runs once, never twice or never."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(1000):
+            job = Job(round_no, spec(), "k")
+            job._event = _YieldingEvent()
+            calls = []
+            start = threading.Barrier(3)
+
+            def register(tag):
+                start.wait()
+                for i in range(3):
+                    job.add_done_callback(
+                        lambda j, k=(tag, i): calls.append((k, j))
+                    )
+
+            def resolve():
+                start.wait()
+                job._resolve("report", 0.0)
+
+            threads = [
+                threading.Thread(target=register, args=(tag,))
+                for tag in "ab"
+            ] + [threading.Thread(target=resolve)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(k for k, _ in calls) == [
+                (tag, i) for tag in "ab" for i in range(3)
+            ], f"round {round_no}"
+            assert all(j is job for _, j in calls)
+    finally:
+        sys.setswitchinterval(interval)
+    # registered after the resolution: runs at once, on this thread
+    ran_on = []
+    job.add_done_callback(lambda j: ran_on.append(threading.get_ident()))
+    assert ran_on == [threading.get_ident()]
+    assert job.result(timeout=0) == "report"
 
 
 # -- service: coalescing and cache ------------------------------------------
