@@ -37,14 +37,20 @@ the full stack the paper describes:
 
 __version__ = "2.0.0"
 
-from .api import Session
-from .engine import Engine, ExperimentSpec, RunReport, SweepReport
-from .hardware import Machine, build_deep_er_prototype
-from .instrument import MetricsHub
-from .partition import Partition
-from .report import load_report, report_from_dict
-from .serve import ExperimentService, QueueFull
-from .sim import Simulator
+from ._lazy import lazy_exports
+
+# each name loads its layer on first use (PEP 562), so ``import repro``
+# costs nothing and a process compiles only the layers it runs
+lazy_exports(__name__, {
+    ".api": ["Session"],
+    ".engine": ["Engine", "ExperimentSpec", "RunReport", "SweepReport"],
+    ".hardware": ["Machine", "build_deep_er_prototype"],
+    ".instrument": ["MetricsHub"],
+    ".partition": ["Partition"],
+    ".report": ["load_report", "report_from_dict"],
+    ".serve": ["ExperimentService", "QueueFull"],
+    ".sim": ["Simulator"],
+})
 
 __all__ = [
     "Session",

@@ -7,14 +7,10 @@ under its name via :mod:`repro.apps.registry`.  ``ExperimentSpec``,
 the engine dispatch, and the CLI all resolve apps through
 :func:`get_app`/:func:`available_apps`, so future ROADMAP workloads
 plug in by registering themselves rather than editing the engine.
+An app's module loads on its first :func:`get_app`, so a process that
+runs only xPic never imports the seismic app.
 """
 
 from .registry import App, available_apps, get_app, register
-
-# importing the app modules runs their @register decorators; every
-# consumer of the registry goes through this package, so the registry
-# is always populated before it is queried
-from .seismic import app as _seismic_app  # noqa: F401
-from .xpic import app as _xpic_app  # noqa: F401
 
 __all__ = ["App", "available_apps", "get_app", "register"]

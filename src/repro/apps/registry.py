@@ -13,11 +13,14 @@ signature
 and decorates it with :func:`register`.  ``ExperimentSpec`` validation,
 the engine dispatch, and the CLI's ``--app`` choices all resolve
 through :func:`get_app`/:func:`available_apps`, so adding a workload is
-one new package plus one decorator.
+one new package plus one decorator.  A shipped app's module is
+imported on its first :func:`get_app` (see :data:`_APP_MODULES`), so a
+process loads only the apps it runs.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict
 
@@ -41,6 +44,13 @@ class App:
 
 
 _REGISTRY: Dict[str, App] = {}
+
+#: the module whose :func:`register` call registers each shipped app;
+#: :func:`get_app` imports it on the app's first lookup
+_APP_MODULES: Dict[str, str] = {
+    "seismic": "repro.apps.seismic.app",
+    "xpic": "repro.apps.xpic.app",
+}
 
 
 def register(
@@ -68,15 +78,21 @@ def register(
 
 
 def get_app(name: str) -> App:
-    """Look an app up by name; raises ``ValueError`` for unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """Look an app up by name, importing a shipped app's module on its
+    first lookup; raises ``ValueError`` for unknown names."""
+    app = _REGISTRY.get(name)
+    if app is None and name in _APP_MODULES:
+        # the import lock runs the module once, so racing first lookups
+        # all find the one App it registered
+        importlib.import_module(_APP_MODULES[name])
+        app = _REGISTRY.get(name)
+    if app is None:
         raise ValueError(
             f"unknown app {name!r} (registered: {available_apps()})"
-        ) from None
+        )
+    return app
 
 
 def available_apps() -> list:
-    """Sorted names of every registered app."""
-    return sorted(_REGISTRY)
+    """Sorted names of every registered or shipped app."""
+    return sorted(set(_REGISTRY) | set(_APP_MODULES))

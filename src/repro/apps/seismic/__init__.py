@@ -5,7 +5,14 @@ stencil kernel with no separable phases — it should pick its best
 module and stay there.
 """
 
+from ..._lazy import lazy_exports
 from .driver import SeismicPlacement, SeismicResult, run_seismic, stencil_kernel
+
+# the numeric solver needs numpy: it loads on first use, so a modelled
+# run never imports numpy
+lazy_exports(__name__, {
+    ".kernel": ["AcousticWave2D", "ricker_wavelet"],
+})
 
 __all__ = [
     "AcousticWave2D",
@@ -15,15 +22,3 @@ __all__ = [
     "run_seismic",
     "stencil_kernel",
 ]
-
-
-def __getattr__(name):
-    # the numeric solver needs numpy: it loads on first use (PEP 562),
-    # so a modelled run never imports numpy
-    if name not in ("AcousticWave2D", "ricker_wavelet"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import kernel
-
-    value = getattr(kernel, name)
-    globals()[name] = value
-    return value

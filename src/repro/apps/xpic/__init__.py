@@ -6,8 +6,7 @@ partitioned drivers that run it across the simulated Cluster-Booster
 machine in the paper's three evaluation modes.
 """
 
-import importlib
-
+from ..._lazy import lazy_exports
 from .config import SpeciesConfig, XpicConfig, table2_setup
 from .driver import Mode, RunResult, normalize_mode, run_experiment
 from .workload import (
@@ -17,35 +16,18 @@ from .workload import (
     moments_nbytes,
 )
 
-#: the numeric layer, which needs numpy, by exported name -> module;
-#: each name loads on first use (PEP 562), so a modelled run never
-#: imports numpy
-_NUMERIC = {
-    "FieldSolver": "fields",
-    "conjugate_gradient": "fields",
-    "Grid2D": "grid",
-    "pack_fields": "interface",
-    "unpack_fields": "interface",
-    "pack_moments": "interface",
-    "unpack_moments": "interface",
-    "deposit_moments": "moments",
-    "deposit_scalar": "moments",
-    "interpolate": "moments",
-    "Species": "particles",
-    "maxwellian_species": "particles",
-    "StepDiagnostics": "simulation",
-    "XpicSimulation": "simulation",
-}
-
-
-def __getattr__(name):
-    if name not in _NUMERIC:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_NUMERIC[name]}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
+# the numeric layer needs numpy: each of its names loads on first use,
+# so a modelled run never imports numpy
+lazy_exports(__name__, {
+    ".fields": ["FieldSolver", "conjugate_gradient"],
+    ".grid": ["Grid2D"],
+    ".interface": [
+        "pack_fields", "unpack_fields", "pack_moments", "unpack_moments",
+    ],
+    ".moments": ["deposit_moments", "deposit_scalar", "interpolate"],
+    ".particles": ["Species", "maxwellian_species"],
+    ".simulation": ["StepDiagnostics", "XpicSimulation"],
+})
 
 __all__ = [
     "XpicConfig",

@@ -13,11 +13,9 @@ from __future__ import annotations
 import dataclasses
 
 from ...partition import Partition
-from ...resiliency import FaultPlan, MalleabilityPolicy
 from ..registry import register
 from .config import table2_setup
 from .driver import normalize_mode, run_experiment
-from .resilient_driver import run_resilient_experiment
 
 __all__ = ["run_xpic"]
 
@@ -43,6 +41,10 @@ def run_xpic(spec, machine, runtime, tracer):
     resiliency: dict = {}
     malleability: dict = {}
     if spec.wants_resiliency:
+        # the fault stack loads with the first faulted run
+        from ...resiliency import FaultPlan, MalleabilityPolicy
+        from .resilient_driver import run_resilient_experiment
+
         rr, resiliency, malleability = run_resilient_experiment(
             machine,
             normalize_mode(spec.mode),

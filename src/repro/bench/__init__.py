@@ -1,14 +1,22 @@
 """Benchmark harness utilities: ping-pong, runners, table rendering."""
 
-from .pingpong import (
-    PingPongPoint,
-    fig3_series,
-    fig3_sizes_bandwidth,
-    fig3_sizes_latency,
-    pingpong,
-)
-from .runners import FIG78_STEPS, Fig7Result, Fig8Result, run_fig7, run_fig8
-from .tables import render_series, render_table
+from .._lazy import lazy_exports
+
+# each name loads its module on first use: ``repro validate`` runs the
+# Fig 8 sweep without the Fig 3 ping-pong harness
+lazy_exports(__name__, {
+    ".pingpong": [
+        "PingPongPoint",
+        "fig3_series",
+        "fig3_sizes_bandwidth",
+        "fig3_sizes_latency",
+        "pingpong",
+    ],
+    ".runners": [
+        "FIG78_STEPS", "Fig7Result", "Fig8Result", "run_fig7", "run_fig8",
+    ],
+    ".tables": ["render_series", "render_table"],
+})
 
 __all__ = [
     "pingpong",

@@ -45,7 +45,6 @@ from typing import List, Optional
 from .api import Session
 from .apps import available_apps
 from .apps.xpic import Mode
-from .autotune import TuneReport, TuneSpace
 from .engine import (
     MACHINE_PRESETS,
     Engine,
@@ -54,16 +53,7 @@ from .engine import (
     SweepReport,
 )
 from .report import report_from_dict
-from .bench import (
-    FIG78_STEPS,
-    fig3_series,
-    fig3_sizes_bandwidth,
-    fig3_sizes_latency,
-    render_series,
-    render_table,
-    run_fig7,
-    run_fig8,
-)
+from .bench import FIG78_STEPS, render_series, render_table, run_fig7, run_fig8
 from .hardware import table1_rows
 from .resiliency import FaultPlan
 from .store import ResultCache
@@ -86,6 +76,8 @@ def cmd_table1(_args) -> str:
 
 
 def cmd_fig3(_args) -> str:
+    from .bench import fig3_series, fig3_sizes_bandwidth, fig3_sizes_latency
+
     lat = fig3_series(_preset_machine(), fig3_sizes_latency())
     bw = fig3_series(_preset_machine(), fig3_sizes_bandwidth())
     out = [
@@ -511,6 +503,8 @@ def render_report(report) -> str:
     The one renderer behind ``repro report FILE``: RunReport,
     SweepReport, and TuneReport documents all come through here.
     """
+    from .autotune import TuneReport
+
     if isinstance(report, SweepReport):
         return render_sweep_report(report)
     if isinstance(report, TuneReport):
@@ -614,6 +608,8 @@ def cmd_tune(args) -> str:
         )
     except ValueError as exc:
         raise ValueError(f"bad --nodes list: {exc}") from None
+    from .autotune import TuneSpace
+
     space = TuneSpace(node_counts=node_counts, nested=args.nested)
     session = Session(cache=args.cache, workers=args.workers)
     report = session.tune(

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from .apps import available_apps, get_app
-from .apps.seismic import SeismicPlacement  # noqa: F401  (re-export)
 from .apps.xpic import Mode, normalize_mode, table2_setup  # noqa: F401
 from .apps.xpic.config import SpeciesConfig, XpicConfig
 from .hardware.machine import (

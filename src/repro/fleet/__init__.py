@@ -24,27 +24,33 @@ CLI verbs: ``repro fleet serve | submit | status``.  In-process:
 ``Session(fleet=router).submit(...)``.
 """
 
-from .client import FleetClient, FleetClientError, RemoteJob
-from .frontend import FleetFrontEnd
-from .metrics import (
-    FLEET_METRICS_SCHEMA,
-    invariant_holds,
-    merge_histogram_snapshots,
-    merge_service_snapshots,
-)
-from .protocol import (
-    FLEET_MSG_SCHEMA,
-    MAX_FRAME_BYTES,
-    FrameError,
-    encode_frame,
-    read_frame,
-    recv_frame,
-    send_frame,
-    write_frame,
-)
-from .ring import HashRing
-from .router import FleetJob, FleetRouter
-from .shard import LocalShard, ProcessShard, ShardHandle
+from .._lazy import lazy_exports
+
+# each name loads its module on first use: an in-process fleet never
+# imports the asyncio front end, the client or the wire protocol
+lazy_exports(__name__, {
+    ".client": ["FleetClient", "FleetClientError", "RemoteJob"],
+    ".frontend": ["FleetFrontEnd"],
+    ".metrics": [
+        "FLEET_METRICS_SCHEMA",
+        "invariant_holds",
+        "merge_histogram_snapshots",
+        "merge_service_snapshots",
+    ],
+    ".protocol": [
+        "FLEET_MSG_SCHEMA",
+        "MAX_FRAME_BYTES",
+        "FrameError",
+        "encode_frame",
+        "read_frame",
+        "recv_frame",
+        "send_frame",
+        "write_frame",
+    ],
+    ".ring": ["HashRing"],
+    ".router": ["FleetJob", "FleetRouter"],
+    ".shard": ["LocalShard", "ProcessShard", "ShardHandle"],
+})
 
 __all__ = [
     "FLEET_METRICS_SCHEMA",

@@ -20,6 +20,15 @@ Operations (request ``op`` -> reply)::
                with the job id immediately, and a later
                {op: "wait", id: N} blocks for the result.
 
+A ``wait=false`` job can be waited for while the connection that
+submitted it is open: when that connection ends, the front end drops
+every job it submitted and nobody waited for (the job itself still
+runs and lands in its shard's store).  ``priority`` must be an integer,
+and ``deadline_s`` and ``timeout_s`` null or a number from 0 to the
+largest float; any other value gets ``{ok: false, error: "bad field:
+..."}``, and a ``wait`` whose ``id`` is not an integer an unknown-id
+error.
+
 A shard-level QueueFull maps to ``{ok: false, error: "queue_full",
 retry_after_s: ...}`` so remote clients can back off exactly like
 local ones.
@@ -28,8 +37,9 @@ local ones.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from ..engine import ExperimentSpec
 from ..serve.queue import QueueFull
@@ -82,6 +92,28 @@ def _error_doc(error: str, **extra) -> dict:
         "error": error,
         **extra,
     }
+
+
+def _bad_field(msg: dict) -> Optional[str]:
+    """Why ``priority``, ``deadline_s`` or ``timeout_s`` of a request
+    is malformed, or None when each is absent or well-formed."""
+    priority = msg.get("priority", 0)
+    if type(priority) is not int:
+        return f"priority must be an integer, not {priority!r}"
+    for name in ("deadline_s", "timeout_s"):
+        value = msg.get(name)
+        if value is None:
+            continue
+        # at most the largest float: a clock plus it stays finite
+        if (
+            type(value) not in (int, float)
+            or not 0 <= value <= sys.float_info.max
+        ):
+            return (
+                f"{name} must be null or a number in "
+                f"[0, {sys.float_info.max:g}], not {value!r}"
+            )
+    return None
 
 
 class FleetFrontEnd:
@@ -178,6 +210,8 @@ class FleetFrontEnd:
 
     # -- connection handling -------------------------------------------------
     async def _handle(self, reader, writer) -> None:
+        #: ids of the wait=false jobs this connection submitted
+        submitted: Set[int] = set()
         try:
             while True:
                 try:
@@ -189,10 +223,14 @@ class FleetFrontEnd:
                     break
                 if msg is None:
                     break
-                await write_frame(writer, await self._dispatch(msg))
+                await write_frame(
+                    writer, await self._dispatch(msg, submitted)
+                )
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            for job_id in submitted:
+                self._jobs.pop(job_id, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -203,8 +241,8 @@ class FleetFrontEnd:
             ):  # pragma: no cover - teardown race
                 pass
 
-    async def _wait_for(self, job: FleetJob,
-                        timeout: Optional[float]) -> dict:
+    async def _wait_for(self, job: FleetJob, timeout: Optional[float],
+                        submitted: Set[int]) -> dict:
         if not job.done():
             loop = asyncio.get_running_loop()
             resolved = loop.create_future()
@@ -224,9 +262,10 @@ class FleetFrontEnd:
                     detail=f"job {job.id} unresolved after {timeout}s",
                 )
         self._jobs.pop(job.id, None)
+        submitted.discard(job.id)
         return _result_doc(job)
 
-    async def _dispatch(self, msg: dict) -> dict:
+    async def _dispatch(self, msg: dict, submitted: Set[int]) -> dict:
         op = msg.get("op")
         if op == "ping":
             return {"schema": FLEET_MSG_SCHEMA, "ok": True, "op": "pong"}
@@ -237,6 +276,10 @@ class FleetFrontEnd:
                 "op": "status",
                 "metrics": self.router.metrics_snapshot(),
             }
+        if op in ("submit", "wait"):
+            bad = _bad_field(msg)
+            if bad is not None:
+                return _error_doc(f"bad field: {bad}")
         if op == "submit":
             try:
                 spec = ExperimentSpec.from_dict(msg["spec"])
@@ -245,7 +288,7 @@ class FleetFrontEnd:
             try:
                 job = self.router.submit(
                     spec,
-                    priority=int(msg.get("priority", 0)),
+                    priority=msg.get("priority", 0),
                     client=str(msg.get("client", "fleet-client")),
                     deadline_s=msg.get("deadline_s"),
                 )
@@ -257,16 +300,18 @@ class FleetFrontEnd:
                 return _error_doc(str(exc))
             if not msg.get("wait", True):
                 self._jobs[job.id] = job
+                submitted.add(job.id)
                 return {
                     "schema": FLEET_MSG_SCHEMA,
                     "ok": True,
                     "op": "submitted",
                     **_job_doc(job),
                 }
-            return await self._wait_for(job, msg.get("timeout_s"))
+            return await self._wait_for(job, msg.get("timeout_s"), submitted)
         if op == "wait":
-            job = self._jobs.get(msg.get("id"))
+            job_id = msg.get("id")
+            job = self._jobs.get(job_id) if type(job_id) is int else None
             if job is None:
                 return _error_doc(f"unknown job id {msg.get('id')!r}")
-            return await self._wait_for(job, msg.get("timeout_s"))
+            return await self._wait_for(job, msg.get("timeout_s"), submitted)
         return _error_doc(f"unknown op {op!r}")

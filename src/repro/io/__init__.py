@@ -5,9 +5,15 @@ SIONlib-like task-local I/O aggregation, all running against the
 simulated machine and fabric.
 """
 
-from .beegfs import BeeGFS, DegradedError, FileNotFound
-from .beeond import BeeondCache, CacheMode
-from .sionlib import SIONFile, buddy_write, write_task_local
+from .._lazy import lazy_exports
+
+# each name loads its module on first use: only checkpointing, MPI-IO
+# and the I/O claims build a file system model
+lazy_exports(__name__, {
+    ".beegfs": ["BeeGFS", "DegradedError", "FileNotFound"],
+    ".beeond": ["BeeondCache", "CacheMode"],
+    ".sionlib": ["SIONFile", "buddy_write", "write_task_local"],
+})
 
 __all__ = [
     "BeeGFS",

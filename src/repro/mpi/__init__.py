@@ -6,31 +6,42 @@ offload mechanism the paper uses to partition applications across
 Cluster and Booster.
 """
 
-from .cart import CartComm, cart_create, dims_create
-from .communicator import MAX, MIN, PROD, SUM, Comm, PersistentRequest
-from .datatypes import ANY_SOURCE, ANY_TAG, Bytes, payload_nbytes
-from .errors import (
-    CommError,
-    MPIError,
-    PeerFailedError,
-    RankError,
-    RouteDownError,
-    TransportError,
-    TruncationError,
-)
-from .message import Envelope
-from .mpiio import MODE_CREATE, MODE_RDONLY, MODE_RDWR, MODE_WRONLY, File
-from .request import Request, waitall, waitany
-from .rma import Window
-from .runtime import (
-    FAULT_RUN_POLICY,
-    FaultTolerancePolicy,
-    GroupState,
-    MPIProcess,
-    MPIRuntime,
-    RankContext,
-)
-from .status import Status
+from .._lazy import lazy_exports
+
+# each name loads its module on first use: a run that never builds a
+# Cartesian communicator, an MPI-IO file or an RMA window never
+# imports them
+lazy_exports(__name__, {
+    ".cart": ["CartComm", "cart_create", "dims_create"],
+    ".communicator": [
+        "MAX", "MIN", "PROD", "SUM", "Comm", "PersistentRequest",
+    ],
+    ".datatypes": ["ANY_SOURCE", "ANY_TAG", "Bytes", "payload_nbytes"],
+    ".errors": [
+        "CommError",
+        "MPIError",
+        "PeerFailedError",
+        "RankError",
+        "RouteDownError",
+        "TransportError",
+        "TruncationError",
+    ],
+    ".message": ["Envelope"],
+    ".mpiio": [
+        "MODE_CREATE", "MODE_RDONLY", "MODE_RDWR", "MODE_WRONLY", "File",
+    ],
+    ".request": ["Request", "waitall", "waitany"],
+    ".rma": ["Window"],
+    ".runtime": [
+        "FAULT_RUN_POLICY",
+        "FaultTolerancePolicy",
+        "GroupState",
+        "MPIProcess",
+        "MPIRuntime",
+        "RankContext",
+    ],
+    ".status": ["Status"],
+})
 
 __all__ = [
     "MPIRuntime",

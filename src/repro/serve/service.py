@@ -198,7 +198,7 @@ class ExperimentService:
         #: the replayed journal state of the last recovery (or None)
         self.journal_state = None
         if self._journal is not None:
-            self.recover()
+            self._recover()
         if autostart:
             self.start()
 
@@ -509,7 +509,7 @@ class ExperimentService:
             return dict(spec)
 
     # -- recovery ------------------------------------------------------------
-    def recover(self) -> int:
+    def _recover(self) -> int:
         """Replay the journal; resubmit unresolved work; return the count.
 
         Called at construction when a journal is given.

@@ -25,16 +25,22 @@ the experiment service adopt the tiers without change::
     cache.aggregate("total_runtime", where="mode=C+B")
 """
 
-from .index import INDEX_COLUMNS, INDEX_SCHEMA, ColumnarIndex, entry_columns
-from .keys import cache_key, canonical_spec_json, code_salt
-from .lru import ReportLRU
-from .query import parse_predicates, percentile, run_aggregate, run_query
-from .tiered import (
-    BUNDLE_SCHEMA,
-    CACHE_ENTRY_SCHEMA,
-    PRUNE_POLICIES,
-    ResultCache,
-)
+from .._lazy import lazy_exports
+
+# each name loads its module on first use: the serving path needs the
+# keys and the tiers, only a query (``repro query``,
+# ``ResultCache.query``) the query engine
+lazy_exports(__name__, {
+    ".index": [
+        "INDEX_COLUMNS", "INDEX_SCHEMA", "ColumnarIndex", "entry_columns",
+    ],
+    ".keys": ["cache_key", "canonical_spec_json", "code_salt"],
+    ".lru": ["ReportLRU"],
+    ".query": ["parse_predicates", "percentile", "run_aggregate", "run_query"],
+    ".tiered": [
+        "BUNDLE_SCHEMA", "CACHE_ENTRY_SCHEMA", "PRUNE_POLICIES", "ResultCache",
+    ],
+})
 
 __all__ = [
     "BUNDLE_SCHEMA",

@@ -208,6 +208,7 @@ def _local_shard_heartbeat_interval():
         (lambda: ExperimentService(max_batch=8), TypeError),
         (lambda: ExperimentService(target_batch_s=2.0), TypeError),
         (lambda: ExperimentService(autorecover=False), TypeError),
+        (lambda: ExperimentService.recover, AttributeError),
         (lambda: serve_jobdir("jobs", service=None), TypeError),
         (lambda: serve_jobdir("jobs", engine=None), TypeError),
         (_local_shard_heartbeat_interval, TypeError),
@@ -257,6 +258,7 @@ def _local_shard_heartbeat_interval():
         "service-max-batch",
         "service-target-batch",
         "service-autorecover",
+        "service-recover",
         "serve_jobdir-service",
         "serve_jobdir-engine",
         "local-shard-heartbeat-interval",
@@ -282,9 +284,10 @@ def test_removed_spellings_stay_removed(call, error):
     the backoff's proportional jitter, four methods nothing called,
     ``fsync_dir``'s old home (it lives in :mod:`repro.durable`), the
     serving settings nothing set (now constants, or built in by
-    ``serve_jobdir``), the tracer's second Chrome-trace exporter, and
-    the fleet's two resolution timers (fleet jobs resolve when their
-    shard jobs do)."""
+    ``serve_jobdir``), the service's public ``recover`` (construction
+    replays the journal), the tracer's second Chrome-trace exporter,
+    and the fleet's two resolution timers (fleet jobs resolve when
+    their shard jobs do)."""
     with pytest.raises(error):
         call()
 

@@ -1,4 +1,4 @@
-"""Cold start: a fault-free run never imports networkx or numpy.
+"""Cold start: a process imports only the layers it runs.
 
 Every CLI command, every ``ProcessShard`` start or restart (a
 ``python -m repro serve`` child) and every journal-replay restart pays
@@ -8,6 +8,11 @@ is built (the real-physics layers, fault plans, job mixes); networkx
 never: it is a test-only dependency, an oracle.  A run under
 an explicit fault plan loads neither; an MTBF run loads numpy for its
 Poisson stream.
+
+Within ``repro`` itself, packages export their names lazily
+(``repro._lazy``) and the app registry imports an app on its first
+lookup, so a fault-free run compiles neither the fault stack, the TCP
+fleet, the I/O models nor the seismic app.
 """
 
 import ast
@@ -66,15 +71,137 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_fault_free_run_imports_neither_networkx_nor_numpy():
+LAYERS_SCRIPT = textwrap.dedent(
+    """
+    import importlib
+    import pkgutil
+    import sys
+    import tempfile
+    import threading
+
+    # the e2e benchmark's imports
+    import repro, repro.engine, repro.serve, repro.store, repro.validate
+    from repro.engine import Engine, ExperimentSpec
+    from repro.fleet import FleetRouter, LocalShard, invariant_holds
+    from repro.resiliency import FaultEvent, FaultPlan
+
+    DEFERRED = [
+        "asyncio", "ssl", "repro.fleet.frontend", "repro.fleet.client",
+        "repro.fleet.protocol", "repro.apps.seismic",
+        "repro.apps.xpic.resilient_driver", "repro.resiliency.scr",
+        "repro.resiliency.malleable", "repro.resiliency.failure",
+        "repro.io", "repro.nam", "repro.mpi.cart", "repro.mpi.mpiio",
+        "repro.mpi.rma", "repro.store.query", "repro.bench.pingpong",
+        "repro.bench.tables", "repro.autotune",
+    ]
+
+    def loaded(names):
+        return [name for name in names if name in sys.modules]
+
+    assert loaded(DEFERRED) == [], f"imports load {loaded(DEFERRED)}"
+    clean = Engine().run(ExperimentSpec(mode="C+B", nodes_per_solver=2, steps=5))
+    assert clean.result["total_runtime"] > 0
+    assert loaded(DEFERRED) == [], f"a fault-free run loads {loaded(DEFERRED)}"
+
+    import repro.cli
+    cli = ["asyncio", "repro.fleet.frontend", "repro.fleet.client",
+           "repro.autotune"]
+    assert loaded(cli) == [], f"import repro.cli loads {loaded(cli)}"
+
+    # racing first uses all get the one object
+    from repro.apps import get_app
+
+    def race(first_use, n=8):
+        barrier = threading.Barrier(n, timeout=30)
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(first_use())
+
+        threads = [threading.Thread(target=worker) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(got) == n and all(g is got[0] for g in got), got
+        return got[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert race(lambda: get_app("seismic")) is get_app("seismic")
+        for package, name in [("repro.mpi", "Window"), ("repro.io", "BeeGFS"),
+                              ("repro.store", "run_query"),
+                              ("repro.fleet", "FleetClient")]:
+            module = importlib.import_module(package)  # names stay unloaded
+            assert race(lambda: getattr(module, name)) is getattr(module, name)
+    finally:
+        sys.setswitchinterval(interval)
+
+    # the deferred paths still work
+    plan = FaultPlan([FaultEvent(time_s=0.4, kind="node_crash", target="bn01")])
+    faulted = Engine().run(ExperimentSpec(
+        mode="C+B", nodes_per_solver=2, steps=20,
+        fault_plan=plan.to_dict(), ckpt_interval_s=0.2,
+    ))
+    assert faulted.resiliency["restarts"] == 1, faulted.resiliency
+    seismic = Engine().run(ExperimentSpec(app="seismic", mode="Booster", steps=5))
+    assert seismic.result["app"] == "seismic"
+    assert seismic.result["total_runtime"] > 0
+
+    from repro.fleet import FleetClient, FleetFrontEnd
+    with tempfile.TemporaryDirectory() as root:
+        with FleetRouter([LocalShard("s0", f"{root}/s0")]) as router:
+            with FleetFrontEnd(router) as front:
+                with FleetClient(front.address, timeout_s=30) as client:
+                    assert client.ping()
+                    job = client.submit(ExperimentSpec(mode="C+B", steps=3))
+                    assert job.result().total_runtime > 0
+                    assert invariant_holds(client.status()["fleet"])
+
+    # every exported name of every package resolves, through import *
+    # too, and is listed by dir()
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    for package in packages:
+        names = getattr(package, "__all__", [])
+        star = {}
+        exec(f"from {package.__name__} import *", star)
+        for name in names:
+            assert star[name] is getattr(package, name), (package, name)
+            assert name in dir(package), (package, name)
+    """
+)
+
+
+def _run_fresh(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, timeout=120,
     )
+
+
+def test_fault_free_run_imports_neither_networkx_nor_numpy():
+    proc = _run_fresh(SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fault_free_run_loads_only_the_layers_it_runs():
+    """The benchmark's imports and a fault-free C+B run load none of
+    the deferred layers, nor does ``import repro.cli`` load the fleet's
+    TCP side or the autotuner; afterwards each deferred path works, the
+    first uses racing threads make agree, and every package's
+    ``__all__`` resolves."""
+    proc = _run_fresh(LAYERS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
 

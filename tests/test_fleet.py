@@ -592,6 +592,64 @@ def test_front_end_warm_submit_and_wait_timeout(tmp_path):
                 sock.close()
 
 
+def test_front_end_answers_a_malformed_field_with_an_error_document(tmp_path):
+    shards = [LocalShard("s0", tmp_path / "s0")]
+    submit = {"op": "submit", "spec": spec(steps=4).to_dict()}
+    bad = [
+        ({**submit, "priority": "high"}, "priority"),
+        ({**submit, "priority": True}, "priority"),
+        ({**submit, "priority": 1.5}, "priority"),
+        ({**submit, "deadline_s": -1}, "deadline_s"),
+        ({**submit, "deadline_s": "soon"}, "deadline_s"),
+        ({**submit, "timeout_s": float("nan")}, "timeout_s"),
+        ({**submit, "deadline_s": 10**400}, "deadline_s"),
+        ({"op": "wait", "id": 1, "timeout_s": -0.5}, "timeout_s"),
+        ({"op": "wait", "id": 1, "timeout_s": [1]}, "timeout_s"),
+    ]
+    with FleetRouter(shards) as router:
+        with FleetFrontEnd(router) as front:
+            sock = socket.create_connection(("127.0.0.1", front.port), 5)
+            sock.settimeout(10)
+            try:
+                for msg, field in bad:
+                    send_frame(sock, msg)
+                    reply = recv_frame(sock)
+                    assert reply["ok"] is False, msg
+                    assert reply["error"].startswith(f"bad field: {field} ")
+                send_frame(sock, {"op": "wait", "id": [1]})
+                assert "unknown job id" in recv_frame(sock)["error"]
+                send_frame(sock, {"op": "ping"})
+                assert recv_frame(sock)["op"] == "pong"
+                # null and in-range values still pass
+                send_frame(sock, {**submit, "priority": 2,
+                                  "deadline_s": None, "timeout_s": 30})
+                assert recv_frame(sock)["status"] == "done"
+            finally:
+                sock.close()
+        assert router.metrics_snapshot()["fleet"]["submitted"] == 1
+
+
+def test_unwaited_jobs_leave_with_their_connection(tmp_path):
+    shards = [LocalShard("s0", tmp_path / "s0")]
+    with FleetRouter(shards) as router:
+        with FleetFrontEnd(router) as front:
+            sock = socket.create_connection(("127.0.0.1", front.port), 5)
+            sock.settimeout(10)
+            try:
+                for steps in range(3, 8):
+                    send_frame(sock, {"op": "submit", "wait": False,
+                                      "spec": spec(steps=steps).to_dict()})
+                    assert recv_frame(sock)["op"] == "submitted"
+                assert len(front._jobs) == 5
+            finally:
+                sock.close()
+            deadline = time.monotonic() + 10
+            while front._jobs and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert front._jobs == {}
+        assert router.drain(timeout=60)
+
+
 def test_client_backs_off_on_queue_full(tmp_path):
     from repro.backoff import ExponentialBackoff
 

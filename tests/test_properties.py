@@ -1,14 +1,20 @@
 """Cross-cutting property-based tests (hypothesis)."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import ExperimentSpec
+from repro.fleet import HashRing
 from repro.hardware import build_deep_er_prototype
 from repro.mpi import MPIRuntime
 from repro.ompss import OmpSsRuntime, TaskSpec, build_dependency_graph
+from repro.partition import Partition
 from repro.resiliency import SCR, CheckpointLevel
+from repro.store import cache_key
 
 
 # ----------------------------------------------------------- OmpSs graphs
@@ -184,3 +190,136 @@ def test_collectives_on_random_subsets(size, value):
             assert g == list(range(size))
         else:
             assert g is None
+
+
+# ------------------------------------------------------------- partitions
+@st.composite
+def partitions(draw):
+    """Any valid partition: homogeneous, C+B, or nested with one arm."""
+    shape = draw(st.sampled_from(["cluster", "booster", "cb", "nested"]))
+    overlap, swap = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(1, 16))
+    if shape == "cluster":
+        return Partition(n, 0, overlap=overlap, swap_placement=swap)
+    if shape == "booster":
+        return Partition(0, n, overlap=overlap, swap_placement=swap)
+    if shape == "cb":
+        return Partition(n, n, overlap=overlap, swap_placement=swap)
+    arm = Partition(n, n, overlap=overlap)
+    if draw(st.booleans()):
+        return Partition(2 * n, 0, cluster_arm=arm)
+    return Partition(0, 2 * n, booster_arm=arm)
+
+
+@given(partitions())
+@settings(max_examples=80, deadline=None)
+def test_partition_round_trips_through_its_dict_form(part):
+    """to_dict -> (JSON) -> from_dict / coerce gives an equal partition
+    with an equal dict, and coerce passes a Partition through."""
+    d = part.to_dict()
+    wire = json.loads(json.dumps(d))
+    for back in (Partition.from_dict(d), Partition.from_dict(wire),
+                 Partition.coerce(d), Partition.coerce(wire)):
+        assert back == part
+        assert hash(back) == hash(part)
+        assert back.to_dict() == d
+    assert Partition.coerce(part) is part
+
+
+# -------------------------------------------------------------- cache keys
+_SPEC_FIELDS = {
+    "mode": st.sampled_from(["C+B", "Cluster", "Booster"]),
+    "steps": st.integers(0, 400),
+    "nodes_per_solver": st.integers(1, 8),
+    "overlap": st.booleans(),
+    "swap_placement": st.booleans(),
+    "load_balanced": st.booleans(),
+    "imbalance_alpha": st.none() | st.floats(0.0, 2.0),
+    "seed": st.integers(0, 2**31),
+    "machine_overrides": st.fixed_dictionaries(
+        {}, optional={"cluster_nodes": st.integers(8, 32),
+                      "booster_nodes": st.integers(8, 32)},
+    ),
+}
+
+
+def _reordered(d, order):
+    """``d`` with its items (and a nested dict's items) inserted in the
+    order ``order`` gives (a permutation of the keys)."""
+    return {
+        k: dict(reversed(list(d[k].items()))) if isinstance(d[k], dict)
+        else d[k]
+        for k in order
+    }
+
+
+@given(st.fixed_dictionaries({}, optional=_SPEC_FIELDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cache_key_ignores_dict_order(fields, data):
+    """Specs built from dicts with the same items in any order share
+    one key, as does the spec's own dict form in any order."""
+    order = data.draw(st.permutations(sorted(fields)))
+    a = ExperimentSpec(**fields)
+    b = ExperimentSpec(**_reordered(fields, order))
+    assert cache_key(a) == cache_key(b)
+    full = a.to_dict()
+    shuffled = data.draw(st.permutations(sorted(full)))
+    assert cache_key(_reordered(full, shuffled)) == cache_key(a)
+    assert cache_key(ExperimentSpec.from_dict(_reordered(full, shuffled))) \
+        == cache_key(a)
+
+
+@given(
+    st.fixed_dictionaries({}, optional=_SPEC_FIELDS),
+    st.sampled_from(sorted(_SPEC_FIELDS)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_cache_key_changes_when_any_field_changes(fields, name, data):
+    """Two specs whose dict forms differ in one field never share a
+    key."""
+    base = ExperimentSpec(**fields)
+    value = data.draw(_SPEC_FIELDS[name])
+    other = ExperimentSpec(**{**fields, name: value})
+    assume(other.to_dict() != base.to_dict())
+    assert cache_key(other) != cache_key(base)
+
+
+# --------------------------------------------------------------- hash ring
+_SHARDS = [f"s{i}" for i in range(8)]
+
+
+@given(
+    st.lists(st.sampled_from(_SHARDS), min_size=1, max_size=6, unique=True),
+    st.sampled_from(_SHARDS),
+    st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=60),
+    st.sampled_from([1, 4, 64]),
+)
+@settings(max_examples=60, deadline=None)
+def test_ring_membership_change_moves_only_the_changed_shards_keys(
+    members, changed, keys, replicas
+):
+    """Adding a shard moves only keys that now route to it; removing a
+    shard moves only its own keys; ``route(k) == preference(k)[0]``."""
+    before = HashRing(members, replicas=replicas)
+    after = HashRing(members, replicas=replicas)
+    if changed in members:
+        assume(len(members) > 1)
+        after.remove(changed)
+        for key in keys:
+            if before.route(key) != changed:
+                assert after.route(key) == before.route(key)
+            else:
+                assert after.route(key) != changed
+    else:
+        after.add(changed)
+        for key in keys:
+            assert after.route(key) in (before.route(key), changed)
+    # a ring built fresh over the new members routes the same way
+    fresh = HashRing(after.shards, replicas=replicas)
+    for ring in (before, after, fresh):
+        for key in keys:
+            order = ring.preference(key)
+            assert ring.route(key) == order[0]
+            assert sorted(order) == ring.shards
+            assert fresh.route(key) == after.route(key)
