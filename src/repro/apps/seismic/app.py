@@ -9,7 +9,15 @@ __all__ = ["run_seismic_app"]
 
 
 def _normalize_placement(mode) -> str:
-    return SeismicPlacement(str(mode).strip().capitalize()).value
+    """Accept any case of a placement's name ('split')."""
+    key = str(mode).strip().lower()
+    for placement in SeismicPlacement:
+        if placement.value.lower() == key:
+            return placement.value
+    raise ValueError(
+        f"unknown seismic placement {mode!r} (expected one of "
+        f"{[p.value for p in SeismicPlacement]})"
+    )
 
 
 @register("seismic", normalize_mode=_normalize_placement)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .api import Session
 from .apps import available_apps
@@ -409,12 +409,12 @@ def cmd_run(args) -> str:
     return text
 
 
-def cmd_validate(args) -> str:
+def cmd_validate(args) -> Tuple[str, int]:
     from .validate import render_claims, validate_claims
 
-    return render_claims(
-        validate_claims(steps=args.steps, workers=args.workers)
-    )
+    claims = validate_claims(steps=args.steps, workers=args.workers)
+    # a FAIL row fails the command, so CI and scripts see it
+    return render_claims(claims), 0 if all(c.passed for c in claims) else 1
 
 
 def render_sweep_report(sweep: SweepReport, title: str = "") -> str:

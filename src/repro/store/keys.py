@@ -22,6 +22,7 @@ import hashlib
 import json
 from typing import Optional
 
+from .. import __version__
 from ..engine import REPORT_SCHEMA, ExperimentSpec
 
 __all__ = ["cache_key", "canonical_spec_json", "code_salt"]
@@ -38,9 +39,12 @@ def code_salt() -> str:
     report layout (schema bump) implicitly invalidates every existing
     entry instead of replaying results from the older model.
     """
-    from .. import __version__
-
     return f"{__version__}+{REPORT_SCHEMA}"
+
+
+#: the salt of every key derived without one, taken once: the version
+#: and the schema tag do not change while the process runs
+_DEFAULT_SALT = code_salt()
 
 
 def canonical_spec_json(spec) -> str:
@@ -62,7 +66,7 @@ def cache_key(spec, salt: Optional[str] = None) -> str:
     construction and never mutated afterwards); dict-form specs are
     hashed fresh every call.
     """
-    salt = code_salt() if salt is None else salt
+    salt = _DEFAULT_SALT if salt is None else salt
     memo = None
     if isinstance(spec, ExperimentSpec):
         memo = getattr(spec, _MEMO_ATTR, None)

@@ -85,6 +85,20 @@ def test_key_includes_code_version_salt(tmp_path):
     assert old.key_for(spec) != new.key_for(spec)
 
 
+def test_default_salt_is_derived_once(monkeypatch):
+    """A key without a salt takes the one derived at import, not a
+    ``code_salt()`` call per key."""
+    spec = ExperimentSpec(mode="cb", steps=7)
+    key = cache_key(spec, salt=code_salt())
+
+    def per_key_salt():
+        raise AssertionError("code_salt() called for a key")
+
+    monkeypatch.setattr("repro.store.keys.code_salt", per_key_salt)
+    assert cache_key(spec) == key
+    assert cache_key(spec.to_dict()) == key  # unmemoized: hashed afresh
+
+
 @pytest.mark.parametrize(
     "fields,key",
     [

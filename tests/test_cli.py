@@ -170,6 +170,37 @@ def test_run_command_seismic(capsys):
     assert "seismic / Split" in out
 
 
+def test_seismic_placement_error_names_what_was_typed(capsys):
+    assert main(["run", "--app", "seismic", "--mode", "cb", "--steps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "'cb'" in err and "'Cb'" not in err
+    for name in ("Cluster", "Booster", "Split"):
+        assert name in err
+    assert main(["run", "--app", "seismic", "--mode", "BOOSTER", "--steps", "3"]) == 0
+    assert "seismic / Booster" in capsys.readouterr().out
+
+
+def _graded(monkeypatch, measured):
+    """Stand ``validate_claims`` in with one claim, banded [1, 2]."""
+    from repro import validate
+
+    claim = validate.Claim("X-1", "a claim", "1.5", measured, 1.0, 2.0)
+    monkeypatch.setattr(validate, "validate_claims", lambda **_kw: [claim])
+
+
+def test_validate_exits_1_when_a_claim_fails(monkeypatch, capsys):
+    _graded(monkeypatch, measured=2.5)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "0/1 claims reproduced" in out
+
+
+def test_validate_exits_0_when_every_claim_passes(monkeypatch, capsys):
+    _graded(monkeypatch, measured=1.5)
+    assert main(["validate"]) == 0
+    assert "1/1 claims reproduced" in capsys.readouterr().out
+
+
 def test_report_command_renders_saved_run(tmp_path, capsys):
     json_path = tmp_path / "r.json"
     assert main(["run", "--steps", "3", "--json", str(json_path)]) == 0

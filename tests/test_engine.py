@@ -321,19 +321,47 @@ def test_sweep_report_merged_metrics_and_json_round_trip(tmp_path):
 
 # -- run teardown -------------------------------------------------------------
 
+#: CI's malleability plan: a quarter of the Booster crashes at 0.3 s
+_TWO_BOOSTER_CRASHES = {
+    "schema": "repro.fault_plan/1",
+    "seed": 1,
+    "mtbf_s": None,
+    "events": [
+        {"time_s": 0.3, "kind": "node_crash", "target": "bn00"},
+        {"time_s": 0.3, "kind": "node_crash", "target": "bn01"},
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         ExperimentSpec(mode="C+B", nodes_per_solver=8, steps=10),
         ExperimentSpec(mode="Cluster", nodes_per_solver=4, steps=10),
         ExperimentSpec(app="seismic", mode="Split", nodes_per_solver=4, steps=10),
+        ExperimentSpec(
+            mode="C+B",
+            nodes_per_solver=8,
+            steps=60,
+            fault_plan=_TWO_BOOSTER_CRASHES,
+            ckpt_interval_s=0.5,
+        ),
+        ExperimentSpec(
+            mode="C+B",
+            nodes_per_solver=8,
+            steps=60,
+            fault_plan=_TWO_BOOSTER_CRASHES,
+            ckpt_interval_s=0.5,
+            malleability={"enabled": True},
+        ),
     ],
-    ids=["cb-8", "cluster-4", "seismic-split-4"],
+    ids=["cb-8", "cluster-4", "seismic-split-4", "cb-8-heal", "cb-8-malleable"],
 )
-def test_fault_free_run_leaves_no_cyclic_garbage(spec):
+def test_run_leaves_no_cyclic_garbage(spec):
     """A finished run's object graph (simulator, queue, processes,
     mailboxes) is freed by reference counting alone: nothing is left
-    for the cyclic collector."""
+    for the cyclic collector, also after a crash and its recovery
+    (an aborted rank keeps its exception, not the traceback's frames)."""
     import gc
 
     Engine().run(ExperimentSpec(mode="C+B", nodes_per_solver=1, steps=2))
@@ -345,4 +373,6 @@ def test_fault_free_run_leaves_no_cyclic_garbage(spec):
     finally:
         gc.enable()
     assert report.result["total_runtime"] > 0
+    if spec.fault_plan is not None:
+        assert report.resiliency["restarts"] == 1
     assert unreachable == 0

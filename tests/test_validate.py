@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import validate
+from repro.apps.xpic import Mode
+from repro.engine import Engine
 from repro.validate import Claim, render_claims, validate_claims
 
 
@@ -42,3 +45,39 @@ def test_render_claims(claims):
     assert "Claims checklist" in out
     assert f"{len(claims)}/{len(claims)} claims reproduced" in out
     assert "PASS" in out
+
+
+def test_validate_simulates_only_the_runs_its_claims_read(monkeypatch):
+    """Every F7 and F8 claim reads the 1- and 8-node runs, so the sweep
+    is those six specs, not Fig 8's twelve."""
+    swept = []
+    run_many = Engine.run_many
+
+    def recording(self, specs, *args, **kwargs):
+        swept.extend(specs)
+        return run_many(self, specs, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "run_many", recording)
+    validate_claims(steps=5)
+    assert sorted((s.mode, s.nodes_per_solver) for s in swept) == sorted(
+        (m.value, n) for m in Mode for n in (1, 8)
+    )
+
+
+def test_lean_sweep_grades_as_the_full_one(claims, monkeypatch):
+    """Sweeping 2 and 4 nodes too changes no claim's measurement."""
+    run_fig8 = validate.run_fig8
+    full_counts = []
+
+    def full_sweep(**kwargs):
+        kwargs["node_counts"] = (1, 2, 4, 8)
+        result = run_fig8(**kwargs)
+        full_counts.append(result.node_counts)
+        return result
+
+    monkeypatch.setattr(validate, "run_fig8", full_sweep)
+    full = validate_claims(steps=60)
+    assert full_counts == [[1, 2, 4, 8]]
+    assert [(c.claim_id, c.measured) for c in claims] == [
+        (c.claim_id, c.measured) for c in full
+    ]
