@@ -72,6 +72,10 @@ ABORT_EXCEPTIONS = (
     NoRouteError,
 )
 
+#: epochs (the first launch plus its relaunches) a job may take before
+#: the supervisor gives up on it
+MAX_EPOCHS = 200
+
 
 def capture_state(sim: XpicSimulation) -> Dict:
     """Snapshot everything needed to restart the simulation."""
@@ -397,7 +401,6 @@ def run_resilient_experiment(
     config: XpicConfig,
     fault_plan: Optional[FaultPlan] = None,
     mtbf_s: Optional[float] = None,
-    fault_targets: Optional[Sequence[str]] = None,
     fault_seed: int = 20180521,
     ckpt_interval_s: Optional[float] = None,
     nodes_per_solver: int = 1,
@@ -408,7 +411,6 @@ def run_resilient_experiment(
     imbalance_alpha: Optional[float] = None,
     runtime: Optional[MPIRuntime] = None,
     allow_reboot: bool = True,
-    max_epochs: int = 200,
     partition=None,
     policy: Optional[MalleabilityPolicy] = None,
 ):
@@ -417,12 +419,13 @@ def run_resilient_experiment(
     Mirrors :func:`~repro.apps.xpic.driver.run_experiment` but drives
     the rank processes through crash/recovery *epochs*: the fault
     injector replays ``fault_plan`` (or streams Poisson node crashes at
-    the system ``mtbf_s`` over ``fault_targets``, by default the launch
-    nodes of the current placement); a crash of a node the job runs on
-    aborts every rank; the supervisor restores the newest step that
-    every rank can read back from the cheapest surviving checkpoint
-    level and relaunches the remaining steps.  Each relaunch restarts
-    the checkpoint cadence, and the job's node set follows it.
+    the system ``mtbf_s`` over the launch nodes of the current
+    placement); a crash of a node the job runs on aborts every rank;
+    the supervisor restores the newest step that every rank can read
+    back from the cheapest surviving checkpoint level and relaunches
+    the remaining steps.  Each relaunch restarts the checkpoint
+    cadence, and the job's node set follows it.  A job still failing
+    after :data:`MAX_EPOCHS` epochs raises :class:`RuntimeError`.
 
     The recovery step is one of two strategies:
 
@@ -470,11 +473,7 @@ def run_resilient_experiment(
         machine,
         plan=fault_plan,
         mtbf_s=mtbf_s,
-        targets=(
-            list(fault_targets)
-            if fault_targets is not None
-            else [nd.node_id for nd in placement.launch]
-        ),
+        targets=[nd.node_id for nd in placement.launch],
         seed=fault_seed,
     )
     job_node_ids = {nd.node_id for nd in placement.launch + placement.spawn}
@@ -518,9 +517,9 @@ def run_resilient_experiment(
     # -- epoch loop --------------------------------------------------------
     while True:
         epochs += 1
-        if epochs > max_epochs:
+        if epochs > MAX_EPOCHS:
             raise RuntimeError(
-                f"job did not complete within {max_epochs} epochs"
+                f"job did not complete within {MAX_EPOCHS} epochs"
             )
         hooks = ResilienceHooks(scr, start_step, ckpt_nbytes)
         hooks_list.append(hooks)
@@ -629,8 +628,7 @@ def run_resilient_experiment(
         job_node_ids.update(
             nd.node_id for nd in placement.launch + placement.spawn
         )
-        if fault_targets is None:
-            injector.targets = [nd.node_id for nd in placement.launch]
+        injector.targets = [nd.node_id for nd in placement.launch]
         stats["restarts"] += 1
         if policy is not None:
             events[-1]["recover_s"] = sim.now - abort_time

@@ -30,17 +30,16 @@ or from the command line: ``python -m repro tune --steps 200``.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .apps.xpic import XpicConfig, build_workload, table2_setup
 from .engine import Engine, ExperimentSpec, preset_machine
 from .partition import Partition
 from .perfmodel import predict_partition
+from .report import Report
 
 __all__ = [
     "TUNE_SCHEMA",
@@ -158,7 +157,7 @@ def predict_config_step(machine, config: XpicConfig, cfg):
 
 
 @dataclass
-class TuneReport:
+class TuneReport(Report):
     """Outcome of one partition tune: winner, trace, model error.
 
     ``generations`` holds the full search trace — per generation the
@@ -214,10 +213,6 @@ class TuneReport:
             "host_wall_s": self.host_wall_s,
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize the report to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "TuneReport":
         try:
@@ -240,17 +235,52 @@ class TuneReport:
                 f"not a {TUNE_SCHEMA} document (missing key {exc})"
             ) from None
 
-    @classmethod
-    def from_json(cls, text: str) -> "TuneReport":
-        return cls.from_dict(json.loads(text))
+    def render(self) -> str:
+        """Human-readable digest: one table per generation, the winner
+        against the model and the baseline, and the cache counters."""
+        from .bench.tables import render_table
+        from .store.tiered import render_cache_stats
 
-    def save(self, path) -> None:
-        """Write the report as indented JSON to ``path``."""
-        Path(path).write_text(self.to_json(indent=2))
-
-    @classmethod
-    def load(cls, path) -> "TuneReport":
-        return cls.from_json(Path(path).read_text())
+        out = []
+        for g, gen in enumerate(self.generations):
+            rows = [
+                (
+                    e["label"],
+                    f"{e['predicted_s']:.4f}",
+                    f"{e['measured_s']:.4f}",
+                )
+                for e in gen["evaluated"]
+            ]
+            out.append(
+                render_table(
+                    ["Partition", "Predicted [s]", "Measured [s]"],
+                    rows,
+                    title=(
+                        f"Generation {g + 1}/{len(self.generations)} "
+                        f"({gen['steps']} steps, {len(rows)} candidates)"
+                    ),
+                )
+            )
+            out.append("")
+        lines = [
+            f"best partition: {self.best_config.label()}  "
+            f"({self.best_runtime_s:.4f} s at {self.steps} steps)",
+            f"searched {self.candidates_considered} candidates with "
+            f"{self.evaluations} measured runs",
+            f"model-vs-measured error (final generation): "
+            f"{self.model.get('mean_abs_rel_err', 0.0):.1%}",
+        ]
+        if self.baseline:
+            lines.append(
+                f"hand-coded {self.baseline['label']}: "
+                f"{self.baseline['measured_s']:.4f} s -> tuned speedup "
+                f"{self.speedup_vs_baseline:.3f}x"
+            )
+        out.append("\n".join(lines))
+        if self.cache:
+            out.append("")
+            out.append(render_cache_stats(self.cache))
+        return "\n".join(out)
 
 
 def _step_schedule(

@@ -88,6 +88,42 @@ class Fig7Result:
             / self.runs[Mode.BOOSTER].particles_time
         )
 
+    def render(self) -> str:
+        """Fig 7 as ``repro fig7`` prints it: the per-mode bars, then
+        each gain next to the paper's figure."""
+        from .tables import render_table
+
+        rows = []
+        for mode in Mode:
+            r = self.runs[mode]
+            rows.append(
+                (
+                    mode.value,
+                    f"{r.fields_time:.2f}",
+                    f"{r.particles_time:.2f}",
+                    f"{r.total_runtime:.2f}",
+                )
+            )
+        table = render_table(
+            ["Mode", "Fields [s]", "Particles [s]", "Total [s]"],
+            rows,
+            title=(
+                "Fig 7: single-node runtimes "
+                f"({self.runs[Mode.CB].steps} steps)"
+            ),
+        )
+        table += (
+            f"\n\nC+B gain vs Cluster: {self.gain_vs_cluster:.3f}x "
+            "(paper 1.28x)"
+            f"\nC+B gain vs Booster: {self.gain_vs_booster:.3f}x "
+            "(paper 1.21x)"
+            f"\nfield solver Cluster advantage: "
+            f"{self.field_cluster_advantage:.2f}x (paper ~6x)"
+            f"\nparticle solver Booster advantage: "
+            f"{self.particle_booster_advantage:.2f}x (paper ~1.35x)"
+        )
+        return table
+
 
 @dataclass
 class Fig8Result:
@@ -110,6 +146,36 @@ class Fig8Result:
     def gain(self, baseline: Mode, n: int) -> float:
         """C+B speedup over a homogeneous baseline at n nodes per solver."""
         return self.runtime(baseline, n) / self.runtime(Mode.CB, n)
+
+    def render(self) -> str:
+        """Fig 8 as ``repro fig8`` prints it: the runtime and
+        parallel-efficiency curves, then the 8-node C+B gains."""
+        from .tables import render_series
+
+        ns = self.node_counts
+        steps = self.runs[(Mode.CB, ns[0])].steps
+        out = [
+            render_series(
+                "Nodes/solver",
+                ns,
+                {m.value: [self.runtime(m, n) for n in ns] for m in Mode},
+                title=f"Fig 8 (top): runtime [s] ({steps} steps)",
+                fmt="{:.2f}",
+            ),
+            "",
+            render_series(
+                "Nodes/solver",
+                ns,
+                {m.value: [self.efficiency(m, n) for n in ns] for m in Mode},
+                title="Fig 8 (bottom): parallel efficiency",
+                fmt="{:.3f}",
+            ),
+            "",
+            f"C+B gain at 8 nodes: {self.gain(Mode.CLUSTER, 8):.3f}x vs "
+            f"Cluster (paper 1.38x), {self.gain(Mode.BOOSTER, 8):.3f}x vs "
+            "Booster (paper 1.34x)",
+        ]
+        return "\n".join(out)
 
     def fig7(self) -> Fig7Result:
         """Fig 7 from this sweep's 1-node runs, which are its three

@@ -34,6 +34,11 @@ the service; ``submit`` drops requests into it (duplicate in-flight
 specs coalesce onto one execution, cached specs are answered without
 simulating).  Every other experiment-running command routes through
 the :class:`repro.api.Session` facade.
+
+This module keeps argument parsing, each command's own flow, and
+dispatch.  What a command prints lives with the type it describes: a
+report's, fault plan's or figure's ``render()``, and the ``render_*``
+functions next to the cache, service, job-directory and fleet metrics.
 """
 
 from __future__ import annotations
@@ -44,19 +49,13 @@ from typing import List, Optional, Tuple
 
 from .api import Session
 from .apps import available_apps
-from .apps.xpic import Mode
-from .engine import (
-    MACHINE_PRESETS,
-    Engine,
-    ExperimentSpec,
-    RunReport,
-    SweepReport,
-)
-from .report import report_from_dict
 from .bench import FIG78_STEPS, render_series, render_table, run_fig7, run_fig8
+from .engine import MACHINE_PRESETS, Engine, ExperimentSpec, RunReport
 from .hardware import table1_rows
+from .report import load_report
 from .resiliency import FaultPlan
 from .store import ResultCache
+from .store.tiered import render_cache_stats
 
 __all__ = ["main"]
 
@@ -99,67 +98,19 @@ def cmd_fig3(_args) -> str:
 
 
 def cmd_fig7(args) -> str:
-    result = run_fig7(
+    return run_fig7(
         steps=args.steps,
         session=Session(cache=args.cache, workers=args.workers),
         **_fault_kwargs(args),
-    )
-    rows = []
-    for mode in Mode:
-        r = result.runs[mode]
-        rows.append(
-            (
-                mode.value,
-                f"{r.fields_time:.2f}",
-                f"{r.particles_time:.2f}",
-                f"{r.total_runtime:.2f}",
-            )
-        )
-    table = render_table(
-        ["Mode", "Fields [s]", "Particles [s]", "Total [s]"],
-        rows,
-        title=f"Fig 7: single-node runtimes ({args.steps} steps)",
-    )
-    table += (
-        f"\n\nC+B gain vs Cluster: {result.gain_vs_cluster:.3f}x (paper 1.28x)"
-        f"\nC+B gain vs Booster: {result.gain_vs_booster:.3f}x (paper 1.21x)"
-        f"\nfield solver Cluster advantage: "
-        f"{result.field_cluster_advantage:.2f}x (paper ~6x)"
-        f"\nparticle solver Booster advantage: "
-        f"{result.particle_booster_advantage:.2f}x (paper ~1.35x)"
-    )
-    return table
+    ).render()
 
 
 def cmd_fig8(args) -> str:
-    result = run_fig8(
+    return run_fig8(
         steps=args.steps,
         session=Session(cache=args.cache, workers=args.workers),
         **_fault_kwargs(args),
-    )
-    ns = result.node_counts
-    out = [
-        render_series(
-            "Nodes/solver",
-            ns,
-            {m.value: [result.runtime(m, n) for n in ns] for m in Mode},
-            title=f"Fig 8 (top): runtime [s] ({args.steps} steps)",
-            fmt="{:.2f}",
-        ),
-        "",
-        render_series(
-            "Nodes/solver",
-            ns,
-            {m.value: [result.efficiency(m, n) for n in ns] for m in Mode},
-            title="Fig 8 (bottom): parallel efficiency",
-            fmt="{:.3f}",
-        ),
-        "",
-        f"C+B gain at 8 nodes: {result.gain(Mode.CLUSTER, 8):.3f}x vs Cluster "
-        f"(paper 1.38x), {result.gain(Mode.BOOSTER, 8):.3f}x vs Booster "
-        "(paper 1.34x)",
-    ]
-    return "\n".join(out)
+    ).render()
 
 
 def _fault_kwargs(args) -> dict:
@@ -172,26 +123,6 @@ def _fault_kwargs(args) -> dict:
         ),
         "mtbf_s": args.mtbf,
     }
-
-
-def render_fault_plan(plan: FaultPlan) -> str:
-    """Human-readable table of a fault plan's schedule."""
-    rows = [
-        (
-            f"{ev.time_s:.3f}",
-            ev.kind,
-            ev.target if isinstance(ev.target, str) else "<->".join(ev.target),
-            "-" if ev.duration_s is None else f"{ev.duration_s:.3f}",
-            "-" if ev.factor is None else f"{ev.factor:.2f}",
-        )
-        for ev in plan
-    ]
-    meta = f"{len(plan)} events, seed={plan.seed}, mtbf_s={plan.mtbf_s}"
-    return render_table(
-        ["Time [s]", "Kind", "Target", "Duration [s]", "Factor"],
-        rows,
-        title=f"Fault plan ({meta})",
-    )
 
 
 def cmd_faults(args) -> str:
@@ -221,144 +152,11 @@ def cmd_faults(args) -> str:
             duration_s=args.duration,
             factor=args.factor,
         )
-    text = render_fault_plan(plan)
+    text = plan.render()
     if args.out:
         plan.save(args.out)
         text += f"\n\nfault plan written to {args.out}"
     return text
-
-
-def render_run_report(report: RunReport) -> str:
-    """Human-readable digest of one RunReport."""
-    spec = report.spec
-    rows = [
-        ("app / mode", f"{spec.get('app')} / {report.result.get('mode')}"),
-        ("preset", str(spec.get("preset"))),
-        ("steps", str(report.result.get("steps"))),
-        ("nodes/solver", str(report.result.get("nodes_per_solver"))),
-        ("total runtime [s]", f"{report.total_runtime:.4f}"),
-    ]
-    if report.result.get("app") == "xpic":
-        rows += [
-            ("fields time [s]", f"{report.fields_time:.4f}"),
-            ("particles time [s]", f"{report.particles_time:.4f}"),
-        ]
-    rows += [
-        ("comm overhead", f"{report.comm_overhead_fraction:.2%}"),
-        ("network bytes", str(report.network.get("total_bytes", 0))),
-        ("network messages", str(report.network.get("total_messages", 0))),
-        ("sim events", str(report.sim.get("events_processed", 0))),
-        ("events/sec", f"{report.sim.get('events_per_sec', 0.0):,.0f}"),
-    ]
-    out = [render_table(["Metric", "Value"], rows, title="Run report")]
-    links = report.network.get("links", {})
-    if links:
-        out.append("")
-        out.append(
-            render_table(
-                ["Link", "Bytes", "Messages", "Stall [s]"],
-                [
-                    (k, str(m["bytes"]), str(m["messages"]),
-                     f"{m['stall_time_s']:.4f}")
-                    for k, m in sorted(links.items())
-                ],
-                title="Per-link traffic",
-            )
-        )
-    res = report.resiliency
-    if res:
-        injected = res.get("faults", {}).get("injected", {})
-        transport = res.get("transport", {})
-        ckpts = res.get("checkpoints", {})
-        rows = [
-            ("faults injected",
-             ", ".join(f"{k}={v}" for k, v in injected.items() if v) or "none"),
-            ("transport retries",
-             f"{transport.get('retries', 0)} "
-             f"(backoff {transport.get('backoff_time_s', 0.0):.4f} s)"),
-            ("checkpoints",
-             ", ".join(f"{k}={v}" for k, v in ckpts.items() if v) or "none"),
-            ("ckpt interval [s]",
-             "-" if res.get("ckpt_interval_s") is None
-             else f"{res['ckpt_interval_s']:.3f}"),
-            ("restarts", str(res.get("restarts", 0))),
-            ("lost work [s]", f"{res.get('lost_work_s', 0.0):.4f}"),
-            ("restart time [s]", f"{res.get('restart_time_s', 0.0):.4f}"),
-            ("degraded mode", str(res.get("degraded_mode", False))),
-            ("epochs", str(res.get("epochs", 1))),
-        ]
-        out.append("")
-        out.append(render_table(["Metric", "Value"], rows, title="Resiliency"))
-    mal = report.malleability
-    if mal:
-        rows = [
-            ("initial partition", str(mal.get("initial_label", "-"))),
-            ("final partition", str(mal.get("final_label", "-"))),
-            ("recoveries", str(mal.get("recoveries", 0))),
-            ("re-partitions", str(mal.get("repartitions_count", 0))),
-            ("time to recover [s]",
-             f"{mal.get('time_to_recover_s', 0.0):.4f}"),
-            ("post-fault steps/s",
-             f"{mal.get('post_fault_steps_per_s', 0.0):.2f}"),
-            ("re-tune cache hits", str(mal.get("retune_memo_hits", 0))),
-        ]
-        out.append("")
-        out.append(
-            render_table(["Metric", "Value"], rows, title="Malleability")
-        )
-        events = mal.get("repartitions", [])
-        if events:
-            out.append("")
-            out.append(
-                render_table(
-                    ["t [s]", "From", "To", "Restart step",
-                     "Candidates", "Recover [s]"],
-                    [
-                        (f"{e.get('time_s', 0.0):.3f}",
-                         str(e.get("from_label", "-")),
-                         str(e.get("to_label", "-")),
-                         str(e.get("restart_step") or 0),
-                         str(e.get("candidates", 0)),
-                         f"{e.get('recover_s', 0.0):.4f}")
-                        for e in events
-                    ],
-                    title="Re-partition events",
-                )
-            )
-    comms = report.mpi.get("communicators", {})
-    if comms:
-        out.append("")
-        out.append(
-            render_table(
-                ["Communicator", "p2p msgs", "p2p bytes",
-                 "coll msgs", "coll bytes"],
-                [
-                    (k, str(c["p2p_messages"]), str(c["p2p_bytes"]),
-                     str(c["coll_messages"]), str(c["coll_bytes"]))
-                    for k, c in sorted(comms.items())
-                ],
-                title="Per-communicator traffic",
-            )
-        )
-    return "\n".join(out)
-
-
-def render_cache_stats(stats: dict, title: str = "Result cache") -> str:
-    """Human-readable table of one cache's store + session counters."""
-    rows = [
-        ("store", stats.get("root", "-")),
-        ("entries", str(stats.get("entries", 0))),
-        ("stored bytes", f"{stats.get('stored_bytes', 0):,}"),
-        ("hits (memory / disk)",
-         f"{stats.get('hits', 0)} ({stats.get('lru_hits', 0)} / "
-         f"{stats.get('disk_hits', 0)})"),
-        ("misses", str(stats.get("misses", 0))),
-        ("LRU tier (held / capacity)",
-         f"{stats.get('lru_entries', 0)} / {stats.get('lru_capacity', 0)}"),
-        ("bytes read", f"{stats.get('bytes_read', 0):,}"),
-        ("bytes written", f"{stats.get('bytes_written', 0):,}"),
-    ]
-    return render_table(["Metric", "Value"], rows, title=title)
 
 
 def _spec_from_args(args, trace: bool = False) -> ExperimentSpec:
@@ -390,7 +188,7 @@ def cmd_run(args) -> str:
         report.save(args.json)
     if args.chrome_trace:
         report.save_chrome_trace(args.chrome_trace)
-    text = render_run_report(report)
+    text = report.render()
     if cache is not None:
         text += "\n\n" + render_cache_stats(cache.stats())
     notes = []
@@ -415,40 +213,6 @@ def cmd_validate(args) -> Tuple[str, int]:
     claims = validate_claims(steps=args.steps, workers=args.workers)
     # a FAIL row fails the command, so CI and scripts see it
     return render_claims(claims), 0 if all(c.passed for c in claims) else 1
-
-
-def render_sweep_report(sweep: SweepReport, title: str = "") -> str:
-    """Human-readable digest of one SweepReport (the one sweep-table
-    renderer: ``repro sweep`` and ``repro report FILE`` both use it)."""
-    rows = [
-        (
-            r.result.get("mode", "-"),
-            str(r.result.get("nodes_per_solver", "-")),
-            f"{r.total_runtime:.4f}",
-            f"{r.comm_overhead_fraction:.2%}",
-            str(r.sim.get("events_processed", 0)),
-        )
-        for r in sweep.reports
-    ]
-    out = [
-        render_table(
-            ["Mode", "Nodes/solver", "Total [s]", "Comm overhead", "Events"],
-            rows,
-            title=title
-            or (
-                f"Sweep: {len(sweep)} runs, {sweep.workers} worker"
-                f"{'s' if sweep.workers != 1 else ''}"
-            ),
-        )
-    ]
-    m = sweep.merged_metrics()
-    out.append(
-        f"\n{m['runs']} runs in {sweep.host_wall_s:.2f} s host wall-clock — "
-        f"{m['sim_events']:,} events, {m['network_messages']:,} messages "
-        f"({m['fast_transfers']:,} fast / {m['slow_transfers']:,} queued "
-        f"transfers), {m['network_bytes']:,} bytes on the fabric"
-    )
-    return "\n".join(out)
 
 
 def cmd_sweep(args) -> str:
@@ -476,8 +240,7 @@ def cmd_sweep(args) -> str:
     if args.json:
         sweep.save(args.json)
     out = [
-        render_sweep_report(
-            sweep,
+        sweep.render(
             title=(
                 f"Sweep: {args.app} on {args.preset}, {args.steps} steps "
                 f"({len(specs)} runs, {sweep.workers} worker"
@@ -497,34 +260,13 @@ def cmd_sweep(args) -> str:
     return "\n".join(out)
 
 
-def render_report(report) -> str:
-    """Render any registered report type, dispatching on its class.
-
-    The one renderer behind ``repro report FILE``: RunReport,
-    SweepReport, and TuneReport documents all come through here.
-    """
-    from .autotune import TuneReport
-
-    if isinstance(report, SweepReport):
-        return render_sweep_report(report)
-    if isinstance(report, TuneReport):
-        return render_tune_report(report)
-    if isinstance(report, RunReport):
-        return render_run_report(report)
-    raise ValueError(
-        f"no renderer for report type {type(report).__name__}"
-    )
-
-
 def cmd_report(args) -> str:
     """Render any saved schema-tagged report, or compose archived
     benchmark tables."""
-    import json as _json
     import pathlib
 
     if args.file:
-        doc = _json.loads(pathlib.Path(args.file).read_text())
-        return render_report(report_from_dict(doc))
+        return load_report(args.file).render()
 
     results = pathlib.Path("benchmarks/_results")
     if not results.is_dir():
@@ -555,51 +297,6 @@ def cmd_report(args) -> str:
     return "\n".join(parts)
 
 
-def render_tune_report(report: TuneReport) -> str:
-    """Human-readable digest of one TuneReport."""
-    out = []
-    for g, gen in enumerate(report.generations):
-        rows = [
-            (
-                e["label"],
-                f"{e['predicted_s']:.4f}",
-                f"{e['measured_s']:.4f}",
-            )
-            for e in gen["evaluated"]
-        ]
-        out.append(
-            render_table(
-                ["Partition", "Predicted [s]", "Measured [s]"],
-                rows,
-                title=(
-                    f"Generation {g + 1}/{len(report.generations)} "
-                    f"({gen['steps']} steps, {len(rows)} candidates)"
-                ),
-            )
-        )
-        out.append("")
-    best = report.best_config
-    lines = [
-        f"best partition: {best.label()}  "
-        f"({report.best_runtime_s:.4f} s at {report.steps} steps)",
-        f"searched {report.candidates_considered} candidates with "
-        f"{report.evaluations} measured runs",
-        f"model-vs-measured error (final generation): "
-        f"{report.model.get('mean_abs_rel_err', 0.0):.1%}",
-    ]
-    if report.baseline:
-        lines.append(
-            f"hand-coded {report.baseline['label']}: "
-            f"{report.baseline['measured_s']:.4f} s -> tuned speedup "
-            f"{report.speedup_vs_baseline:.3f}x"
-        )
-    out.append("\n".join(lines))
-    if report.cache:
-        out.append("")
-        out.append(render_cache_stats(report.cache))
-    return "\n".join(out)
-
-
 def cmd_tune(args) -> str:
     """Autotune the Cluster/Booster partition for the xPic workload."""
     try:
@@ -623,123 +320,18 @@ def cmd_tune(args) -> str:
         seed=args.seed,
         baseline=not args.no_baseline,
     )
-    text = render_tune_report(report)
+    text = report.render()
     if args.json:
         report.save(args.json)
         text += f"\n\ntune report JSON written to {args.json}"
     return text
 
 
-def render_service_metrics(stats: dict, title: str = "Experiment service") -> str:
-    """Human-readable table of one service metrics snapshot."""
-    wait = stats.get("wait", {})
-    run = stats.get("run", {})
-
-    def _lat(h: dict) -> str:
-        if not h.get("count"):
-            return "-"
-        return (
-            f"n={h['count']} p50={h.get('p50_s', 0.0) * 1e3:.1f}ms "
-            f"p90={h.get('p90_s', 0.0) * 1e3:.1f}ms "
-            f"p99={h.get('p99_s', 0.0) * 1e3:.1f}ms"
-        )
-
-    rows = [
-        ("submitted", str(stats.get("submitted", 0))),
-        ("accepted", str(stats.get("accepted", 0))),
-        ("coalesced", str(stats.get("coalesced", 0))),
-        ("cache hits", str(stats.get("cache_hits", 0))),
-        ("rejected (queue full)", str(stats.get("rejected", 0))),
-        ("executed / completed / failed",
-         f"{stats.get('executed', 0)} / {stats.get('completed', 0)} / "
-         f"{stats.get('failed', 0)}"),
-        ("requeued (worker crash)", str(stats.get("requeued", 0))),
-        ("batches", str(stats.get("batches", 0))),
-        ("recovered from journal", str(stats.get("recovered", 0))),
-        ("journal replays", str(stats.get("journal_replays", 0))),
-        ("quarantined (poison specs)",
-         f"{stats.get('quarantined', 0)} "
-         f"(+{stats.get('quarantine_hits', 0)} short-circuited)"),
-        ("deadline misses", str(stats.get("deadline_misses", 0))),
-        ("batch timeouts (watchdog)", str(stats.get("batch_timeouts", 0))),
-        ("heartbeat age", f"{stats.get('heartbeat_age_s', 0.0):.1f}s"),
-        ("queue depth (now / peak)",
-         f"{stats.get('queue_depth', 0)} / "
-         f"{stats.get('peak_queue_depth', 0)}"),
-        ("in flight (now / peak)",
-         f"{stats.get('in_flight', 0)} / {stats.get('peak_in_flight', 0)}"),
-        ("wait latency", _lat(wait)),
-        ("run latency", _lat(run)),
-    ]
-    return render_table(["Metric", "Value"], rows, title=title)
-
-
-def render_serve_status(jobdir, stale_after_s: float = 30.0):
-    """One-shot liveness/metrics report of a served job directory.
-
-    Returns ``(text, exit_code)``: code 1 when the directory claims a
-    serving process that is stale — its pid is gone, or its last beat
-    is older than ``stale_after_s`` — so scripts and monitors can
-    alert on ``repro serve --status`` without parsing the text.  A
-    directory that never served, or whose service stopped cleanly, is
-    not stale (code 0).
-    """
-    from pathlib import Path
-
-    from .serve import JobJournal, read_heartbeat
-    from .serve.filejob import heartbeat_path, journal_path, read_metrics
-
-    jobdir = Path(jobdir).expanduser()
-    lines = [f"service status for {jobdir}:"]
-    stale = False
-    hb = read_heartbeat(heartbeat_path(jobdir))
-    if hb is None:
-        lines.append(
-            "  heartbeat: none found (service never ran here, or "
-            "predates durability)"
-        )
-    else:
-        liveness = "alive" if hb["alive"] else "DEAD"
-        if hb.get("status") == "stopped":
-            liveness = "stopped cleanly"
-        else:
-            stale = (not hb["alive"]) or hb["age_s"] > stale_after_s
-        if stale:
-            liveness += f" (STALE: threshold {stale_after_s:g}s)"
-        lines.append(
-            f"  heartbeat: {hb.get('status', '?')} — pid {hb.get('pid')} "
-            f"{liveness}, last beat {hb['age_s']:.1f}s ago"
-        )
-        lines.append(
-            f"  work: {hb.get('queue_depth', 0)} queued, "
-            f"{hb.get('in_flight', 0)} in flight, "
-            f"{hb.get('completed', 0)} completed, "
-            f"{hb.get('failed', 0)} failed, "
-            f"{hb.get('quarantined', 0)} quarantined"
-        )
-    journal = journal_path(jobdir)
-    if journal.exists():
-        stats = JobJournal(journal).replay().stats()
-        lines.append(
-            f"  journal: {stats['records']} record(s), "
-            f"{stats['unresolved']} unresolved, "
-            f"{stats['quarantined']} quarantined key(s), "
-            f"{stats['dropped_lines']} torn line(s)"
-        )
-    metrics = read_metrics(jobdir)
-    if metrics is not None:
-        lines.append("")
-        lines.append(
-            render_service_metrics(
-                metrics, title=f"Last metrics snapshot ({jobdir})"
-            )
-        )
-    return "\n".join(lines), (1 if stale else 0)
-
-
 def cmd_serve(args) -> str:
     """Run the experiment service over a file-based job directory."""
     from .serve import serve_jobdir
+    from .serve.filejob import render_serve_status
+    from .serve.metrics import render_service_metrics
 
     if args.status:
         return render_serve_status(
@@ -789,73 +381,10 @@ def cmd_submit(args) -> str:
             report.save(args.json)
             lines.append(f"report JSON written to {args.json}")
         lines.append("")
-        lines.append(render_run_report(report))
+        lines.append(report.render())
     else:
         lines.append(f"error: {result.get('error')}")
     return "\n".join(lines)
-
-
-def render_fleet_status(metrics: dict):
-    """Render one aggregated fleet metrics document.
-
-    Returns ``(text, exit_code)``: code 1 when the fleet-wide ledger
-    invariant (``submitted == accepted + coalesced + cache_hits +
-    rejected + quarantine_hits``) does not hold in the merged
-    snapshot, so scripts can alert on ``repro fleet status``.
-    """
-    from .fleet import invariant_holds
-
-    fleet = metrics.get("fleet", {})
-    router = metrics.get("router", {})
-    lines = [
-        render_service_metrics(
-            fleet,
-            title=f"Fleet ({fleet.get('shards', 0)} live shard(s))",
-        )
-    ]
-    shares = router.get("ring_shares", {})
-    for name, snap in sorted((metrics.get("shards") or {}).items()):
-        share = shares.get(name)
-        title = f"Shard {name}" + (
-            f" — ring share {share:.1%}" if share is not None else ""
-        )
-        lines.append("")
-        lines.append(render_service_metrics(snap, title=title))
-    rows = [
-        ("routed (sticky / stolen)",
-         f"{router.get('routed', 0)} ({router.get('sticky_routed', 0)} / "
-         f"{router.get('stolen', 0)})"),
-        ("stolen results synced home", str(router.get("synced", 0))),
-        ("rejected (shard queue full)",
-         str(router.get("rejected_full", 0))),
-        ("shard deaths / restarts",
-         f"{router.get('shard_deaths', 0)} / {router.get('restarts', 0)}"),
-        ("ring rebalances", str(router.get("rebalanced", 0))),
-        ("rerouted jobs", str(router.get("rerouted_jobs", 0))),
-        ("outstanding / in-flight keys",
-         f"{router.get('outstanding', 0)} / "
-         f"{router.get('inflight_keys', 0)}"),
-        ("shards live / total",
-         f"{router.get('shards_live', 0)} / "
-         f"{router.get('shards_total', 0)}"),
-    ]
-    lost = router.get("shards_lost") or []
-    if lost:
-        rows.append(("shards lost (ring rebalanced)", ", ".join(lost)))
-    lines.append("")
-    lines.append(render_table(["Metric", "Value"], rows, title="Router"))
-    lines.append("")
-    if invariant_holds(fleet):
-        lines.append(
-            "fleet ledger: submitted == accepted + coalesced + cache hits "
-            "+ rejected + quarantine hits (holds)"
-        )
-        return "\n".join(lines), 0
-    lines.append(
-        "fleet ledger VIOLATION: submitted != accepted + coalesced + "
-        "cache hits + rejected + quarantine hits"
-    )
-    return "\n".join(lines), 1
 
 
 def _cmd_fleet_serve(args):
@@ -864,6 +393,7 @@ def _cmd_fleet_serve(args):
     from pathlib import Path
 
     from .fleet import FleetFrontEnd, FleetRouter, LocalShard, ProcessShard
+    from .fleet.metrics import render_fleet_status
 
     root = Path(args.root).expanduser()
     shards = []
@@ -943,13 +473,14 @@ def _cmd_fleet_submit(args):
         report.save(args.json)
         lines.append(f"report JSON written to {args.json}")
     lines.append("")
-    lines.append(render_run_report(report))
+    lines.append(report.render())
     return "\n".join(lines)
 
 
 def _cmd_fleet_status(args):
     """Fetch + render the aggregated metrics of a running fleet."""
     from .fleet import FleetClient, FleetClientError
+    from .fleet.metrics import render_fleet_status
 
     try:
         with FleetClient(

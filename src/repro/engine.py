@@ -3,11 +3,11 @@
 Every consumer of the stack — CLI, claims validation, the Fig 7/8
 runners, examples — describes a run as a declarative
 :class:`ExperimentSpec` (machine preset, app, mode/placement, steps)
-and hands it to the :class:`Engine`, which builds the machine, the MPI
-runtime, and the instrumentation hub, executes the app driver, and
-returns a structured :class:`RunReport` carrying the app-level result
-*and* metrics from every layer (simulator, fabric links, MPI
-communicators, traced phases).
+and hands it to the :class:`Engine`, which builds the machine and the
+MPI runtime, executes the app driver, reads every layer through the
+instrumentation hub, and returns a structured :class:`RunReport`
+carrying the app-level result *and* metrics from every layer
+(simulator, fabric links, MPI communicators, traced phases).
 
 This mirrors how the real DEEP-ER prototype gives one launch/measure
 path (ParaStation startup + system-wide monitoring) to every
@@ -41,6 +41,7 @@ from .hardware.machine import (
 )
 from .instrument import MetricsHub
 from .mpi import FAULT_RUN_POLICY, MPIRuntime
+from .report import Report
 from .resiliency import FaultPlan
 from .sim import Simulator, Tracer
 
@@ -290,12 +291,14 @@ class _ResultView:
 
 
 @dataclass
-class RunReport:
+class RunReport(Report):
     """Structured outcome of one engine run: result + cross-layer metrics.
 
     JSON-stable keys; all times in **seconds**.  ``run_result`` and
     ``tracer`` hold the in-memory app objects for the session that ran
-    the experiment and are not serialized.
+    the experiment and are not serialized.  A new section is a field
+    here, its key in :meth:`to_dict`/:meth:`from_dict`, and its lines
+    in :meth:`render`.
     """
 
     spec: dict
@@ -366,10 +369,6 @@ class RunReport:
             "malleability": self.malleability,
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to JSON with stable key order."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         """Rebuild a report from :meth:`to_dict` output."""
@@ -391,17 +390,128 @@ class RunReport:
                 f"not a {REPORT_SCHEMA} document (missing key {exc})"
             ) from None
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
+    # -- text digest --------------------------------------------------------
+    def render(self) -> str:
+        """Human-readable digest: the run table, then per-link traffic,
+        resiliency, malleability and per-communicator sections when the
+        report has them."""
+        from .bench.tables import render_table
 
-    def save(self, path) -> None:
-        """Write the report as JSON."""
-        Path(path).write_text(self.to_json(indent=2))
-
-    @classmethod
-    def load(cls, path) -> "RunReport":
-        return cls.from_json(Path(path).read_text())
+        spec = self.spec
+        rows = [
+            ("app / mode", f"{spec.get('app')} / {self.result.get('mode')}"),
+            ("preset", str(spec.get("preset"))),
+            ("steps", str(self.result.get("steps"))),
+            ("nodes/solver", str(self.result.get("nodes_per_solver"))),
+            ("total runtime [s]", f"{self.total_runtime:.4f}"),
+        ]
+        if self.result.get("app") == "xpic":
+            rows += [
+                ("fields time [s]", f"{self.fields_time:.4f}"),
+                ("particles time [s]", f"{self.particles_time:.4f}"),
+            ]
+        rows += [
+            ("comm overhead", f"{self.comm_overhead_fraction:.2%}"),
+            ("network bytes", str(self.network.get("total_bytes", 0))),
+            ("network messages", str(self.network.get("total_messages", 0))),
+            ("sim events", str(self.sim.get("events_processed", 0))),
+            ("events/sec", f"{self.sim.get('events_per_sec', 0.0):,.0f}"),
+        ]
+        out = [render_table(["Metric", "Value"], rows, title="Run report")]
+        links = self.network.get("links", {})
+        if links:
+            out.append("")
+            out.append(
+                render_table(
+                    ["Link", "Bytes", "Messages", "Stall [s]"],
+                    [
+                        (k, str(m["bytes"]), str(m["messages"]),
+                         f"{m['stall_time_s']:.4f}")
+                        for k, m in sorted(links.items())
+                    ],
+                    title="Per-link traffic",
+                )
+            )
+        res = self.resiliency
+        if res:
+            injected = res.get("faults", {}).get("injected", {})
+            transport = res.get("transport", {})
+            ckpts = res.get("checkpoints", {})
+            rows = [
+                ("faults injected",
+                 ", ".join(f"{k}={v}" for k, v in injected.items() if v)
+                 or "none"),
+                ("transport retries",
+                 f"{transport.get('retries', 0)} "
+                 f"(backoff {transport.get('backoff_time_s', 0.0):.4f} s)"),
+                ("checkpoints",
+                 ", ".join(f"{k}={v}" for k, v in ckpts.items() if v)
+                 or "none"),
+                ("ckpt interval [s]",
+                 "-" if res.get("ckpt_interval_s") is None
+                 else f"{res['ckpt_interval_s']:.3f}"),
+                ("restarts", str(res.get("restarts", 0))),
+                ("lost work [s]", f"{res.get('lost_work_s', 0.0):.4f}"),
+                ("restart time [s]", f"{res.get('restart_time_s', 0.0):.4f}"),
+                ("degraded mode", str(res.get("degraded_mode", False))),
+                ("epochs", str(res.get("epochs", 1))),
+            ]
+            out.append("")
+            out.append(
+                render_table(["Metric", "Value"], rows, title="Resiliency")
+            )
+        mal = self.malleability
+        if mal:
+            rows = [
+                ("initial partition", str(mal.get("initial_label", "-"))),
+                ("final partition", str(mal.get("final_label", "-"))),
+                ("recoveries", str(mal.get("recoveries", 0))),
+                ("re-partitions", str(mal.get("repartitions_count", 0))),
+                ("time to recover [s]",
+                 f"{mal.get('time_to_recover_s', 0.0):.4f}"),
+                ("post-fault steps/s",
+                 f"{mal.get('post_fault_steps_per_s', 0.0):.2f}"),
+                ("re-tune cache hits", str(mal.get("retune_memo_hits", 0))),
+            ]
+            out.append("")
+            out.append(
+                render_table(["Metric", "Value"], rows, title="Malleability")
+            )
+            events = mal.get("repartitions", [])
+            if events:
+                out.append("")
+                out.append(
+                    render_table(
+                        ["t [s]", "From", "To", "Restart step",
+                         "Candidates", "Recover [s]"],
+                        [
+                            (f"{e.get('time_s', 0.0):.3f}",
+                             str(e.get("from_label", "-")),
+                             str(e.get("to_label", "-")),
+                             str(e.get("restart_step") or 0),
+                             str(e.get("candidates", 0)),
+                             f"{e.get('recover_s', 0.0):.4f}")
+                            for e in events
+                        ],
+                        title="Re-partition events",
+                    )
+                )
+        comms = self.mpi.get("communicators", {})
+        if comms:
+            out.append("")
+            out.append(
+                render_table(
+                    ["Communicator", "p2p msgs", "p2p bytes",
+                     "coll msgs", "coll bytes"],
+                    [
+                        (k, str(c["p2p_messages"]), str(c["p2p_bytes"]),
+                         str(c["coll_messages"]), str(c["coll_bytes"]))
+                        for k, c in sorted(comms.items())
+                    ],
+                    title="Per-communicator traffic",
+                )
+            )
+        return "\n".join(out)
 
     # -- Chrome trace export -------------------------------------------------
     def to_chrome_trace(self) -> list:
@@ -466,7 +576,7 @@ class RunReport:
 
 
 @dataclass
-class SweepReport:
+class SweepReport(Report):
     """Outcome of one :meth:`Engine.run_many` sweep.
 
     ``reports`` preserves the order of the input specs regardless of
@@ -526,10 +636,6 @@ class SweepReport:
             "runs": [r.to_dict() for r in self.reports],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize :meth:`to_dict` with stable key order."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
         try:
@@ -544,17 +650,42 @@ class SweepReport:
                 f"not a {SWEEP_SCHEMA} document (missing key {exc})"
             ) from None
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepReport":
-        return cls.from_dict(json.loads(text))
+    def render(self, title: str = "") -> str:
+        """Human-readable digest: one row per run, then the merged
+        totals (``repro sweep`` passes a ``title`` naming its axes)."""
+        from .bench.tables import render_table
 
-    def save(self, path) -> None:
-        """Write the sweep report to ``path`` as indented JSON."""
-        Path(path).write_text(self.to_json(indent=2))
-
-    @classmethod
-    def load(cls, path) -> "SweepReport":
-        return cls.from_json(Path(path).read_text())
+        rows = [
+            (
+                r.result.get("mode", "-"),
+                str(r.result.get("nodes_per_solver", "-")),
+                f"{r.total_runtime:.4f}",
+                f"{r.comm_overhead_fraction:.2%}",
+                str(r.sim.get("events_processed", 0)),
+            )
+            for r in self.reports
+        ]
+        out = [
+            render_table(
+                ["Mode", "Nodes/solver", "Total [s]", "Comm overhead",
+                 "Events"],
+                rows,
+                title=title
+                or (
+                    f"Sweep: {len(self)} runs, {self.workers} worker"
+                    f"{'s' if self.workers != 1 else ''}"
+                ),
+            )
+        ]
+        m = self.merged_metrics()
+        out.append(
+            f"\n{m['runs']} runs in {self.host_wall_s:.2f} s host "
+            f"wall-clock — {m['sim_events']:,} events, "
+            f"{m['network_messages']:,} messages "
+            f"({m['fast_transfers']:,} fast / {m['slow_transfers']:,} "
+            f"queued transfers), {m['network_bytes']:,} bytes on the fabric"
+        )
+        return "\n".join(out)
 
 
 def _run_spec_payload(spec_dict: dict) -> dict:
@@ -719,14 +850,12 @@ class Engine:
             cached = cache.get(spec)
             if cached is not None:
                 return cached
-        report = self._run_uncached(spec, cache=cache)
+        report = self._run_uncached(spec)
         if cache is not None:
             cache.put(spec, report)
         return report
 
-    def _run_uncached(
-        self, spec: ExperimentSpec, cache=None
-    ) -> RunReport:
+    def _run_uncached(self, spec: ExperimentSpec) -> RunReport:
         """The simulate-and-measure path of :meth:`run` (no lookup)."""
         t0 = time.perf_counter()  # wall-clock-ok: host-side telemetry only
         machine = spec.build_machine()
@@ -738,22 +867,18 @@ class Engine:
         tracer = Tracer() if spec.trace else None
         if tracer is not None:
             machine.fabric.tracer = tracer
-        hub = MetricsHub(
-            sim=machine.sim,
-            fabric=machine.fabric,
-            runtime=runtime,
-            tracer=tracer,
-            cache=cache,
-        )
 
         app_obj = get_app(spec.app)
         result_obj, result, resiliency, malleability = app_obj.runner(
             spec, machine, runtime, tracer
         )
-        if malleability:
-            hub.attach(malleable=malleability)
-
-        metrics = hub.snapshot()
+        metrics = MetricsHub(
+            sim=machine.sim,
+            fabric=machine.fabric,
+            runtime=runtime,
+            tracer=tracer,
+            malleable=malleability,
+        ).snapshot()
         metrics["sim"]["host_wall_s"] = time.perf_counter() - t0  # wall-clock-ok: host-side telemetry only
         intervals = (
             [

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..serve.metrics import LatencyHistogram
+from ..serve.metrics import LatencyHistogram, render_service_metrics
 
 __all__ = [
     "FLEET_METRICS_SCHEMA",
@@ -29,6 +29,7 @@ __all__ = [
     "merge_histogram_snapshots",
     "merge_service_snapshots",
     "invariant_holds",
+    "render_fleet_status",
 ]
 
 #: schema tag of the aggregated fleet metrics document
@@ -110,3 +111,66 @@ def invariant_holds(snap: dict) -> bool:
         + int(snap.get("rejected", 0))
         + int(snap.get("quarantine_hits", 0))
     )
+
+
+def render_fleet_status(metrics: dict):
+    """Render one aggregated fleet metrics document.
+
+    Returns ``(text, exit_code)``: code 1 when the fleet-wide ledger
+    invariant (``submitted == accepted + coalesced + cache_hits +
+    rejected + quarantine_hits``) does not hold in the merged
+    snapshot, so scripts can alert on ``repro fleet status``.
+    """
+    from ..bench.tables import render_table
+
+    fleet = metrics.get("fleet", {})
+    router = metrics.get("router", {})
+    lines = [
+        render_service_metrics(
+            fleet,
+            title=f"Fleet ({fleet.get('shards', 0)} live shard(s))",
+        )
+    ]
+    shares = router.get("ring_shares", {})
+    for name, snap in sorted((metrics.get("shards") or {}).items()):
+        share = shares.get(name)
+        title = f"Shard {name}" + (
+            f" — ring share {share:.1%}" if share is not None else ""
+        )
+        lines.append("")
+        lines.append(render_service_metrics(snap, title=title))
+    rows = [
+        ("routed (sticky / stolen)",
+         f"{router.get('routed', 0)} ({router.get('sticky_routed', 0)} / "
+         f"{router.get('stolen', 0)})"),
+        ("stolen results synced home", str(router.get("synced", 0))),
+        ("rejected (shard queue full)",
+         str(router.get("rejected_full", 0))),
+        ("shard deaths / restarts",
+         f"{router.get('shard_deaths', 0)} / {router.get('restarts', 0)}"),
+        ("ring rebalances", str(router.get("rebalanced", 0))),
+        ("rerouted jobs", str(router.get("rerouted_jobs", 0))),
+        ("outstanding / in-flight keys",
+         f"{router.get('outstanding', 0)} / "
+         f"{router.get('inflight_keys', 0)}"),
+        ("shards live / total",
+         f"{router.get('shards_live', 0)} / "
+         f"{router.get('shards_total', 0)}"),
+    ]
+    lost = router.get("shards_lost") or []
+    if lost:
+        rows.append(("shards lost (ring rebalanced)", ", ".join(lost)))
+    lines.append("")
+    lines.append(render_table(["Metric", "Value"], rows, title="Router"))
+    lines.append("")
+    if invariant_holds(fleet):
+        lines.append(
+            "fleet ledger: submitted == accepted + coalesced + cache hits "
+            "+ rejected + quarantine hits (holds)"
+        )
+        return "\n".join(lines), 0
+    lines.append(
+        "fleet ledger VIOLATION: submitted != accepted + coalesced + "
+        "cache hits + rejected + quarantine hits"
+    )
+    return "\n".join(lines), 1

@@ -37,29 +37,6 @@ class MetricsHub:
         self.fleet = fleet
         self.malleable = malleable
 
-    def attach(
-        self, sim=None, fabric=None, runtime=None, tracer=None, cache=None,
-        service=None, fleet=None, malleable=None,
-    ) -> "MetricsHub":
-        """Attach (or replace) observed layers; returns self."""
-        if sim is not None:
-            self.sim = sim
-        if fabric is not None:
-            self.fabric = fabric
-        if runtime is not None:
-            self.runtime = runtime
-        if tracer is not None:
-            self.tracer = tracer
-        if cache is not None:
-            self.cache = cache
-        if service is not None:
-            self.service = service
-        if fleet is not None:
-            self.fleet = fleet
-        if malleable is not None:
-            self.malleable = malleable
-        return self
-
     # -- per-layer snapshots ----------------------------------------------
     def sim_metrics(self) -> dict:
         """Simulator counters: event volume, queue depth, host time,
@@ -153,8 +130,8 @@ class MetricsHub:
 
     def malleability_metrics(self) -> dict:
         """The re-tune recovery's report section (policy, re-partition
-        events, time-to-recover, post-fault throughput), attached by
-        the engine after a malleable run."""
+        events, time-to-recover, post-fault throughput), which the
+        engine hands over after a malleable run."""
         if self.malleable is None:
             return {}
         return dict(self.malleable)

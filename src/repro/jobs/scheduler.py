@@ -83,8 +83,7 @@ class BatchScheduler:
         self.backfill = backfill
         self.queue: Deque[Job] = deque()
         self.jobs: List[Job] = []
-        self._kick = sim.event()
-        sim.process(self._loop())
+        self._pass_pending = False
         self.last_completion = 0.0
 
     # -- public API ---------------------------------------------------------
@@ -115,18 +114,15 @@ class BatchScheduler:
         self._wake()
 
     def _wake(self) -> None:
-        if not self._kick.triggered:
-            self._kick.succeed()
+        # one scheduling pass per instant, however many arrivals and
+        # completions land in it; a callback, not a parked process, so
+        # a finished schedule leaves nothing for the cyclic collector
+        if not self._pass_pending:
+            self._pass_pending = True
+            self.sim.call_in(0.0, self._try_start)
 
-    def _loop(self):
-        while True:
-            self._try_start()
-            # Sleep until the next arrival or completion kicks us; the
-            # simulation simply ends with this process suspended.
-            self._kick = self.sim.event()
-            yield self._kick
-
-    def _try_start(self) -> None:
+    def _try_start(self, _entry) -> None:
+        self._pass_pending = False
         # FCFS head
         while (
             self.queue

@@ -208,6 +208,28 @@ class FaultPlan:
     def load(cls, path) -> "FaultPlan":
         return cls.from_json(Path(path).read_text())
 
+    def render(self) -> str:
+        """Human-readable table of the plan's schedule."""
+        from ..bench.tables import render_table
+
+        rows = [
+            (
+                f"{ev.time_s:.3f}",
+                ev.kind,
+                ev.target if isinstance(ev.target, str)
+                else "<->".join(ev.target),
+                "-" if ev.duration_s is None else f"{ev.duration_s:.3f}",
+                "-" if ev.factor is None else f"{ev.factor:.2f}",
+            )
+            for ev in self
+        ]
+        meta = f"{len(self)} events, seed={self.seed}, mtbf_s={self.mtbf_s}"
+        return render_table(
+            ["Time [s]", "Kind", "Target", "Duration [s]", "Factor"],
+            rows,
+            title=f"Fault plan ({meta})",
+        )
+
 
 class FaultInjector:
     """Simulation process that applies faults to a live machine's fabric.

@@ -47,6 +47,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..durable import atomic_write
 from ..engine import ExperimentSpec
+from .health import read_heartbeat
+from .journal import JobJournal
+from .metrics import render_service_metrics
 from .queue import Job, QueueFull
 from .service import ExperimentService
 
@@ -58,6 +61,7 @@ __all__ = [
     "journal_path",
     "read_metrics",
     "read_result",
+    "render_serve_status",
     "submit_job",
     "wait_result",
     "serve_jobdir",
@@ -118,6 +122,65 @@ def read_result(jobdir, job_id: str) -> Optional[dict]:
 def read_metrics(jobdir) -> Optional[dict]:
     """The server's last ``metrics.json``; None until one is written."""
     return _read_json(_metrics_path(jobdir))
+
+
+def render_serve_status(jobdir, stale_after_s: float = 30.0):
+    """One-shot liveness/metrics report of a served job directory
+    (``repro serve --status``).
+
+    Returns ``(text, exit_code)``: code 1 when the directory claims a
+    serving process that is stale — its pid is gone, or its last beat
+    is older than ``stale_after_s`` — so scripts and monitors can
+    alert on ``repro serve --status`` without parsing the text.  A
+    directory that never served, or whose service stopped cleanly, is
+    not stale (code 0).
+    """
+    jobdir = Path(jobdir).expanduser()
+    lines = [f"service status for {jobdir}:"]
+    stale = False
+    hb = read_heartbeat(heartbeat_path(jobdir))
+    if hb is None:
+        lines.append(
+            "  heartbeat: none found (service never ran here, or "
+            "predates durability)"
+        )
+    else:
+        liveness = "alive" if hb["alive"] else "DEAD"
+        if hb.get("status") == "stopped":
+            liveness = "stopped cleanly"
+        else:
+            stale = (not hb["alive"]) or hb["age_s"] > stale_after_s
+        if stale:
+            liveness += f" (STALE: threshold {stale_after_s:g}s)"
+        lines.append(
+            f"  heartbeat: {hb.get('status', '?')} — pid {hb.get('pid')} "
+            f"{liveness}, last beat {hb['age_s']:.1f}s ago"
+        )
+        lines.append(
+            f"  work: {hb.get('queue_depth', 0)} queued, "
+            f"{hb.get('in_flight', 0)} in flight, "
+            f"{hb.get('completed', 0)} completed, "
+            f"{hb.get('failed', 0)} failed, "
+            f"{hb.get('quarantined', 0)} quarantined"
+        )
+    journal = journal_path(jobdir)
+    if journal.exists():
+        stats = JobJournal(journal).replay().stats()
+        lines.append(
+            f"  journal: {stats['records']} record(s), "
+            f"{stats['unresolved']} unresolved, "
+            f"{stats['quarantined']} quarantined key(s), "
+            f"{stats['dropped_lines']} torn line(s)"
+        )
+    metrics = read_metrics(jobdir)
+    if metrics is not None:
+        lines.append("")
+        lines.append(
+            render_service_metrics(
+                metrics, title=f"Last metrics snapshot ({jobdir})"
+            )
+        )
+    return "\n".join(lines), (1 if stale else 0)
 
 
 def submit_job(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Optional
 
-__all__ = ["LatencyHistogram", "ServiceMetrics"]
+__all__ = ["LatencyHistogram", "ServiceMetrics", "render_service_metrics"]
 
 
 class LatencyHistogram:
@@ -220,3 +220,52 @@ class ServiceMetrics:
             "wait": self.wait.snapshot(),
             "run": self.run.snapshot(),
         }
+
+
+def render_service_metrics(
+    stats: dict, title: str = "Experiment service"
+) -> str:
+    """Human-readable table of one service metrics snapshot
+    (:meth:`ServiceMetrics.snapshot` plus the service's gauges)."""
+    from ..bench.tables import render_table
+
+    wait = stats.get("wait", {})
+    run = stats.get("run", {})
+
+    def _lat(h: dict) -> str:
+        if not h.get("count"):
+            return "-"
+        return (
+            f"n={h['count']} p50={h.get('p50_s', 0.0) * 1e3:.1f}ms "
+            f"p90={h.get('p90_s', 0.0) * 1e3:.1f}ms "
+            f"p99={h.get('p99_s', 0.0) * 1e3:.1f}ms"
+        )
+
+    rows = [
+        ("submitted", str(stats.get("submitted", 0))),
+        ("accepted", str(stats.get("accepted", 0))),
+        ("coalesced", str(stats.get("coalesced", 0))),
+        ("cache hits", str(stats.get("cache_hits", 0))),
+        ("rejected (queue full)", str(stats.get("rejected", 0))),
+        ("executed / completed / failed",
+         f"{stats.get('executed', 0)} / {stats.get('completed', 0)} / "
+         f"{stats.get('failed', 0)}"),
+        ("requeued (worker crash)", str(stats.get("requeued", 0))),
+        ("batches", str(stats.get("batches", 0))),
+        ("recovered from journal", str(stats.get("recovered", 0))),
+        ("journal replays", str(stats.get("journal_replays", 0))),
+        ("quarantined (poison specs)",
+         f"{stats.get('quarantined', 0)} "
+         f"(+{stats.get('quarantine_hits', 0)} short-circuited)"),
+        ("deadline misses", str(stats.get("deadline_misses", 0))),
+        ("batch timeouts (watchdog)", str(stats.get("batch_timeouts", 0))),
+        ("heartbeat age", f"{stats.get('heartbeat_age_s', 0.0):.1f}s"),
+        ("queue depth (now / peak)",
+         f"{stats.get('queue_depth', 0)} / "
+         f"{stats.get('peak_queue_depth', 0)}"),
+        ("in flight (now / peak)",
+         f"{stats.get('in_flight', 0)} / {stats.get('peak_in_flight', 0)}"),
+        ("wait latency", _lat(wait)),
+        ("run latency", _lat(run)),
+    ]
+    return render_table(["Metric", "Value"], rows, title=title)

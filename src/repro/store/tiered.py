@@ -45,6 +45,7 @@ __all__ = [
     "CACHE_ENTRY_SCHEMA",
     "PRUNE_POLICIES",
     "ResultCache",
+    "render_cache_stats",
 ]
 
 #: schema tag of one stored cache entry (bump on breaking change)
@@ -524,3 +525,24 @@ class ResultCache:
         from .query import run_aggregate
 
         return run_aggregate(self, field, where=where, group_by=group_by)
+
+
+def render_cache_stats(stats: dict, title: str = "Result cache") -> str:
+    """Human-readable table of one :meth:`ResultCache.stats` dict: the
+    store's size plus the session's tier counters."""
+    from ..bench.tables import render_table
+
+    rows = [
+        ("store", stats.get("root", "-")),
+        ("entries", str(stats.get("entries", 0))),
+        ("stored bytes", f"{stats.get('stored_bytes', 0):,}"),
+        ("hits (memory / disk)",
+         f"{stats.get('hits', 0)} ({stats.get('lru_hits', 0)} / "
+         f"{stats.get('disk_hits', 0)})"),
+        ("misses", str(stats.get("misses", 0))),
+        ("LRU tier (held / capacity)",
+         f"{stats.get('lru_entries', 0)} / {stats.get('lru_capacity', 0)}"),
+        ("bytes read", f"{stats.get('bytes_read', 0):,}"),
+        ("bytes written", f"{stats.get('bytes_written', 0):,}"),
+    ]
+    return render_table(["Metric", "Value"], rows, title=title)

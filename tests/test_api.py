@@ -17,6 +17,7 @@ from repro.bench import run_fig7
 from repro.engine import Engine, ExperimentSpec
 from repro.fleet import FleetRouter, LocalShard, ProcessShard
 from repro.hardware import Processor, build_deep_er_prototype
+from repro.instrument import MetricsHub
 from repro.jobs import AcceleratedNodeAllocator, Job
 from repro.mpi import FAULT_RUN_POLICY, FaultTolerancePolicy, MPIRuntime
 from repro.network import Fabric, Topology
@@ -151,10 +152,9 @@ def _coupled_with_ratio():
     return AcceleratedNodeAllocator(pools, boosters_per_host=0.5)
 
 
-def _resilient_with_transport_policy():
-    return run_resilient_experiment(
-        build_deep_er_prototype(), Mode.CB, XpicConfig(),
-        transport_policy=FAULT_RUN_POLICY,
+def _resilient_with(**kwargs):
+    return lambda: run_resilient_experiment(
+        build_deep_er_prototype(), Mode.CB, XpicConfig(), **kwargs
     )
 
 
@@ -197,7 +197,7 @@ def _local_shard_heartbeat_interval():
         (_attr("repro.resiliency.failure", "FailureModel"), AttributeError),
         (lambda: MPIRuntime(build_deep_er_prototype()).send_count,
          AttributeError),
-        (_resilient_with_transport_policy, TypeError),
+        (_resilient_with(transport_policy=FAULT_RUN_POLICY), TypeError),
         (lambda: ExponentialBackoff(jitter=0.1), TypeError),
         (lambda: ExperimentService.submit_many, AttributeError),
         (lambda: Fabric.wire_time, AttributeError),
@@ -219,6 +219,9 @@ def _local_shard_heartbeat_interval():
         (lambda: FleetRouter([], collect_interval_s=0.004), TypeError),
         (_attr("repro.fleet.frontend", "_WAIT_POLL_S"), AttributeError),
         (lambda: Tracer.to_chrome_trace, AttributeError),
+        (_resilient_with(fault_targets=["bn00"]), TypeError),
+        (_resilient_with(max_epochs=5), TypeError),
+        (lambda: MetricsHub.attach, AttributeError),
     ],
     ids=[
         "positional-spec",
@@ -269,6 +272,9 @@ def _local_shard_heartbeat_interval():
         "router-collect-interval",
         "frontend-wait-poll",
         "tracer-chrome-trace",
+        "resilient-fault-targets",
+        "resilient-max-epochs",
+        "metrics-hub-attach",
     ],
 )
 def test_removed_spellings_stay_removed(call, error):
@@ -286,8 +292,11 @@ def test_removed_spellings_stay_removed(call, error):
     serving settings nothing set (now constants, or built in by
     ``serve_jobdir``), the service's public ``recover`` (construction
     replays the journal), the tracer's second Chrome-trace exporter,
-    and the fleet's two resolution timers (fleet jobs resolve when
-    their shard jobs do)."""
+    the fleet's two resolution timers (fleet jobs resolve when
+    their shard jobs do), the supervisor's fault-target and epoch-cap
+    settings nothing set (it always targets the current launch nodes;
+    the cap is ``MAX_EPOCHS``), and the metrics hub's second way to
+    add a layer after construction."""
     with pytest.raises(error):
         call()
 

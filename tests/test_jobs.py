@@ -210,6 +210,32 @@ def test_backfill_fills_gaps():
     assert small2.start_time > 0.0
 
 
+def test_finished_schedule_leaves_no_cyclic_garbage():
+    """Two makespans of ``repro validate``'s S2-modular claim (one per
+    allocator) are freed by reference counting alone: the scheduler
+    keeps no parked process waiting for a wake-up that never comes."""
+    import gc
+
+    def makespan(accelerated):
+        sim = Simulator()
+        m = build_deep_er_prototype()
+        cls = AcceleratedNodeAllocator if accelerated else ModularAllocator
+        sched = BatchScheduler(sim, cls(pools(m)))
+        sched.submit_all(mixed_center_workload(40, seed=3))
+        sim.run()
+        return sched.report().makespan
+
+    gc.collect()
+    gc.disable()
+    try:
+        ratio = makespan(True) / makespan(False)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert ratio > 1.0
+    assert unreachable == 0
+
+
 def test_modular_throughput_advantage():
     """System-level claim of section II-A: with a mixed centre workload,
     modular allocation yields a shorter makespan and higher utilization
