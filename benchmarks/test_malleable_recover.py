@@ -19,10 +19,9 @@ acceptance bar.
 import json
 import pathlib
 
-from repro.apps.xpic import Mode, table2_setup
 from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.bench import render_table
-from repro.engine import preset_machine
+from repro.engine import ExperimentSpec, preset_machine
 from repro.resiliency import FaultEvent, FaultPlan, MalleabilityPolicy
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
@@ -37,12 +36,21 @@ def _archive_json(name: str, payload: dict) -> None:
     (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2))
 
 
-def _plan() -> FaultPlan:
-    return FaultPlan(
+def _spec(**kwargs) -> ExperimentSpec:
+    """The C+B 8+8 run losing ``LOST`` at ``FAULT_T``."""
+    plan = FaultPlan(
         [
             FaultEvent(time_s=FAULT_T, kind="node_crash", target=t)
             for t in LOST
         ]
+    )
+    return ExperimentSpec(
+        mode="cb",
+        steps=STEPS,
+        nodes_per_solver=8,
+        fault_plan=plan,
+        ckpt_interval_s=0.5,
+        **kwargs,
     )
 
 
@@ -51,13 +59,7 @@ def _static_arm():
     CB -> homogeneous degradation at the original width."""
     machine = preset_machine()
     rr, res, _ = run_resilient_experiment(
-        machine,
-        Mode.CB,
-        table2_setup(steps=STEPS),
-        fault_plan=_plan(),
-        ckpt_interval_s=0.5,
-        nodes_per_solver=8,
-        allow_reboot=False,
+        machine, _spec(), allow_reboot=False
     )
     return rr, res
 
@@ -66,13 +68,7 @@ def _malleable_arm():
     """The re-tune recovery: the model search over the survivors."""
     machine = preset_machine()
     rr, res, mal = run_resilient_experiment(
-        machine,
-        Mode.CB,
-        table2_setup(steps=STEPS),
-        fault_plan=_plan(),
-        ckpt_interval_s=0.5,
-        nodes_per_solver=8,
-        policy=MalleabilityPolicy(),
+        machine, _spec(malleability=MalleabilityPolicy())
     )
     return rr, res, mal
 

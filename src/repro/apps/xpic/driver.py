@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ...hardware.machine import Machine
 from ...mpi import Bytes, Comm, MPIRuntime, RankContext
 from ...partition import Partition
 from ...sim.trace import Tracer
-from .config import XpicConfig
+from .config import XpicConfig, table2_setup
 from .workload import (
     IO_EVERY_STEPS,
     StepWorkload,
@@ -35,10 +35,14 @@ from .workload import (
     migration_nbytes,
 )
 
+if TYPE_CHECKING:
+    from ...engine import ExperimentSpec
+
 __all__ = [
     "Mode",
     "Placement",
     "RunResult",
+    "config_of",
     "normalize_mode",
     "partition_of",
     "place",
@@ -526,28 +530,26 @@ class Placement:
         return _aggregate(self.mode, self.ranks, steps, values, [])
 
 
-def partition_of(
-    mode: Mode,
-    nodes_per_solver: int = 1,
-    overlap: bool = True,
-    swap_placement: bool = False,
-    partition=None,
-) -> Partition:
-    """The partition a run describes: ``partition`` when given (it must
-    run in ``mode``), else the flat knobs."""
-    mode = Mode(mode)
-    if partition is not None:
-        partition = Partition.coerce(partition)
-        if partition.mode != mode.value:
-            raise ValueError(
-                f"partition {partition.label()!r} does not run in mode "
-                f"{mode.value!r}"
-            )
-        return partition
-    n = nodes_per_solver
-    if mode is Mode.CB:
-        return Partition(n, n, overlap=overlap, swap_placement=swap_placement)
-    return Partition(n, 0) if mode is Mode.CLUSTER else Partition(0, n)
+def partition_of(spec: ExperimentSpec) -> Partition:
+    """The partition ``spec`` runs: its nested ``partition`` when set,
+    else the one its flat fields describe."""
+    if spec.partition is not None:
+        return Partition.from_dict(spec.partition)
+    n = spec.nodes_per_solver
+    if spec.mode == Mode.CB:
+        return Partition(
+            n, n, overlap=spec.overlap, swap_placement=spec.swap_placement
+        )
+    return Partition(n, 0) if spec.mode == Mode.CLUSTER else Partition(0, n)
+
+
+def config_of(spec: ExperimentSpec) -> XpicConfig:
+    """The xPic configuration ``spec`` runs: its ``config``, else
+    Table II at ``spec.steps`` seeded with ``spec.seed``."""
+    if spec.config is not None:
+        return spec.config
+    cfg = table2_setup(steps=spec.steps)
+    return cfg if cfg.seed == spec.seed else replace(cfg, seed=spec.seed)
 
 
 def place(machine: Machine, partition: Partition) -> Placement:
@@ -583,52 +585,34 @@ def place(machine: Machine, partition: Partition) -> Placement:
     return Placement(partition, pool[:need], [])
 
 
-def workload_of(
-    config: XpicConfig,
-    placement: Placement,
-    load_balanced: bool = False,
-    imbalance_alpha: Optional[float] = None,
-) -> StepWorkload:
-    """The per-rank step workload of ``config`` at the placement's width."""
-    kwargs = {"load_balanced": load_balanced}
-    if imbalance_alpha is not None:
-        kwargs["imbalance_alpha"] = imbalance_alpha
-    return build_workload(config, placement.ranks, **kwargs)
+def workload_of(spec: ExperimentSpec, placement: Placement) -> StepWorkload:
+    """The per-rank step workload of ``spec`` at the placement's width."""
+    kwargs = {"load_balanced": spec.load_balanced}
+    if spec.imbalance_alpha is not None:
+        kwargs["imbalance_alpha"] = spec.imbalance_alpha
+    return build_workload(config_of(spec), placement.ranks, **kwargs)
 
 
 def run_experiment(
     machine: Machine,
-    mode: Mode,
-    config: XpicConfig,
-    nodes_per_solver: int = 1,
-    overlap: bool = True,
-    swap_placement: bool = False,
-    tracer: Optional[Tracer] = None,
-    load_balanced: bool = False,
-    imbalance_alpha: Optional[float] = None,
+    spec: ExperimentSpec,
     runtime: Optional[MPIRuntime] = None,
-    partition=None,
+    tracer: Optional[Tracer] = None,
 ) -> RunResult:
-    """Run one xPic experiment and return its timing breakdown.
+    """Run the xPic experiment ``spec`` describes on ``machine`` and
+    return its timing breakdown.
 
-    ``nodes_per_solver`` follows Fig 8's x-axis: homogeneous modes use
-    that many nodes total; C+B uses that many Cluster nodes *and* that
-    many Booster nodes (one per solver side).
-
-    ``overlap=False`` (C+B only) disables the non-blocking exchange.
-    ``swap_placement=True`` (C+B only) inverts the partition — field
-    solver on the Booster, particle solver on the Cluster — the
-    placement ablation.
-
-    ``partition`` optionally passes a :class:`~repro.partition.Partition`
-    instead of the flat knobs, hierarchical ones included (see
-    :func:`place`).
+    The spec's partition (:func:`partition_of`) is placed on healthy
+    nodes by :func:`place`: ``nodes_per_solver`` follows Fig 8's
+    x-axis (homogeneous modes use that many nodes total; C+B that many
+    Cluster nodes *and* that many Booster nodes), ``overlap=False``
+    disables C+B's non-blocking exchange, ``swap_placement=True``
+    inverts the C+B placement (the ablations), and a nested
+    ``partition`` co-schedules both solvers in one pool.
     """
-    placement = place(
-        machine,
-        partition_of(mode, nodes_per_solver, overlap, swap_placement, partition),
-    )
-    wl = workload_of(config, placement, load_balanced, imbalance_alpha)
+    placement = place(machine, partition_of(spec))
+    config = config_of(spec)
+    wl = workload_of(spec, placement)
     rt = runtime if runtime is not None else MPIRuntime(machine)
     if rt.machine is not machine:
         raise ValueError("runtime belongs to a different machine")

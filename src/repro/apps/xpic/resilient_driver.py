@@ -50,9 +50,17 @@ from ...resiliency.malleable import MalleabilityPolicy, retune
 from ...sim import Interrupt
 from ...sim.events import AllOf
 from .config import XpicConfig
-from .driver import Mode, Placement, partition_of, place, workload_of
+from .driver import (
+    Mode,
+    Placement,
+    config_of,
+    partition_of,
+    place,
+    workload_of,
+)
 
 if TYPE_CHECKING:
+    from ...engine import ExperimentSpec
     from .simulation import XpicSimulation
 
 __all__ = [
@@ -269,7 +277,7 @@ class ResilienceHooks:
         return wrapped
 
 
-def _estimate_ckpt_nbytes(config: XpicConfig, wl) -> int:
+def _estimate_ckpt_nbytes(wl) -> int:
     """Per-rank restart state: particle state + field/moment arrays."""
     return int(
         wl.particles_per_rank * PARTICLE_STATE_BYTES + wl.io_snapshot_nbytes
@@ -397,58 +405,53 @@ def _heal(
 
 def run_resilient_experiment(
     machine: Machine,
-    mode: Mode,
-    config: XpicConfig,
-    fault_plan: Optional[FaultPlan] = None,
-    mtbf_s: Optional[float] = None,
-    fault_seed: int = 20180521,
-    ckpt_interval_s: Optional[float] = None,
-    nodes_per_solver: int = 1,
-    overlap: bool = True,
-    swap_placement: bool = False,
-    tracer=None,
-    load_balanced: bool = False,
-    imbalance_alpha: Optional[float] = None,
+    spec: ExperimentSpec,
     runtime: Optional[MPIRuntime] = None,
+    tracer=None,
     allow_reboot: bool = True,
-    partition=None,
-    policy: Optional[MalleabilityPolicy] = None,
 ):
     """Run one modeled xPic experiment under fault injection.
 
-    Mirrors :func:`~repro.apps.xpic.driver.run_experiment` but drives
-    the rank processes through crash/recovery *epochs*: the fault
-    injector replays ``fault_plan`` (or streams Poisson node crashes at
-    the system ``mtbf_s`` over the launch nodes of the current
-    placement); a crash of a node the job runs on aborts every rank;
-    the supervisor restores the newest step that every rank can read
-    back from the cheapest surviving checkpoint level and relaunches
-    the remaining steps.  Each relaunch restarts the checkpoint
-    cadence, and the job's node set follows it.  A job still failing
-    after :data:`MAX_EPOCHS` epochs raises :class:`RuntimeError`.
+    Mirrors :func:`~repro.apps.xpic.driver.run_experiment`, reading
+    every run input from ``spec``, but drives the rank processes
+    through crash/recovery *epochs*: the fault injector replays the
+    spec's ``fault_plan`` (or streams Poisson node crashes at its
+    ``mtbf_s``, seeded with its ``seed``, over the launch nodes of the
+    current placement); a crash of a node the job runs on aborts every
+    rank; the supervisor restores the newest step that every rank can
+    read back from the cheapest surviving checkpoint level and
+    relaunches the remaining steps.  Each relaunch restarts the
+    checkpoint cadence, and the job's node set follows it.  A job still
+    failing after :data:`MAX_EPOCHS` epochs raises :class:`RuntimeError`.
 
     The recovery step is one of two strategies:
 
-    * **heal** (no ``policy``): replace dead nodes with spares of the
+    * **heal** (the default): replace dead nodes with spares of the
       same kind, or reboot them when ``allow_reboot`` (their NVMe
       contents stay lost); in C+B mode, if the Booster partition
       becomes unreachable, degrade to a homogeneous-Cluster run;
-    * **re-tune** (a :class:`~repro.resiliency.malleable.
-      MalleabilityPolicy`): re-run the model search over the surviving
-      nodes, redistribute the checkpoint onto the winning partition and
-      resume there, at whatever mode and width it has (see
+    * **re-tune** (when ``spec.wants_malleability``): re-run the model
+      search of the spec's :class:`~repro.resiliency.malleable.
+      MalleabilityPolicy` over the surviving nodes, redistribute the
+      checkpoint onto the winning partition and resume there, at
+      whatever mode and width it has (see
       :mod:`repro.resiliency.malleable`).
 
-    ``ckpt_interval_s`` defaults to the Young/Daly optimum when an MTBF
-    is known.  Returns ``(RunResult, resiliency, malleability)``: the
-    resiliency dict quantifies faults, retries, checkpoints by level,
-    restarts and lost work seconds; the malleability dict (empty under
-    heal) records the re-partition event log, time to recover, and the
-    final partition.
+    The spec's ``ckpt_interval_s`` defaults to the Young/Daly optimum
+    when an MTBF is known.  Returns ``(RunResult, resiliency,
+    malleability)``: the resiliency dict quantifies faults, retries,
+    checkpoints by level, restarts and lost work seconds; the
+    malleability dict (empty under heal) records the re-partition event
+    log, time to recover, and the final partition.
     """
-    partition = partition_of(
-        mode, nodes_per_solver, overlap, swap_placement, partition
+    partition = partition_of(spec)
+    config = config_of(spec)
+    policy = (
+        MalleabilityPolicy.from_dict(spec.malleability)
+        if spec.wants_malleability
+        else None
     )
+    ckpt_interval_s = spec.ckpt_interval_s
     sim = machine.sim
     rt = runtime if runtime is not None else MPIRuntime(
         machine, fault_tolerance=FAULT_RUN_POLICY
@@ -457,13 +460,13 @@ def run_resilient_experiment(
         raise ValueError("runtime belongs to a different machine")
 
     placement = place(machine, partition)
-    wl = workload_of(config, placement, load_balanced, imbalance_alpha)
-    ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
+    wl = workload_of(spec, placement)
+    ckpt_nbytes = _estimate_ckpt_nbytes(wl)
     scr = _make_scr(machine, placement)
     reserved = list(scr.nodes)  # heal never takes these as spares
-    if ckpt_interval_s is None and mtbf_s is not None:
+    if ckpt_interval_s is None and spec.mtbf_s is not None:
         ckpt_interval_s = optimal_interval(
-            _estimate_ckpt_cost_s(scr, ckpt_nbytes), mtbf_s
+            _estimate_ckpt_cost_s(scr, ckpt_nbytes), spec.mtbf_s
         )
     scr.checkpoint_interval_s = ckpt_interval_s
     scrs = [scr]
@@ -471,10 +474,14 @@ def run_resilient_experiment(
     # -- fault injector ---------------------------------------------------
     injector = FaultInjector(
         machine,
-        plan=fault_plan,
-        mtbf_s=mtbf_s,
+        plan=(
+            FaultPlan.from_dict(spec.fault_plan)
+            if spec.fault_plan is not None
+            else None
+        ),
+        mtbf_s=spec.mtbf_s,
         targets=[nd.node_id for nd in placement.launch],
-        seed=fault_seed,
+        seed=spec.seed,
     )
     job_node_ids = {nd.node_id for nd in placement.launch + placement.spawn}
     crash_info = {"time": None}
@@ -583,8 +590,8 @@ def run_resilient_experiment(
                     "predicted_step_s": predicted_s,
                 }
             )
-        wl = workload_of(config, placement, load_balanced, imbalance_alpha)
-        ckpt_nbytes = _estimate_ckpt_nbytes(config, wl)
+        wl = workload_of(spec, placement)
+        ckpt_nbytes = _estimate_ckpt_nbytes(wl)
         if restart_step is not None:
             # charge the (parallel) checkpoint read-back, round-robin
             # onto the new launch nodes
@@ -657,7 +664,7 @@ def run_resilient_experiment(
     post_steps = config.steps - hooks_list[-1].start_step
     resiliency = {
         "enabled": True,
-        "mtbf_s": mtbf_s,
+        "mtbf_s": spec.mtbf_s,
         "ckpt_interval_s": ckpt_interval_s,
         "faults": injector.metrics(),
         "transport": rt.transport_metrics(),

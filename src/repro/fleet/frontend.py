@@ -23,11 +23,12 @@ Operations (request ``op`` -> reply)::
 A ``wait=false`` job can be waited for while the connection that
 submitted it is open: when that connection ends, the front end drops
 every job it submitted and nobody waited for (the job itself still
-runs and lands in its shard's store).  ``priority`` must be an integer,
-and ``deadline_s`` and ``timeout_s`` null or a number from 0 to the
-largest float; any other value gets ``{ok: false, error: "bad field:
-..."}``, and a ``wait`` whose ``id`` is not an integer an unknown-id
-error.
+runs and lands in its shard's store).  ``priority`` and ``deadline_s``
+pass the job directory's admission rule (:func:`repro.serve.queue.
+bad_field`: an integer, and null or a number from 0 to the largest
+float), and ``timeout_s`` the same number rule; any other value gets
+``{ok: false, error: "bad field: ..."}``, and a ``wait`` whose ``id``
+is not an integer an unknown-id error.
 
 A shard-level QueueFull maps to ``{ok: false, error: "queue_full",
 retry_after_s: ...}`` so remote clients can back off exactly like
@@ -37,12 +38,11 @@ local ones.
 from __future__ import annotations
 
 import asyncio
-import sys
 import threading
 from typing import Dict, Optional, Set
 
 from ..engine import ExperimentSpec
-from ..serve.queue import QueueFull
+from ..serve.queue import QueueFull, bad_field, bad_seconds
 from .protocol import (
     FLEET_MSG_SCHEMA,
     FrameError,
@@ -92,28 +92,6 @@ def _error_doc(error: str, **extra) -> dict:
         "error": error,
         **extra,
     }
-
-
-def _bad_field(msg: dict) -> Optional[str]:
-    """Why ``priority``, ``deadline_s`` or ``timeout_s`` of a request
-    is malformed, or None when each is absent or well-formed."""
-    priority = msg.get("priority", 0)
-    if type(priority) is not int:
-        return f"priority must be an integer, not {priority!r}"
-    for name in ("deadline_s", "timeout_s"):
-        value = msg.get(name)
-        if value is None:
-            continue
-        # at most the largest float: a clock plus it stays finite
-        if (
-            type(value) not in (int, float)
-            or not 0 <= value <= sys.float_info.max
-        ):
-            return (
-                f"{name} must be null or a number in "
-                f"[0, {sys.float_info.max:g}], not {value!r}"
-            )
-    return None
 
 
 class FleetFrontEnd:
@@ -277,7 +255,9 @@ class FleetFrontEnd:
                 "metrics": self.router.metrics_snapshot(),
             }
         if op in ("submit", "wait"):
-            bad = _bad_field(msg)
+            bad = bad_field(msg) or bad_seconds(
+                "timeout_s", msg.get("timeout_s")
+            )
             if bad is not None:
                 return _error_doc(f"bad field: {bad}")
         if op == "submit":

@@ -34,7 +34,11 @@ unresolved journal records are resubmitted (request ids travel in the
 journaled ``meta``), already-stored reports resolve as cache hits, and
 a resolved record whose result file never landed is replayed so the
 file appears.  Requests whose writer died mid-write (truncated JSON)
-are skipped while fresh and rejected once stably malformed.
+are skipped while fresh and rejected once stably malformed.  A request
+is also malformed when its ``id`` is not its file's stem (the result
+file is named after it) or its ``priority`` or ``deadline_s`` fails
+:func:`~repro.serve.queue.bad_field`: each gets a failed result file
+under its stem, and the server goes on.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from ..engine import ExperimentSpec
 from .health import read_heartbeat
 from .journal import JobJournal
 from .metrics import render_service_metrics
-from .queue import Job, QueueFull
+from .queue import Job, QueueFull, bad_field
 from .service import ExperimentService
 
 __all__ = [
@@ -195,15 +199,18 @@ def submit_job(
 
     The request file is written atomically into ``jobdir/queue/`` and
     named by submission time so a scanning server dispatches FIFO by
-    default (priority still reorders inside the service queue).
-    ``deadline_s`` is the queue-time budget the server applies once it
-    ingests the request.
+    default (priority still reorders inside the service queue).  A
+    given ``job_id`` names the request and result files, so it must be
+    a plain file name.  ``deadline_s`` is the queue-time budget the
+    server applies once it ingests the request.
     """
+    if job_id is None:
+        job_id = f"{time.time_ns():020d}-{uuid.uuid4().hex[:8]}"  # wall-clock-ok: request id only, never in results
+    elif job_id in ("", ".", "..") or Path(job_id).name != job_id:
+        raise ValueError(f"job id {job_id!r} is not a plain file name")
     jobdir = Path(jobdir).expanduser()
     _queue_dir(jobdir).mkdir(parents=True, exist_ok=True)
     _results_dir(jobdir).mkdir(parents=True, exist_ok=True)
-    if job_id is None:
-        job_id = f"{time.time_ns():020d}-{uuid.uuid4().hex[:8]}"  # wall-clock-ok: request id only, never in results
     payload = {
         "schema": JOB_REQUEST_SCHEMA,
         "id": job_id,
@@ -382,10 +389,17 @@ def serve_jobdir(
             except OSError as exc:
                 say(f"skipping unreadable request {path.name}: {exc}")
                 continue
+            request_id = path.stem
             try:
                 req = json.loads(text)
                 spec = ExperimentSpec.from_dict(req["spec"])
-                request_id = req.get("id", path.stem)
+                if req.get("id", request_id) != request_id:
+                    raise ValueError(
+                        f"id {req['id']!r} is not the file's stem"
+                    )
+                bad = bad_field(req)
+                if bad is not None:
+                    raise ValueError(bad)
             except (ValueError, KeyError, TypeError) as exc:
                 try:
                     age_s = time.time() - path.stat().st_mtime  # wall-clock-ok: mtime freshness of a host-side file
@@ -404,7 +418,7 @@ def serve_jobdir(
                 say(f"rejecting malformed request {path.name}: {exc}")
                 rejected = {
                     "schema": JOB_RESULT_SCHEMA,
-                    "id": path.stem,
+                    "id": request_id,
                     "status": "failed",
                     "error": f"malformed request: {exc}",
                     "cache_hit": False,
@@ -412,7 +426,7 @@ def serve_jobdir(
                     "report": None,
                 }
                 atomic_write(
-                    _result_path(jobdir, path.stem),
+                    _result_path(jobdir, request_id),
                     json.dumps(rejected, sort_keys=True, indent=2),
                 )
                 path.unlink(missing_ok=True)
@@ -420,7 +434,7 @@ def serve_jobdir(
             try:
                 job = service.submit(
                     spec,
-                    priority=int(req.get("priority", 0)),
+                    priority=req.get("priority", 0),
                     client=str(req.get("client", "cli")),
                     deadline_s=req.get("deadline_s"),
                     meta={"request_id": request_id},

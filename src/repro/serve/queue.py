@@ -14,10 +14,16 @@ push raises a typed :class:`QueueFull` carrying a retry-after hint —
 and *fair-share ordered*: among the highest-priority pending jobs the
 client with the fewest recently-dispatched jobs goes first, so one
 chatty client cannot starve the rest of the machine.
+
+:func:`bad_field` is the one admission rule for the ``priority`` and
+``deadline_s`` of a request from outside the process, applied by both
+doors: the job directory (:mod:`repro.serve.filejob`) and the fleet's
+TCP front end (:mod:`repro.fleet.frontend`).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from enum import Enum
 from typing import Callable, Dict, List, Optional
@@ -30,6 +36,8 @@ __all__ = [
     "PoisonJobError",
     "QueueFull",
     "Waitable",
+    "bad_field",
+    "bad_seconds",
 ]
 
 
@@ -90,6 +98,31 @@ class PoisonJobError(RuntimeError):
         self.job_id = job_id
         self.key = key
         self.reason = reason
+
+
+def bad_seconds(name: str, value) -> Optional[str]:
+    """Why ``value`` is not a valid optional duration ``name``, or None
+    when it is null or a number from 0 to the largest float (so a clock
+    plus it stays finite)."""
+    if value is None or (
+        type(value) in (int, float) and 0 <= value <= sys.float_info.max
+    ):
+        return None
+    return (
+        f"{name} must be null or a number in "
+        f"[0, {sys.float_info.max:g}], not {value!r}"
+    )
+
+
+def bad_field(request: dict) -> Optional[str]:
+    """Why the ``priority`` or ``deadline_s`` of an outside request is
+    malformed, or None when each is absent or well-formed: a priority
+    is an integer (not a bool), a deadline a :func:`bad_seconds`
+    duration."""
+    priority = request.get("priority", 0)
+    if type(priority) is not int:
+        return f"priority must be an integer, not {priority!r}"
+    return bad_seconds("deadline_s", request.get("deadline_s"))
 
 
 class JobState(Enum):

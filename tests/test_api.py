@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.api import Session
-from repro.apps.xpic import Mode, XpicConfig
+from repro.apps.xpic import Mode, XpicConfig, run_experiment
 from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.backoff import ExponentialBackoff
 from repro.bench import run_fig7
@@ -22,6 +22,7 @@ from repro.jobs import AcceleratedNodeAllocator, Job
 from repro.mpi import FAULT_RUN_POLICY, FaultTolerancePolicy, MPIRuntime
 from repro.network import Fabric, Topology
 from repro.partition import Partition
+from repro.resiliency import FaultPlan, MalleabilityPolicy
 from repro.serve import ExperimentService, serve_jobdir
 from repro.sim.trace import Tracer
 from repro.store import ResultCache
@@ -152,10 +153,38 @@ def _coupled_with_ratio():
     return AcceleratedNodeAllocator(pools, boosters_per_host=0.5)
 
 
+def _driver_with(**kwargs):
+    return lambda: run_experiment(
+        build_deep_er_prototype(), ExperimentSpec(mode="cb", steps=5), **kwargs
+    )
+
+
 def _resilient_with(**kwargs):
     return lambda: run_resilient_experiment(
-        build_deep_er_prototype(), Mode.CB, XpicConfig(), **kwargs
+        build_deep_er_prototype(), ExperimentSpec(mode="cb", steps=5), **kwargs
     )
+
+
+#: the run inputs the xPic drivers took as keywords before they read
+#: them from their spec, one valid value each
+_DRIVER_KEYWORDS = {
+    "mode": Mode.CB,
+    "config": XpicConfig(),
+    "nodes_per_solver": 1,
+    "overlap": True,
+    "swap_placement": False,
+    "load_balanced": False,
+    "imbalance_alpha": 0.2,
+    "partition": Partition(1, 1),
+}
+_SUPERVISOR_KEYWORDS = {
+    **_DRIVER_KEYWORDS,
+    "fault_plan": FaultPlan(),
+    "mtbf_s": 3600.0,
+    "fault_seed": 1,
+    "ckpt_interval_s": 1.0,
+    "policy": MalleabilityPolicy(),
+}
 
 
 def _local_shard_heartbeat_interval():
@@ -222,6 +251,14 @@ def _local_shard_heartbeat_interval():
         (_resilient_with(fault_targets=["bn00"]), TypeError),
         (_resilient_with(max_epochs=5), TypeError),
         (lambda: MetricsHub.attach, AttributeError),
+    ]
+    + [
+        (_driver_with(**{k: v}), TypeError)
+        for k, v in _DRIVER_KEYWORDS.items()
+    ]
+    + [
+        (_resilient_with(**{k: v}), TypeError)
+        for k, v in _SUPERVISOR_KEYWORDS.items()
     ],
     ids=[
         "positional-spec",
@@ -275,7 +312,9 @@ def _local_shard_heartbeat_interval():
         "resilient-fault-targets",
         "resilient-max-epochs",
         "metrics-hub-attach",
-    ],
+    ]
+    + [f"driver-{k.replace('_', '-')}" for k in _DRIVER_KEYWORDS]
+    + [f"resilient-{k.replace('_', '-')}" for k in _SUPERVISOR_KEYWORDS],
 )
 def test_removed_spellings_stay_removed(call, error):
     """Each input has one spelling since 2.0: the old ones fail loudly
@@ -295,8 +334,9 @@ def test_removed_spellings_stay_removed(call, error):
     the fleet's two resolution timers (fleet jobs resolve when
     their shard jobs do), the supervisor's fault-target and epoch-cap
     settings nothing set (it always targets the current launch nodes;
-    the cap is ``MAX_EPOCHS``), and the metrics hub's second way to
-    add a layer after construction."""
+    the cap is ``MAX_EPOCHS``), the metrics hub's second way to add a
+    layer after construction, and the xPic drivers' keyword copies of
+    spec fields (both drivers read every run input from their spec)."""
     with pytest.raises(error):
         call()
 

@@ -59,15 +59,14 @@ def test_wall_clock_telemetry_does_not_leak_into_results():
 
 def test_headline_experiment_bit_reproducible():
     """Two fresh runs of the Fig 7 experiment give identical floats."""
-    from repro.apps.xpic import Mode, run_experiment, table2_setup
+    from repro.apps.xpic import run_experiment
+    from repro.engine import ExperimentSpec
     from repro.hardware import build_deep_er_prototype
 
-    cfg = table2_setup(steps=30)
+    spec = ExperimentSpec(mode="cb", steps=30, nodes_per_solver=2)
 
     def once():
-        r = run_experiment(
-            build_deep_er_prototype(), Mode.CB, cfg, nodes_per_solver=2
-        )
+        r = run_experiment(build_deep_er_prototype(), spec)
         return (r.total_runtime, r.fields_time, r.particles_time,
                 r.inter_module_comm_time)
 
@@ -92,10 +91,11 @@ def test_reproducible_across_processes():
     """Determinism survives interpreter restarts (no id()/hash-order
     dependence leaking into results)."""
     code = (
-        "from repro.apps.xpic import Mode, run_experiment, table2_setup;"
+        "from repro.apps.xpic import run_experiment;"
+        "from repro.engine import ExperimentSpec;"
         "from repro.hardware import build_deep_er_prototype;"
-        "r = run_experiment(build_deep_er_prototype(), Mode.CB,"
-        " table2_setup(steps=10), nodes_per_solver=2);"
+        "r = run_experiment(build_deep_er_prototype(),"
+        " ExperimentSpec(mode='cb', steps=10, nodes_per_solver=2));"
         "print(repr(r.total_runtime))"
     )
     outs = {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps.xpic import Mode, run_experiment, table2_setup
+from repro.apps.xpic import Mode, run_experiment
+from repro.engine import ExperimentSpec
 from repro.hardware import build_deep_er_prototype
 from repro.hardware.node import NodeKind
 from repro.perfmodel import PowerModel
@@ -62,10 +63,11 @@ def test_booster_flops_per_watt_advantage():
 
 
 def test_run_result_energy_modes():
-    cfg = table2_setup(steps=20)
     reports = {}
     for mode in Mode:
-        r = run_experiment(build_deep_er_prototype(), mode, cfg, nodes_per_solver=1)
+        r = run_experiment(
+            build_deep_er_prototype(), ExperimentSpec(mode=mode, steps=20)
+        )
         reports[mode] = (r, r.energy_report())
     # homogeneous modes: single node at full busy power
     rc, ec = reports[Mode.CLUSTER]

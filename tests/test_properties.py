@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.xpic.driver import partition_of
 from repro.engine import ExperimentSpec
 from repro.fleet import HashRing
 from repro.hardware import build_deep_er_prototype
@@ -224,6 +225,15 @@ def test_partition_round_trips_through_its_dict_form(part):
         assert hash(back) == hash(part)
         assert back.to_dict() == d
     assert Partition.coerce(part) is part
+
+
+@given(partitions(), st.integers(0, 500))
+@settings(max_examples=80, deadline=None)
+def test_partition_round_trips_through_its_spec(part, steps):
+    """The drivers run the partition a spec was built from: flat ones
+    through the spec's flat fields, nested ones through its
+    ``partition``."""
+    assert partition_of(part.to_spec(steps)) == part
 
 
 # -------------------------------------------------------------- cache keys

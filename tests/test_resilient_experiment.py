@@ -13,7 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.apps.xpic import Mode, XpicConfig, run_experiment
+from repro.apps.xpic import XpicConfig, run_experiment
 from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.engine import Engine, ExperimentSpec
 from repro.hardware import build_deep_er_prototype
@@ -29,9 +29,14 @@ from repro.resiliency import (
 CFG = XpicConfig(steps=120)
 
 
+def _spec(**kwargs):
+    """A C+B 1+1 run of ``CFG`` with ``kwargs`` set."""
+    return ExperimentSpec(mode="cb", config=CFG, **kwargs)
+
+
 def _plain_runtime():
     m = build_deep_er_prototype()
-    return run_experiment(m, Mode.CB, CFG).total_runtime
+    return run_experiment(m, _spec()).total_runtime
 
 
 # ------------------------------------------------------- crash + restart
@@ -42,7 +47,7 @@ def test_booster_crash_recovers_via_scr_restart():
     )
     m = build_deep_er_prototype()
     rr, res, _ = run_resilient_experiment(
-        m, Mode.CB, CFG, fault_plan=plan, ckpt_interval_s=0.8
+        m, _spec(fault_plan=plan, ckpt_interval_s=0.8)
     )
     assert res["restarts"] >= 1
     assert res["lost_work_s"] > 0
@@ -61,7 +66,7 @@ def test_crash_without_checkpoints_restarts_from_scratch():
         [FaultEvent(time_s=0.5, kind="node_crash", target="bn00")]
     )
     m = build_deep_er_prototype()
-    rr, res, _ = run_resilient_experiment(m, Mode.CB, CFG, fault_plan=plan)
+    rr, res, _ = run_resilient_experiment(m, _spec(fault_plan=plan))
     # no cadence configured: nothing to restart from, the whole prefix
     # is lost work
     assert res["restarts"] == 1
@@ -81,9 +86,11 @@ def test_crash_of_the_replacement_spare_is_a_job_crash():
     # bn02's crash must abort and restart it, not starve its transfers
     m = build_deep_er_prototype()
     rr, res, _ = run_resilient_experiment(
-        m, Mode.CB, CFG,
-        fault_plan=_crashes((1.0, "bn00"), (3.0, "bn02")),
-        ckpt_interval_s=0.8,
+        m,
+        _spec(
+            fault_plan=_crashes((1.0, "bn00"), (3.0, "bn02")),
+            ckpt_interval_s=0.8,
+        ),
     )
     assert res["restarts"] == 2 and res["epochs"] == 3
     assert res["node_replacements"] == 2
@@ -120,9 +127,11 @@ def test_no_checkpoint_starts_within_an_interval_of_a_relaunch(
     monkeypatch.setattr(MPIRuntime, "launch", recording_launch)
     m = build_deep_er_prototype()
     _, res, _ = run_resilient_experiment(
-        m, Mode.CB, CFG, nodes_per_solver=nodes,
-        fault_plan=_crashes(*events), ckpt_interval_s=interval,
-        policy=policy,
+        m,
+        _spec(
+            nodes_per_solver=nodes, fault_plan=_crashes(*events),
+            ckpt_interval_s=interval, malleability=policy,
+        ),
     )
     assert res["restarts"] == 1 and len(launches) == 2
     relaunch = launches[1]
@@ -150,10 +159,7 @@ def test_booster_loss_degrades_to_cluster_run():
     ]
     rr, res, _ = run_resilient_experiment(
         m,
-        Mode.CB,
-        CFG,
-        fault_plan=FaultPlan(events),
-        ckpt_interval_s=0.8,
+        _spec(fault_plan=FaultPlan(events), ckpt_interval_s=0.8),
         allow_reboot=False,
     )
     assert res["degraded_mode"]
@@ -164,10 +170,10 @@ def test_booster_loss_degrades_to_cluster_run():
 # ------------------------------------------------------- zero-fault path
 def test_zero_fault_plan_is_bit_identical_to_plain_run():
     m_plain = build_deep_er_prototype()
-    plain = run_experiment(m_plain, Mode.CB, CFG)
+    plain = run_experiment(m_plain, _spec())
     m_chaos = build_deep_er_prototype()
     rr, res, _ = run_resilient_experiment(
-        m_chaos, Mode.CB, CFG, fault_plan=FaultPlan()
+        m_chaos, _spec(fault_plan=FaultPlan())
     )
     assert rr.total_runtime == plain.total_runtime
     assert rr.fields_time == plain.fields_time
@@ -269,7 +275,7 @@ def test_poisson_failures_match_daly_expected_runtime():
     for seed in range(10):
         m = build_deep_er_prototype()
         rr, res, _ = run_resilient_experiment(
-            m, Mode.CB, CFG, mtbf_s=mtbf, fault_seed=seed
+            m, _spec(mtbf_s=mtbf, seed=seed)
         )
         crashes.append(res["faults"]["injected"]["node_crash"])
         walls.append(rr.total_runtime)

@@ -20,7 +20,7 @@ from repro.serve import (
     submit_job,
     wait_result,
 )
-from repro.serve.filejob import SERVICE_METRICS_SCHEMA
+from repro.serve.filejob import SERVICE_METRICS_SCHEMA, read_result
 from repro.serve.metrics import LatencyHistogram
 from repro.store import ResultCache
 
@@ -485,6 +485,65 @@ def test_filejob_malformed_request_gets_failed_result(tmp_path):
     result = wait_result(jobdir, "bad", timeout=5)
     assert result["status"] == "failed"
     assert "malformed" in result["error"]
+
+
+def _spool(jobdir, stem, **fields):
+    """Write one request file by hand, as an outside client might."""
+    (jobdir / "queue").mkdir(parents=True, exist_ok=True)
+    request = {"id": stem, "spec": spec(steps=3).to_dict(), **fields}
+    (jobdir / "queue" / f"{stem}.json").write_text(json.dumps(request))
+
+
+def test_filejob_malformed_field_fails_only_its_request(tmp_path):
+    """A bad priority or deadline gets a failed result file and leaves
+    the queue, as any malformed request does; it neither crashes the
+    server nor stays behind to crash its restart."""
+    jobdir = tmp_path / "jobs"
+    bad = {
+        "high": {"priority": "high"},
+        "flag": {"priority": True},
+        "soon": {"deadline_s": "soon"},
+        "past": {"deadline_s": -1},
+        "never": {"deadline_s": float("inf")},
+    }
+    for stem, fields in bad.items():
+        _spool(jobdir, stem, **fields)
+    good = submit_job(jobdir, spec(steps=3), priority=2, deadline_s=30.0)
+    stats = serve_jobdir(jobdir, once=True, durable=False)
+    assert stats["executed"] == 1
+    assert wait_result(jobdir, good, timeout=5)["status"] == "done"
+    for stem, fields in bad.items():
+        result = read_result(jobdir, stem)
+        assert result["status"] == "failed", stem
+        (name,) = fields
+        assert result["error"].startswith(f"malformed request: {name} ")
+    assert not list((jobdir / "queue").iterdir())
+
+
+def test_filejob_request_id_must_be_its_file_stem(tmp_path):
+    """A result file is named after its request's id, so an id other
+    than the request file's stem fails the request under the stem and
+    writes nothing outside ``results/``."""
+    root = tmp_path / "root"
+    jobdir = root / "jobs"
+    _spool(jobdir, "escape", id="../../escaped")
+    _spool(jobdir, "other", id="elsewhere")
+    serve_jobdir(jobdir, once=True, durable=False)
+    for stem in ("escape", "other"):
+        result = read_result(jobdir, stem)
+        assert result["status"] == "failed" and result["id"] == stem
+        assert "is not the file's stem" in result["error"]
+    written = sorted(
+        str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()
+    )
+    assert written == [
+        "jobs/metrics.json", "jobs/results/escape.json",
+        "jobs/results/other.json",
+    ]
+    for job_id in ("../escaped", "a/b", "..", ".", ""):
+        with pytest.raises(ValueError, match="not a plain file name"):
+            submit_job(jobdir, spec(), job_id=job_id)
+    assert not list((jobdir / "queue").iterdir())
 
 
 def test_filejob_malformed_grace_is_configurable(tmp_path):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps.xpic import Mode, run_experiment, table2_setup
+from repro.apps.xpic import run_experiment
+from repro.engine import ExperimentSpec
 from repro.hardware import build_deep_er_prototype
 from repro.sim import Interval, Tracer
 
@@ -109,7 +110,7 @@ def test_driver_tracing_produces_pipeline():
     tracer = Tracer()
     machine = build_deep_er_prototype()
     run_experiment(
-        machine, Mode.CB, table2_setup(steps=5), nodes_per_solver=1, tracer=tracer
+        machine, ExperimentSpec(mode="cb", steps=5), tracer=tracer
     )
     assert "CN0" in tracer.actors()
     assert "BN0" in tracer.actors()

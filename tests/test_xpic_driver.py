@@ -5,12 +5,18 @@ wins, orderings, overhead bands) on short runs; the full-length runs
 live in benchmarks/.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps.xpic import Mode, XpicConfig, run_experiment, table2_setup
+from repro.apps.xpic.resilient_driver import run_resilient_experiment
 from repro.apps.xpic.workload import build_workload
+from repro.engine import Engine, ExperimentSpec
 from repro.hardware import build_deep_er_prototype
+from repro.partition import Partition
 from repro.perfmodel import parallel_efficiency
+from repro.resiliency import FaultEvent, FaultPlan
 
 
 def short_cfg(steps=50):
@@ -19,7 +25,8 @@ def short_cfg(steps=50):
 
 def run(mode, n=1, steps=50):
     machine = build_deep_er_prototype()
-    return run_experiment(machine, mode, short_cfg(steps), nodes_per_solver=n)
+    spec = ExperimentSpec(mode=mode, nodes_per_solver=n, steps=steps)
+    return run_experiment(machine, spec)
 
 
 @pytest.fixture(scope="module")
@@ -147,15 +154,15 @@ def test_io_snapshot_time_grows_with_ranks():
 
 def test_insufficient_nodes_rejected():
     machine = build_deep_er_prototype(cluster_nodes=2, booster_nodes=2)
-    with pytest.raises(ValueError):
-        run_experiment(machine, Mode.CLUSTER, short_cfg(), nodes_per_solver=4)
-    with pytest.raises(ValueError):
-        run_experiment(machine, Mode.CB, short_cfg(), nodes_per_solver=4)
+    for mode in (Mode.CLUSTER, Mode.CB):
+        spec = ExperimentSpec(mode=mode, nodes_per_solver=4, steps=50)
+        with pytest.raises(ValueError):
+            run_experiment(machine, spec)
 
 
 def test_mode_accepts_string():
     machine = build_deep_er_prototype()
-    r = run_experiment(machine, "Cluster", short_cfg(steps=5), nodes_per_solver=1)
+    r = run_experiment(machine, ExperimentSpec(mode="Cluster", steps=5))
     assert r.mode is Mode.CLUSTER
 
 
@@ -163,3 +170,43 @@ def test_runtime_scales_with_steps():
     r10 = run(Mode.CLUSTER, steps=10)
     r20 = run(Mode.CLUSTER, steps=20)
     assert r20.total_runtime == pytest.approx(2 * r10.total_runtime, rel=0.05)
+
+
+def _losing_bn00(**kwargs):
+    """A 60-step C+B run of a small config that loses bn00 at 2 s,
+    after its first checkpoint."""
+    plan = FaultPlan(
+        [FaultEvent(time_s=2.0, kind="node_crash", target="bn00")]
+    )
+    return ExperimentSpec(
+        mode="cb", config=XpicConfig(steps=60), fault_plan=plan,
+        ckpt_interval_s=0.5, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(mode="cb", steps=20, nodes_per_solver=2),
+        Partition(4, 0, cluster_arm=Partition(2, 2)).to_spec(20),
+        _losing_bn00(),
+        _losing_bn00(nodes_per_solver=2, malleability={"enabled": True}),
+    ],
+    ids=["flat-cb", "nested", "heal", "re-tune"],
+)
+def test_drivers_report_what_the_engine_reports_for_a_spec(spec):
+    """Each driver reads every run input from its spec: called with one
+    directly, it returns the result, resiliency and malleability
+    sections the engine reports for the same spec."""
+    report = Engine().run(spec)
+    machine = spec.build_machine()
+    if spec.wants_resiliency:
+        rr, resiliency, malleability = run_resilient_experiment(machine, spec)
+        assert resiliency["restored_steps"]  # the crash cost a restore
+    else:
+        rr, resiliency, malleability = run_experiment(machine, spec), {}, {}
+    for key, value in dataclasses.asdict(rr).items():
+        assert report.result[key] == value, key
+    assert resiliency == report.resiliency
+    assert malleability == report.malleability
+    assert bool(malleability) == spec.wants_malleability

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.apps.xpic import Mode, run_experiment, table2_setup
+from repro.apps.xpic import run_experiment, table2_setup
 from repro.apps.xpic.ompss_port import run_xpic_ompss
+from repro.engine import ExperimentSpec
 from repro.hardware import build_deep_er_prototype
 
 
@@ -33,7 +34,7 @@ def test_ompss_port_matches_spawn_pipeline_regime():
     developer familiarity, not performance)."""
     cfg = table2_setup(steps=25)
     t_spawn = run_experiment(
-        build_deep_er_prototype(), Mode.CB, cfg, nodes_per_solver=1
+        build_deep_er_prototype(), ExperimentSpec(mode="cb", config=cfg)
     ).total_runtime
     t_ompss = run_xpic_ompss(build_deep_er_prototype(), cfg, steps=25).total_runtime
     assert 0.6 < t_ompss / t_spawn < 1.4
